@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", default=None)
     p.add_argument("--observables", nargs="*", default=["tile_density"])
     p.add_argument("--keep-samples", action="store_true")
-    p.add_argument("--threads", type=int, default=_threads_default())
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sticks", help="stick census and Psi sets of a configuration")
@@ -220,10 +219,17 @@ def _load_sample_spec(path: str) -> dict:
         raise SpecError(f"cannot read spec {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"malformed spec {path}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise SpecError(f"spec {path} is not a JSON object")
     required = {"width", "height", "lambda", "seed", "sweeps"}
+    optional = {"boundary", "burn_in", "thinning", "translation_move_fraction"}
+    optional |= {"initial", "observables", "keep_samples"}
     missing = required - spec.keys()
     if missing:
         raise SpecError(f"spec missing fields: {sorted(missing)}")
+    unknown = spec.keys() - required - optional
+    if unknown:
+        raise SpecError(f"spec has unknown fields: {sorted(unknown)}")
     return spec
 
 
@@ -389,10 +395,18 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError as exc:
+        # the reader closed stdout early (e.g. `| head`); point stdout at
+        # devnull so the interpreter's final flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        error = exc
     except (SquarepackError, ValueError) as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(error), file=sys.stderr)
-        return 1
+        error = exc
+    payload = {"error": {"type": type(error).__name__, "message": str(error)}}
+    print(json.dumps(payload), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

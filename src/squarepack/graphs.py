@@ -20,8 +20,19 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .errors import TooLarge
-from .lattice import Configuration, Point, _unchecked, iter_valid_masks, model_sites
+from .lattice import (
+    FACE_MARGIN,
+    Configuration,
+    Point,
+    _unchecked,
+    edge_sides,
+    face_cover,
+    iter_valid_masks,
+    model_sites,
+)
 
 Edge = Tuple[Point, Point, str]  # (start, end, "stick" | "vacancy")
 
@@ -78,74 +89,41 @@ def _marked_edges(config: Configuration) -> Tuple[List[Edge], Set[Point]]:
     Torus coordinates are reduced to canonical residues, so components
     crossing the periodic seam stay connected (their stick runs, however,
     are reported in fundamental-domain pieces). For the rectangle modes
-    the scan extends two cells beyond the region so fully-packed boundary
-    structure is included; under free boundary an uncovered face inside
-    the margin counts as vacant.
+    the scan covers the margin of ``face_cover`` so fully-packed boundary
+    structure is included. Only uncovered faces inside the region are
+    vacant: under free boundary the margin is outside the model. Edges
+    are listed by start point, x before y, vertical before horizontal.
     """
-    w, h = config.width, config.height
+    w, h, m = config.width, config.height, FACE_MARGIN
     periodic = config.boundary == "periodic"
+    cover = face_cover(config)
+    region_vacant = cover[m : m + h, m : m + w] < 0
+    # the torus margin repeats the region's vacancies; outside a
+    # rectangle nothing is vacant
+    vacant_faces = np.pad(region_vacant, m, mode="wrap" if periodic else "constant")
+    left, below, here, x0, y0 = edge_sides(config, cover, -1)
+    vac_left, vac_below, vac_here, _, _ = edge_sides(config, vacant_faces, False)
 
-    def parity(center):
-        return ((center[0] - 1) % 2, (center[1] - 1) % 2)
+    def marks(before, vacant_before):
+        stick = (before >= 0) & (here >= 0) & (before != here)
+        return np.where(vacant_before | vac_here, 2, stick)
 
+    # indexed [x, y, orientation] for the edge order: 0 regular, 1 stick,
+    # 2 vacancy; orientation 0 is vertical, 1 horizontal
+    kinds = np.stack([marks(left, vac_left), marks(below, vac_below)], axis=-1)
+    kinds = kinds.transpose(1, 0, 2)
+    xs, ys, orients = np.nonzero(kinds)
+    found = kinds[xs, ys, orients]
     edges: List[Edge] = []
-    vacant: Set[Point] = set()
-
-    if periodic:
-        cover = {
-            (fx, fy): config.face_cover_center((fx, fy))
-            for fx in range(w)
-            for fy in range(h)
-        }
-        vacant = {f for f, c in cover.items() if c is None}
-        for x in range(w):
-            for y in range(h):
-                # vertical edge from (x, y) to (x, y+1)
-                ca = cover[((x - 1) % w, y)]
-                cb = cover[(x, y)]
-                end = (x, (y + 1) % h)
-                if ca is None or cb is None:
-                    edges.append(((x, y), end, "vacancy"))
-                elif parity(ca) != parity(cb):
-                    edges.append(((x, y), end, "stick"))
-                # horizontal edge from (x, y) to (x+1, y)
-                ca = cover[(x, (y - 1) % h)]
-                cb = cover[(x, y)]
-                end = ((x + 1) % w, y)
-                if ca is None or cb is None:
-                    edges.append(((x, y), end, "vacancy"))
-                elif parity(ca) != parity(cb):
-                    edges.append(((x, y), end, "stick"))
-        return edges, vacant
-
-    cover = {}
-    for fx in range(-3, w + 3):
-        for fy in range(-3, h + 3):
-            cover[(fx, fy)] = config.face_cover_center((fx, fy))
-    # vacant faces live inside the region; under fully-packed boundary
-    # every outside face is covered anyway, under free boundary outside
-    # faces are not part of the model
-    vacant = {
-        f for f, c in cover.items() if c is None and 0 <= f[0] < w and 0 <= f[1] < h
-    }
-    for x in range(-2, w + 3):
-        for y in range(-2, h + 3):
-            for orient in ("v", "h"):
-                if orient == "v":
-                    fa, fb = (x - 1, y), (x, y)
-                    end = (x, y + 1)
-                else:
-                    fa, fb = (x, y - 1), (x, y)
-                    end = (x + 1, y)
-                ca, cb = cover.get(fa), cover.get(fb)
-                if fa not in cover or fb not in cover:
-                    continue
-                if ca is None or cb is None:
-                    if fa in vacant or fb in vacant:
-                        edges.append(((x, y), end, "vacancy"))
-                elif parity(ca) != parity(cb):
-                    edges.append(((x, y), end, "stick"))
-    return edges, vacant
+    for x, y, orient, kind in zip(
+        (xs + x0).tolist(), (ys + y0).tolist(), orients.tolist(), found.tolist()
+    ):
+        end = (x + orient, y + 1 - orient)  # up from a vertical, right from a horizontal
+        if periodic:
+            end = (end[0] % w, end[1] % h)
+        edges.append(((x, y), end, "vacancy" if kind == 2 else "stick"))
+    vy, vx = np.nonzero(region_vacant)
+    return edges, set(zip(vx.tolist(), vy.tolist()))
 
 
 def build_component_graph(config: Configuration) -> List[ComponentGraph]:
@@ -161,15 +139,9 @@ def build_component_graph(config: Configuration) -> List[ComponentGraph]:
     w, h = config.width, config.height
     vac_by_root: Dict = defaultdict(set)
     for fx, fy in vacant:
+        corners = [(fx + dx, fy + dy) for dx in (0, 1) for dy in (0, 1)]
         if periodic:
-            corners = [
-                (fx, fy),
-                ((fx + 1) % w, fy),
-                (fx, (fy + 1) % h),
-                ((fx + 1) % w, (fy + 1) % h),
-            ]
-        else:
-            corners = [(fx, fy), (fx + 1, fy), (fx, fy + 1), (fx + 1, fy + 1)]
+            corners = [(x % w, y % h) for x, y in corners]
         roots = {uf.find(c) for c in corners if c in uf.parent}
         # the four bounding edges of a vacancy lie in one component
         if len(roots) == 1:

@@ -240,6 +240,60 @@ def _unchecked(width: int, height: int, boundary: str, occupied) -> Configuratio
     return cfg
 
 
+FACE_MARGIN = 2
+
+
+def face_cover(config: Configuration) -> np.ndarray:
+    """Parity code ``2 * hpar + vpar`` of the tile covering each face.
+
+    An int8 array indexed [fy + FACE_MARGIN, fx + FACE_MARGIN] over the
+    faces with corners -2 <= fx < width + 2, -2 <= fy < height + 2; -1
+    marks an uncovered face. On a torus the margin wraps; under
+    fully_packed boundary the exterior tiles cover it. Agrees with
+    ``Configuration.face_cover_center`` face by face.
+    """
+    w, h, m = config.width, config.height, FACE_MARGIN
+    # centers -m .. size + m, one more than the faces, since the tile at
+    # (cx, cy) covers the faces with corners cx - 1 .. cx, cy - 1 .. cy
+    if config.boundary == "periodic":
+        occupied = np.pad(config.occupancy_grid(), ((m, m + 1), (m, m + 1)), mode="wrap")
+    else:
+        occupied = np.pad(config.occupancy_grid(), m)
+    cx = np.arange(-m, w + m + 1)
+    cy = np.arange(-m, h + m + 1)[:, None]
+    if config.boundary == "fully_packed":
+        interior = (cx >= 1) & (cx <= w - 1) & (cy >= 1) & (cy <= h - 1)
+        occupied |= (cx % 2 == 1) & (cy % 2 == 1) & ~interior
+    # code + 1 per occupied center, 0 elsewhere; open tiles are disjoint,
+    # so at most one of the four centers around a face is occupied
+    code = np.where(occupied, 2 * ((cx - 1) % 2) + (cy - 1) % 2 + 1, 0).astype(np.int8)
+    cover = np.maximum(
+        np.maximum(code[:-1, :-1], code[:-1, 1:]), np.maximum(code[1:, :-1], code[1:, 1:])
+    )
+    return cover - 1
+
+
+def edge_sides(config: Configuration, faces: np.ndarray, fill):
+    """Faces on both sides of the unit edges that bulk scans visit.
+
+    ``faces`` is any array over the extent of ``face_cover``. Returns
+    (left, below, here, x0, y0): entry [i, j] is the face with corner
+    (x0 + j, y0 + i), where the vertical edge from ``left`` and the
+    horizontal edge from ``below`` start. A torus scans its region only,
+    as the margin repeats it; rectangles scan the whole extent, with
+    ``fill`` beyond it.
+    """
+    m = FACE_MARGIN
+    left = np.full_like(faces, fill)
+    left[:, 1:] = faces[:, :-1]
+    below = np.full_like(faces, fill)
+    below[1:] = faces[:-1]
+    if config.boundary == "periodic":
+        core = (slice(m, m + config.height), slice(m, m + config.width))
+        return left[core], below[core], faces[core], 0, 0
+    return left, below, faces, -m, -m
+
+
 def count_vacancies(
     config: Configuration, region: Optional[Tuple[int, int, int, int]] = None
 ) -> int:
@@ -252,12 +306,8 @@ def count_vacancies(
     x0, y0, x1, y1 = region
     if not (0 <= x0 <= x1 <= config.width and 0 <= y0 <= y1 <= config.height):
         raise RegionOutOfBounds(f"face region {region} outside {config.width}x{config.height}")
-    return sum(
-        1
-        for fy in range(y0, y1)
-        for fx in range(x0, x1)
-        if config.is_face_vacant((fx, fy))
-    )
+    m = FACE_MARGIN
+    return int((face_cover(config)[y0 + m : y1 + m, x0 + m : x1 + m] < 0).sum())
 
 
 # -- ASCII codec ---------------------------------------------------------

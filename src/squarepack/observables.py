@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InsufficientData
-from .lattice import Configuration, model_sites
+from .lattice import FACE_MARGIN, Configuration, face_cover
 
 DEFAULT_BATCHES = 32
 
@@ -35,6 +35,15 @@ def batch_mean_stderr(values: Sequence[float], batches: int = DEFAULT_BATCHES):
     return mean, float(means.std(ddof=1) / math.sqrt(nb))
 
 
+def _residue_class_sizes(width: int, height: int, boundary: str) -> Dict[Tuple[int, int], int]:
+    """Model sites per residue class (x mod 2, y mod 2), from the even
+    dimensions: a torus axis has size/2 residues of each parity, the
+    interior points 1 .. size-1 of a rectangle one even residue fewer."""
+    fewer = boundary != "periodic"
+    nx, ny = (width // 2 - fewer, width // 2), (height // 2 - fewer, height // 2)
+    return {(i, j): nx[i] * ny[j] for i in (0, 1) for j in (0, 1)}
+
+
 def parity_density(samples: Sequence[Configuration]) -> Dict[str, float]:
     """Occupation probability per residue class of (x mod 2, y mod 2).
 
@@ -46,12 +55,11 @@ def parity_density(samples: Sequence[Configuration]) -> Dict[str, float]:
     totals = {(i, j): 0.0 for i in (0, 1) for j in (0, 1)}
     sizes = {(i, j): 0 for i in (0, 1) for j in (0, 1)}
     for cfg in samples:
-        sites = model_sites(cfg.width, cfg.height, cfg.boundary)
         counts = {(i, j): 0 for i in (0, 1) for j in (0, 1)}
         for x, y in cfg.occupied:
             counts[(x % 2, y % 2)] += 1
-        for x, y in sites:
-            sizes[(x % 2, y % 2)] += 1
+        for key, size in _residue_class_sizes(cfg.width, cfg.height, cfg.boundary).items():
+            sizes[key] += size
         for key, c in counts.items():
             totals[key] += c
     out = {}
@@ -189,6 +197,7 @@ def offset_row_vacancy_check(cfg: Configuration) -> List[dict]:
         if s.orientation == "vertical" and s.parity == 0
     ]
     w = cfg.width
+    cover = face_cover(cfg)
     for (x, y) in sorted(cfg.occupied):
         if x % 2:
             continue
@@ -211,7 +220,7 @@ def offset_row_vacancy_check(cfg: Configuration) -> List[dict]:
         a = lx
         while a != rx:
             for fy in rows:
-                if cfg.is_face_vacant((a, fy)):
+                if cover[fy + FACE_MARGIN, a + FACE_MARGIN] < 0:
                     count += 1
             a = (a + 1) % w
         results.append({"center": (x, y), "flanked": True, "vacancies": count})

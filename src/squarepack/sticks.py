@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import DimensionError, WrapError
-from .lattice import Configuration, Point, tile_parity_class
+from .lattice import Configuration, Point, edge_sides, face_cover
 
 Edge = Tuple[str, int, int]  # ("v", x, y) from (x,y) to (x,y+1); ("h", x, y) to (x+1,y)
 
@@ -79,71 +79,20 @@ class Rect:
 # -- stick edge detection ---------------------------------------------------
 
 
-def _face_parities(config: Configuration):
-    """Vectorized per-face cover data for a periodic configuration.
-
-    Returns (covered, hpar, vpar) arrays indexed [fy, fx]; parity entries
-    are meaningful only where covered.
-    """
-    w, h = config.width, config.height
-    grid = config.occupancy_grid().astype(np.int8)
-    covered = np.zeros((h, w), dtype=np.int8)
-    hpar = np.zeros((h, w), dtype=np.int8)
-    vpar = np.zeros((h, w), dtype=np.int8)
-    ys, xs = np.mgrid[0:h, 0:w]
-    for dx in (0, 1):
-        for dy in (0, 1):
-            occ = grid[(ys + dy) % h, (xs + dx) % w]
-            covered += occ
-            hpar += occ * ((xs + dx - 1) % 2).astype(np.int8)
-            vpar += occ * ((ys + dy - 1) % 2).astype(np.int8)
-    return covered.astype(bool), hpar, vpar
-
-
 def detect_stick_edges(config: Configuration) -> Set[Edge]:
     """All stick edges of the configuration.
 
-    For the rectangle modes the scan covers a margin of two cells around
-    the region so that boundary sticks against the fully-packed exterior
-    are found.
+    Torus edges are reported in the fundamental domain. For the rectangle
+    modes the scan covers the two-face margin of ``face_cover`` so that
+    boundary sticks against the fully-packed exterior are found.
     """
+    left, below, here, x0, y0 = edge_sides(config, face_cover(config), -1)
     edges: Set[Edge] = set()
-    w, h = config.width, config.height
-    if config.boundary == "periodic":
-        covered, hpar, vpar = _face_parities(config)
-        # vertical edges at x between faces x-1 and x
-        left_c = np.roll(covered, 1, axis=1)
-        both = covered & left_c
-        differs = (np.roll(hpar, 1, axis=1) != hpar) | (np.roll(vpar, 1, axis=1) != vpar)
-        for fy, fx in zip(*np.nonzero(both & differs)):
-            edges.add(("v", int(fx), int(fy)))
-        down_c = np.roll(covered, 1, axis=0)
-        both = covered & down_c
-        differs = (np.roll(hpar, 1, axis=0) != hpar) | (np.roll(vpar, 1, axis=0) != vpar)
-        for fy, fx in zip(*np.nonzero(both & differs)):
-            edges.add(("h", int(fx), int(fy)))
-        return edges
-
-    def parity_at(corner):
-        center = config.face_cover_center(corner)
-        return None if center is None else tile_parity_class(center).as_tuple()
-
-    for x in range(-1, w + 2):
-        for y in range(-2, h + 2):
-            pl = parity_at((x - 1, y))
-            if pl is None:
-                continue
-            pr = parity_at((x, y))
-            if pr is not None and pr != pl:
-                edges.add(("v", x, y))
-    for y in range(-1, h + 2):
-        for x in range(-2, w + 2):
-            pb = parity_at((x, y - 1))
-            if pb is None:
-                continue
-            pt = parity_at((x, y))
-            if pt is not None and pt != pb:
-                edges.add(("h", x, y))
+    for orientation, other in (("v", left), ("h", below)):
+        ys, xs = np.nonzero((other >= 0) & (here >= 0) & (other != here))
+        edges.update(
+            (orientation, x, y) for x, y in zip((xs + x0).tolist(), (ys + y0).tolist())
+        )
     return edges
 
 

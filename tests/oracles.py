@@ -104,3 +104,119 @@ def king_clusters_bfs(points, width=None, height=None, periodic=False):
                     queue.append(q)
         clusters.append(frozenset(comp))
     return clusters
+
+
+def _cover_parity(config, face):
+    center = config.face_cover_center(face)
+    return None if center is None else ((center[0] - 1) % 2, (center[1] - 1) % 2)
+
+
+def stick_edges_by_faces(config):
+    """Stick edges by a face-by-face scan with ``face_cover_center``.
+
+    Torus edges in the fundamental domain; rectangles scanned with a
+    margin of two faces.
+    """
+    w, h = config.width, config.height
+    if config.boundary == "periodic":
+        v_range = h_range = (range(w), range(h))
+    else:
+        v_range = (range(-1, w + 2), range(-2, h + 2))
+        h_range = (range(-2, w + 2), range(-1, h + 2))
+    edges = set()
+    for orient, (xs, ys) in (("v", v_range), ("h", h_range)):
+        for x in xs:
+            for y in ys:
+                before = (x - 1, y) if orient == "v" else (x, y - 1)
+                pa = _cover_parity(config, before)
+                pb = _cover_parity(config, (x, y))
+                if pa is not None and pb is not None and pa != pb:
+                    edges.add((orient, x, y))
+    return edges
+
+
+def marked_edges_by_faces(config):
+    """Unit stick and vacancy edges plus vacant faces, face by face.
+
+    Reference for the component graphs: a dict of ``face_cover_center``
+    results over the region (torus) or the region with a three-face
+    margin (rectangles), edges listed by start point, x before y,
+    vertical before horizontal. Only uncovered faces inside the region
+    are vacant.
+    """
+    w, h = config.width, config.height
+    edges = []
+    if config.boundary == "periodic":
+        cover = {
+            (fx, fy): _cover_parity(config, (fx, fy)) for fx in range(w) for fy in range(h)
+        }
+        vacant = {f for f, c in cover.items() if c is None}
+        for x in range(w):
+            for y in range(h):
+                for before, end in (
+                    (((x - 1) % w, y), (x, (y + 1) % h)),
+                    ((x, (y - 1) % h), ((x + 1) % w, y)),
+                ):
+                    ca, cb = cover[before], cover[(x, y)]
+                    if ca is None or cb is None:
+                        edges.append(((x, y), end, "vacancy"))
+                    elif ca != cb:
+                        edges.append(((x, y), end, "stick"))
+        return edges, vacant
+    cover = {
+        (fx, fy): _cover_parity(config, (fx, fy))
+        for fx in range(-3, w + 3)
+        for fy in range(-3, h + 3)
+    }
+    vacant = {
+        f for f, c in cover.items() if c is None and 0 <= f[0] < w and 0 <= f[1] < h
+    }
+    for x in range(-2, w + 3):
+        for y in range(-2, h + 3):
+            for before, end in (((x - 1, y), (x, y + 1)), ((x, y - 1), (x + 1, y))):
+                if before not in cover or (x, y) not in cover:
+                    continue
+                ca, cb = cover[before], cover[(x, y)]
+                if ca is None or cb is None:
+                    if before in vacant or (x, y) in vacant:
+                        edges.append(((x, y), end, "vacancy"))
+                elif ca != cb:
+                    edges.append(((x, y), end, "stick"))
+    return edges, vacant
+
+
+def component_graphs_by_faces(config):
+    """Components of the reference marked edges, by breadth-first search.
+
+    Returns (edges, vacancies) pairs of frozensets, ordered by the first
+    edge of each component. A vacant face joins a component when all of
+    its corners that are graph vertices lie in it.
+    """
+    w, h = config.width, config.height
+    edges, vacant = marked_edges_by_faces(config)
+    adjacent = {}
+    for a, b, _ in edges:
+        adjacent.setdefault(a, set()).add(b)
+        adjacent.setdefault(b, set()).add(a)
+    label = {}
+    for a, _, _ in edges:
+        if a in label:
+            continue
+        label[a] = a
+        queue = [a]
+        while queue:
+            for q in adjacent[queue.pop()]:
+                if q not in label:
+                    label[q] = a
+                    queue.append(q)
+    components = {}
+    for e in edges:
+        components.setdefault(label[e[0]], (set(), set()))[0].add(e)
+    for fx, fy in vacant:
+        corners = [(fx + dx, fy + dy) for dx in (0, 1) for dy in (0, 1)]
+        if config.boundary == "periodic":
+            corners = [(x % w, y % h) for x, y in corners]
+        roots = {label[c] for c in corners if c in label}
+        if len(roots) == 1:
+            components[roots.pop()][1].add((fx, fy))
+    return [(frozenset(e), frozenset(v)) for e, v in components.values()]

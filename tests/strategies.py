@@ -1,0 +1,28 @@
+"""Hypothesis strategies shared by the test modules."""
+
+from hypothesis import strategies as st
+
+from squarepack.errors import BoundaryConflict, DimensionError, OverlapError
+from squarepack.lattice import BOUNDARIES, create_configuration
+
+
+@st.composite
+def random_valid_config(draw, boundaries=BOUNDARIES):
+    w = draw(st.sampled_from([4, 6, 8]))
+    h = draw(st.sampled_from([4, 6, 8]))
+    boundary = draw(st.sampled_from(boundaries))
+    occ = set()
+    attempts = draw(
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=12)
+    )
+    for x, y in attempts:
+        if boundary == "periodic":
+            c = (x % w, y % h)
+        else:
+            c = (min(x, w), min(y, h))
+        try:
+            create_configuration(w, h, boundary, occ | {c})
+        except (OverlapError, BoundaryConflict, DimensionError):
+            continue
+        occ.add(c)
+    return create_configuration(w, h, boundary, occ)

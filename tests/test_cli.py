@@ -1,10 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from squarepack.cli import main
+from squarepack.cli import build_parser, main
 from squarepack.lattice import encode
 from squarepack.sampler import seed_phase_configuration
 
@@ -98,6 +99,34 @@ def test_sample_spec_missing_fields(tmp_path, capsys):
     code, _, err = run_cli(["sample", "--spec", str(spec_path)], capsys)
     assert code == 1
     assert json.loads(err)["error"]["type"] == "SpecError"
+
+
+@pytest.mark.parametrize(
+    "spec,named",
+    [
+        ({"width": 4, "height": 4, "lambda": 2.0, "seed": 5, "sweeps": 50, "burnin": 500}, "burnin"),
+        ([4, 4], "not a JSON object"),
+    ],
+)
+def test_sample_spec_rejected(tmp_path, capsys, spec, named):
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(json.dumps(spec))
+    code, _, err = run_cli(["sample", "--spec", str(spec_path)], capsys)
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "SpecError"
+    assert named in error["message"]
+
+
+def test_threads_option_only_where_used():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    with_threads = {
+        name
+        for name, sub in commands.choices.items()
+        if any(a.dest == "threads" for a in sub._actions)
+    }
+    assert with_threads == {"exact2d", "components"}
 
 
 def test_sample_unknown_observable(tmp_path, capsys):
@@ -223,3 +252,21 @@ def test_cli_module_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the report is larger than a pipe buffer, so the write fails once
+    # the reader has gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "squarepack.cli", "sample", "--width", "32"]
+        + ["--height", "32", "--sweeps", "20", "--keep-samples"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]["type"] == "BrokenPipeError"

@@ -1,0 +1,74 @@
+"""The face-cover array against face-by-face references.
+
+Stick detection, component graphs and vacancy counts all read
+``face_cover``; the references in ``oracles`` resolve every face with
+``Configuration.face_cover_center`` instead.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from squarepack.graphs import _marked_edges, build_component_graph
+from squarepack.lattice import (
+    BOUNDARIES,
+    FACE_MARGIN,
+    count_vacancies,
+    face_cover,
+    iter_valid_masks,
+    mask_to_configuration,
+    tile_parity_class,
+)
+from squarepack.sampler import Chain, ChainParams
+from squarepack.sticks import detect_stick_edges
+
+from oracles import component_graphs_by_faces, marked_edges_by_faces, stick_edges_by_faces
+from strategies import random_valid_config
+
+
+def assert_matches_references(cfg):
+    w, h, m = cfg.width, cfg.height, FACE_MARGIN
+    cover = face_cover(cfg)
+    assert cover.shape == (h + 2 * m, w + 2 * m)
+    for fx in range(-m, w + m):
+        for fy in range(-m, h + m):
+            center = cfg.face_cover_center((fx, fy))
+            if center is None:
+                expected = -1
+            else:
+                parity = tile_parity_class(center)
+                expected = 2 * parity.hpar + parity.vpar
+            assert cover[fy + m, fx + m] == expected, (fx, fy)
+    assert count_vacancies(cfg) == sum(cfg.is_face_vacant(f) for f in cfg.face_corners())
+    assert detect_stick_edges(cfg) == stick_edges_by_faces(cfg)
+    # the reference scans a three-face margin: equal lists, order included,
+    # show that nothing is marked beyond the two faces of face_cover
+    assert _marked_edges(cfg) == marked_edges_by_faces(cfg)
+    assert [
+        (comp.edges, comp.vacancies) for comp in build_component_graph(cfg)
+    ] == component_graphs_by_faces(cfg)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_face_cover_matches_references(boundary, data):
+    assert_matches_references(data.draw(random_valid_config((boundary,))))
+
+
+@pytest.mark.parametrize(
+    "width,height,boundary", [(4, 4, "periodic"), (6, 4, "free"), (6, 4, "fully_packed")]
+)
+def test_face_cover_matches_references_exhaustive(width, height, boundary):
+    for mask, _ in iter_valid_masks(width, height, boundary):
+        assert_matches_references(mask_to_configuration(width, height, boundary, mask))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_face_cover_matches_references_sampled(boundary):
+    chain = Chain(
+        ChainParams(width=16, height=12, lam=10.0, seed=3, sweeps=0, boundary=boundary)
+    )
+    for _ in range(3):
+        chain.sweep(20)
+        assert_matches_references(chain.configuration())

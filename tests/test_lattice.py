@@ -21,6 +21,7 @@ from squarepack.lattice import (
 )
 
 from oracles import pairwise_valid
+from strategies import random_valid_config
 
 
 def test_empty_periodic_valid():
@@ -108,28 +109,6 @@ def test_torus_vacancy_identity_random():
                 occ.add(c)
         cfg = create_configuration(w, h, "periodic", occ)
         assert count_vacancies(cfg) == w * h - 4 * cfg.tile_count
-
-
-@st.composite
-def random_valid_config(draw):
-    w = draw(st.sampled_from([4, 6, 8]))
-    h = draw(st.sampled_from([4, 6, 8]))
-    boundary = draw(st.sampled_from(["periodic", "free", "fully_packed"]))
-    occ = set()
-    attempts = draw(
-        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=12)
-    )
-    for x, y in attempts:
-        if boundary == "periodic":
-            c = (x % w, y % h)
-        else:
-            c = (min(x, w), min(y, h))
-        try:
-            create_configuration(w, h, boundary, occ | {c})
-        except (OverlapError, BoundaryConflict, DimensionError):
-            continue
-        occ.add(c)
-    return create_configuration(w, h, boundary, occ)
 
 
 @given(random_valid_config())

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from squarepack.errors import InsufficientData
-from squarepack.lattice import create_configuration
+from squarepack.lattice import BOUNDARIES, create_configuration, model_sites
 from squarepack.observables import (
+    _residue_class_sizes,
     autocorrelation_curve,
     batch_mean_stderr,
     correlation_length_fit,
@@ -44,6 +45,15 @@ def test_parity_density_empty():
     cfg = create_configuration(6, 6, "periodic", [])
     dens = parity_density([cfg])
     assert all(v == 0.0 for v in dens.values())
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("width,height", [(4, 4), (6, 4), (4, 10), (32, 256)])
+def test_residue_class_sizes_count_model_sites(width, height, boundary):
+    expected = {(i, j): 0 for i in (0, 1) for j in (0, 1)}
+    for x, y in model_sites(width, height, boundary):
+        expected[(x % 2, y % 2)] += 1
+    assert _residue_class_sizes(width, height, boundary) == expected
 
 
 def test_parity_weighted_sum_matches_global_density():
