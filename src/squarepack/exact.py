@@ -13,6 +13,7 @@ row's occupancy pattern. They must agree coefficient-wise.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,6 +33,7 @@ from .lattice import Point, iter_valid_masks, model_sites
 DEFAULT_AREA_CAP = 36
 TRANSFER_WIDTH_CAP = 14
 TRANSFER_AREA_CAP = 4096
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 # -- one-dimensional systems ------------------------------------------------
@@ -133,17 +135,35 @@ class PartitionPolynomial:
     def n_max(self) -> int:
         return len(self.coefficients) - 1
 
-    def evaluate_tile(self, lam: float) -> float:
-        """Sum a_n lam^n (tile-count weight convention)."""
-        return float(sum(a * lam**n for n, a in enumerate(self.coefficients)))
+    def evaluate_tile(self, lam: float) -> Optional[float]:
+        """Sum a_n lam^n (tile-count weight convention); None beyond the float range."""
+        return _float_value(
+            (a * lam**n for n, a in enumerate(self.coefficients)), lambda: self.log_tile(lam)
+        )
 
-    def evaluate_vacancy(self, lam: float) -> float:
-        """Sum a_n lam^(n - Area/4) (vacancy weight convention)."""
+    def evaluate_vacancy(self, lam: float) -> Optional[float]:
+        """Sum a_n lam^(n - Area/4) (vacancy weight convention); None beyond the float range."""
         if lam <= 0:
             raise NonpositiveFugacity(f"fugacity must be positive, got {lam}")
-        return float(
-            sum(a * lam ** (n - self.area / 4.0) for n, a in enumerate(self.coefficients))
+        return _float_value(
+            (a * lam ** (n - self.area / 4.0) for n, a in enumerate(self.coefficients)),
+            lambda: self.log_vacancy(lam),
         )
+
+    def log_tile(self, lam: float) -> float:
+        """log of sum a_n lam^n, summed relative to the largest term so
+        that it is finite for every positive lam."""
+        if lam <= 0:
+            raise NonpositiveFugacity(f"fugacity must be positive, got {lam}")
+        logs = [
+            math.log(a) + n * math.log(lam) for n, a in enumerate(self.coefficients) if a
+        ]
+        top = max(logs)
+        return top + math.log(sum(math.exp(v - top) for v in logs))
+
+    def log_vacancy(self, lam: float) -> float:
+        """log of sum a_n lam^(n - Area/4)."""
+        return self.log_tile(lam) - self.area / 4.0 * math.log(lam)
 
     def report(self, lambdas: Iterable[float] = ()) -> dict:
         return {
@@ -159,10 +179,26 @@ class PartitionPolynomial:
                     "lambda": lam,
                     "value_tile_convention": self.evaluate_tile(lam),
                     "value_vacancy_convention": self.evaluate_vacancy(lam),
+                    "log_value_tile_convention": self.log_tile(lam),
+                    "log_value_vacancy_convention": self.log_vacancy(lam),
                 }
                 for lam in lambdas
             ],
         }
+
+
+def _float_value(terms: Iterable[float], log_value: Callable[[], float]) -> Optional[float]:
+    """A sum of terms as a float; from its log when a term overflows
+    (a coefficient can exceed the float range while the sum does not),
+    None when the sum itself does not fit."""
+    try:
+        value = float(sum(terms))
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    log = log_value()
+    return math.exp(log) if log < _LOG_FLOAT_MAX else None
 
 
 def _trim(coeffs: List[int]) -> Tuple[int, ...]:

@@ -17,9 +17,13 @@ to a constant on tori). One sweep is
 
 Both move families leave the target measure invariant; every
 intermediate configuration is valid. Chains are deterministic functions
-of their parameters: the RNG draw schedule is fixed per sweep, and the
-two engines (bit-packed scalar for small grids, vectorized numpy for
-large ones) consume identical streams and produce identical chains.
+of their parameters: the RNG draw schedule is fixed per sweep. Two
+engines hold the occupancy as one int, one bit per site, consume
+identical streams and produce identical chains: the scalar engine
+updates site by site from per-site tables and runs grids of at most
+SCALAR_ENGINE_MAX_SITES (36) sites, where it is the faster; the
+bitboard engine updates a whole sublattice with a few shift and mask
+operations and runs every larger grid.
 """
 
 from __future__ import annotations
@@ -34,8 +38,10 @@ from .lattice import Configuration, _unchecked, create_configuration
 from .observables import ObservableReport, summarize_series
 from .sticks import classify_phase, stick_census
 
-SCALAR_ENGINE_MAX_SITES = 256
+SCALAR_ENGINE_MAX_SITES = 36
 PHASE_SEEDS = ("ver0", "ver1", "hor0", "hor1")
+# translation directions, indexed by proposal % 4
+DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def seed_phase_configuration(
@@ -127,10 +133,12 @@ class ChainParams:
 
 
 class _Geometry:
-    """Site grid of the sampled model and precomputed move tables.
+    """Site grid of the sampled model.
 
     Periodic mode samples all torus residues; the rectangle modes sample
-    the interior lattice points, matching the enumeration paths.
+    the interior lattice points, matching the enumeration paths. Site
+    (x, y) of the grid has flat index y * nx + x, which is also its bit
+    in an occupancy mask.
     """
 
     def __init__(self, width: int, height: int, boundary: str):
@@ -143,71 +151,21 @@ class _Geometry:
             self.nx, self.ny = width - 1, height - 1
             self.origin = (1, 1)
         self.n_sites = self.nx * self.ny
-        nx, ny = self.nx, self.ny
+        flat = np.arange(self.n_sites).reshape(self.ny, self.nx)
+        self.class_indices: List[np.ndarray] = [
+            flat[cy::2, cx::2].ravel() for cy in (0, 1) for cx in (0, 1)
+        ]
 
-        def flat(x, y):
-            return y * nx + x
-
-        self.class_indices: List[np.ndarray] = []
-        for cy in (0, 1):
-            for cx in (0, 1):
-                idx = [
-                    flat(x, y)
-                    for y in range(cy, ny, 2)
-                    for x in range(cx, nx, 2)
-                ]
-                self.class_indices.append(np.array(idx, dtype=np.int64))
-
-        # 8-neighborhood of each site (for heat-bath feasibility)
-        self.nbr: List[List[int]] = []
-        for y in range(ny):
-            for x in range(nx):
-                cells = []
-                for dx in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        if (dx, dy) == (0, 0):
-                            continue
-                        qx, qy = x + dx, y + dy
-                        if self.periodic:
-                            cells.append(flat(qx % nx, qy % ny))
-                        elif 0 <= qx < nx and 0 <= qy < ny:
-                            cells.append(flat(qx, qy))
-                self.nbr.append(cells)
-
-        # translation tables: for (site, direction), the target site and
-        # the cells that must be empty (3x3 around the target minus the
-        # source); None when the move leaves the grid
-        dirs = ((1, 0), (-1, 0), (0, 1), (0, -1))
-        self.move_target: List[List[Optional[int]]] = []
-        self.move_blockers: List[List[Optional[List[int]]]] = []
-        for y in range(ny):
-            for x in range(nx):
-                targets, blockers = [], []
-                src = flat(x, y)
-                for dx, dy in dirs:
-                    tx, ty = x + dx, y + dy
-                    if self.periodic:
-                        tx, ty = tx % nx, ty % ny
-                    elif not (0 <= tx < nx and 0 <= ty < ny):
-                        targets.append(None)
-                        blockers.append(None)
-                        continue
-                    cells = []
-                    for bx in (-1, 0, 1):
-                        for by in (-1, 0, 1):
-                            qx, qy = tx + bx, ty + by
-                            if self.periodic:
-                                q = flat(qx % nx, qy % ny)
-                            elif 0 <= qx < nx and 0 <= qy < ny:
-                                q = flat(qx, qy)
-                            else:
-                                continue
-                            if q != src:
-                                cells.append(q)
-                    targets.append(flat(tx, ty))
-                    blockers.append(cells)
-                self.move_target.append(targets)
-                self.move_blockers.append(blockers)
+    def target(self, i: int, d: int) -> Optional[Tuple[int, int]]:
+        """Grid point reached from site i in direction d, or None off the grid."""
+        y, x = divmod(i, self.nx)
+        dx, dy = DIRECTIONS[d]
+        tx, ty = x + dx, y + dy
+        if self.periodic:
+            return tx % self.nx, ty % self.ny
+        if 0 <= tx < self.nx and 0 <= ty < self.ny:
+            return tx, ty
+        return None
 
     def to_centers(self, flat_indices: Iterable[int]) -> frozenset:
         ox, oy = self.origin
@@ -228,19 +186,61 @@ class _Geometry:
         return out
 
 
+def _mask(indices: Sequence[int], n_sites: int) -> int:
+    """Occupancy mask with the bits of the given site indices set."""
+    bits = np.zeros(n_sites, dtype=bool)
+    bits[indices] = True
+    return _pack(bits)
+
+
+def _pack(bits: np.ndarray) -> int:
+    """Occupancy mask of a boolean site array, bit i from element i."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _unpack(mask: int, n_sites: int) -> np.ndarray:
+    """One uint8 per site, 1 where the occupancy mask has the bit set."""
+    raw = np.frombuffer(mask.to_bytes((n_sites + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n_sites, bitorder="little")
+
+
 class _ScalarEngine:
-    """Bit-packed occupancy for small grids."""
+    """Site-by-site updates of a bit-packed occupancy, for small grids.
+
+    Holds, for every site, the mask of its king neighbours and, for
+    every (site, direction), the target and the mask of cells that must
+    be empty; tables of O(n_sites^2) bits, so only for small grids.
+    """
 
     def __init__(self, geom: _Geometry, initial: List[int]):
         self.geom = geom
-        self.nbr_masks = [sum(1 << q for q in cells) for cells in geom.nbr]
-        self.block_masks = [
-            [None if cells is None else sum(1 << q for q in cells) for cells in row]
-            for row in geom.move_blockers
-        ]
-        self.occ = 0
-        for i in initial:
-            self.occ |= 1 << i
+        nx, ny = geom.nx, geom.ny
+
+        def block(x: int, y: int) -> int:
+            mask = 0
+            for qx in (x - 1, x, x + 1):
+                for qy in (y - 1, y, y + 1):
+                    if geom.periodic:
+                        mask |= 1 << ((qy % ny) * nx + qx % nx)
+                    elif 0 <= qx < nx and 0 <= qy < ny:
+                        mask |= 1 << (qy * nx + qx)
+            return mask
+
+        self.nbr_masks: List[int] = []
+        self.move_target: List[List[Optional[int]]] = []
+        self.block_masks: List[List[Optional[int]]] = []
+        for i in range(geom.n_sites):
+            y, x = divmod(i, nx)
+            src = 1 << i
+            self.nbr_masks.append(block(x, y) & ~src)
+            targets = [geom.target(i, d) for d in range(4)]
+            self.move_target.append(
+                [None if t is None else t[1] * nx + t[0] for t in targets]
+            )
+            self.block_masks.append(
+                [None if t is None else block(*t) & ~src for t in targets]
+            )
+        self.occ = _mask(initial, geom.n_sites)
 
     def heat_bath(self, uniforms: np.ndarray, p_occ: float) -> None:
         occ = self.occ
@@ -259,7 +259,7 @@ class _ScalarEngine:
 
     def translations(self, proposals: np.ndarray) -> None:
         occ = self.occ
-        targets = self.geom.move_target
+        targets = self.move_target
         blocks = self.block_masks
         for q in proposals.tolist():
             i, d = divmod(q, 4)
@@ -274,72 +274,110 @@ class _ScalarEngine:
             occ = (occ & ~bit) | (1 << t)
         self.occ = occ
 
-    def occupied_indices(self) -> List[int]:
-        occ, out, i = self.occ, [], 0
-        while occ:
-            if occ & 1:
-                out.append(i)
-            occ >>= 1
-            i += 1
-        return out
 
+class _BitboardEngine:
+    """Whole-sublattice updates of a bit-packed occupancy, for large grids.
 
-class _NumpyEngine:
-    """Vectorized occupancy grid for large lattices."""
+    The sites of one parity class are pairwise at distance >= 2, so the
+    class updates at once: with a = occ outside the class and D its 3x3
+    dilation, the new occupancy is a | (class & ~D & U), where U has bit
+    i set when uniform i is below the occupation probability. D is
+    separable, h = a | E(a) | W(a), D = h | N(h) | S(h). A translation
+    tests the 3x3 stencil around its target, one of three base stencils
+    (first column, interior, last column) shifted into place.
+    """
 
     def __init__(self, geom: _Geometry, initial: List[int]):
         self.geom = geom
-        self.grid = np.zeros((geom.ny, geom.nx), dtype=np.int16)
-        flat = self.grid.reshape(-1)
-        for i in initial:
-            flat[i] = 1
-        # blocker index tables for scalar translation proposals
-        self._move_target = geom.move_target
-        self._move_blockers = [
-            [None if c is None else np.array(c, dtype=np.int64) for c in row]
-            for row in geom.move_blockers
+        nx, n = geom.nx, geom.n_sites
+        self.occ = _mask(initial, n)
+        full = (1 << n) - 1
+        first_col = _mask(range(0, n, nx), n)
+        last_col = first_col << (nx - 1)
+        # sites that shift east (west) without leaving their row, and
+        # the column that wraps round on a torus
+        self.east = (full ^ last_col, last_col)
+        self.west = (full ^ first_col, first_col)
+        self.classes = []
+        for idx in geom.class_indices:
+            members = _mask(idx, n)
+            self.classes.append((members, full ^ members))
+        # 3x3 blocks on rows 0-2 around columns 0, 1 and nx - 1; torus
+        # blocks wrap in x, rectangle blocks are clipped
+        self.stencils = [
+            sum(
+                1 << (row * nx + qx % nx)
+                for row in range(3)
+                for qx in (cx - 1, cx, cx + 1)
+                if geom.periodic or 0 <= qx < nx
+            )
+            for cx in (0, 1, nx - 1)
         ]
 
-    def _neighbor_counts(self) -> np.ndarray:
-        g = self.grid
-        if self.geom.periodic:
-            total = np.zeros_like(g)
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    total += np.roll(np.roll(g, dy, axis=0), dx, axis=1)
-            return total - g
-        padded = np.zeros((g.shape[0] + 2, g.shape[1] + 2), dtype=g.dtype)
-        padded[1:-1, 1:-1] = g
-        total = np.zeros_like(g)
-        for dx in (0, 1, 2):
-            for dy in (0, 1, 2):
-                total += padded[dy : dy + g.shape[0], dx : dx + g.shape[1]]
-        return total - g
-
     def heat_bath(self, uniforms: np.ndarray, p_occ: float) -> None:
-        flat = self.grid.reshape(-1)
-        for idx in self.geom.class_indices:
-            counts = self._neighbor_counts().reshape(-1)
-            feasible = counts[idx] == 0
-            flat[idx] = (feasible & (uniforms[idx] < p_occ)).astype(np.int16)
+        u = _pack(uniforms < p_occ)
+        nx, n = self.geom.nx, self.geom.n_sites
+        (east, east_wrap), (west, west_wrap) = self.east, self.west
+        wrap = self.geom.periodic
+        occ = self.occ
+        # the dilation may set bits at or above n_sites; the class mask
+        # clears them. free ^ (free & d) is free & ~d without a negative
+        # int, which CPython masks far more slowly.
+        for members, others in self.classes:
+            a = occ & others
+            h = a | (a & east) << 1 | (a & west) >> 1
+            if wrap:
+                h |= (a & east_wrap) >> (nx - 1) | (a & west_wrap) << (nx - 1)
+            d = h | h << nx | h >> nx
+            if wrap:
+                d |= h >> (n - nx) | h << (n - nx)
+            free = members & u
+            occ = a | free ^ (free & d)
+        self.occ = occ
+
+    def _stencil(self, tx: int, ty: int) -> int:
+        """The 3x3 block around grid point (tx, ty) as a mask.
+
+        Bits at or above n_sites may be set; the occupancy it is tested
+        against has none there.
+        """
+        nx = self.geom.nx
+        if tx == 0:
+            base, shift = self.stencils[0], (ty - 1) * nx
+        elif tx == nx - 1:
+            base, shift = self.stencils[2], (ty - 1) * nx
+        else:
+            base, shift = self.stencils[1], (ty - 1) * nx + tx - 1
+        if self.geom.periodic:
+            shift %= self.geom.n_sites
+            return base << shift | base >> (self.geom.n_sites - shift)
+        return base << shift if shift >= 0 else base >> -shift
 
     def translations(self, proposals: np.ndarray) -> None:
-        flat = self.grid.reshape(-1)
+        occ = self.occ
+        nx = self.geom.nx
+        target = self.geom.target
+        # a bit test on the mask costs O(n_sites); most proposals stop
+        # at an empty source, so test those on a byte per site
+        occupied = bytearray(_unpack(occ, self.geom.n_sites))
         for q in proposals.tolist():
             i, d = divmod(q, 4)
-            if not flat[i]:
+            if not occupied[i]:
                 continue
-            t = self._move_target[i][d]
+            t = target(i, d)
             if t is None:
                 continue
-            blockers = self._move_blockers[i][d]
-            if flat[blockers].any():
+            bit = 1 << i
+            # the source lies in the stencil; nothing else may
+            if occ & self._stencil(*t) != bit:
                 continue
-            flat[i] = 0
-            flat[t] = 1
+            j = t[1] * nx + t[0]
+            occ ^= bit | 1 << j
+            occupied[i], occupied[j] = 0, 1
+        self.occ = occ
 
-    def occupied_indices(self) -> List[int]:
-        return np.flatnonzero(self.grid.reshape(-1)).tolist()
+
+ENGINES = {"scalar": _ScalarEngine, "bitboard": _BitboardEngine}
 
 
 class Chain:
@@ -348,12 +386,15 @@ class Chain:
     def __init__(self, params: ChainParams, engine: Optional[str] = None):
         self.params = params
         self.geom = _Geometry(params.width, params.height, params.boundary)
-        initial = self.geom.from_configuration(params.initial_configuration())
         if engine is None:
-            engine = "scalar" if self.geom.n_sites <= SCALAR_ENGINE_MAX_SITES else "numpy"
+            engine = "scalar" if self.geom.n_sites <= SCALAR_ENGINE_MAX_SITES else "bitboard"
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}"
+            )
+        initial = self.geom.from_configuration(params.initial_configuration())
         self.engine_name = engine
-        cls = _ScalarEngine if engine == "scalar" else _NumpyEngine
-        self.engine = cls(self.geom, initial)
+        self.engine = ENGINES[engine](self.geom, initial)
         self.rng = np.random.default_rng(np.random.PCG64(params.seed))
         self.step = 0
         self.p_occ = params.lam / (1.0 + params.lam)
@@ -376,17 +417,14 @@ class Chain:
             self.params.width,
             self.params.height,
             self.params.boundary,
-            self.geom.to_centers(self.engine.occupied_indices()),
+            self.geom.to_centers(
+                np.flatnonzero(_unpack(self.engine.occ, self.geom.n_sites)).tolist()
+            ),
         )
 
     def state_key(self) -> int:
         """Occupancy bitmask; cheap identity of the current state."""
-        if isinstance(self.engine, _ScalarEngine):
-            return self.engine.occ
-        key = 0
-        for i in self.engine.occupied_indices():
-            key |= 1 << i
-        return key
+        return self.engine.occ
 
 
 def mcmc_sweep(state: Chain, count: int = 1) -> Chain:

@@ -113,7 +113,7 @@ def extract_sticks(
         for e in edges:
             if e[0] == key:
                 lines[fixed_of(e)].append(var_of(e))
-        for fixed, values in lines.items():
+        for fixed, values in sorted(lines.items()):
             values = sorted(set(values))
             if periodic and len(values) == modulus:
                 anchor = (fixed, 0) if key == "v" else (0, fixed)

@@ -220,3 +220,32 @@ def component_graphs_by_faces(config):
         if len(roots) == 1:
             components[roots.pop()][1].add((fx, fy))
     return [(frozenset(e), frozenset(v)) for e, v in components.values()]
+
+
+def translation_by_cells(sites, nx, ny, periodic, site, direction):
+    """Occupied sites after one translation proposal, cell by cell.
+
+    Sites are flat indices y * nx + x of an nx by ny grid (a torus when
+    periodic). The tile at ``site`` moves one step in direction
+    ``direction`` (+x, -x, +y, -y) when the target lies on the grid and
+    none of the nine cells around the target, other than the source,
+    holds a tile; otherwise the sites come back unchanged.
+    """
+    sites = set(sites)
+    if site not in sites:
+        return sites
+    y, x = divmod(site, nx)
+    dx, dy = ((1, 0), (-1, 0), (0, 1), (0, -1))[direction]
+    tx, ty = x + dx, y + dy
+    if periodic:
+        tx, ty = tx % nx, ty % ny
+    elif not (0 <= tx < nx and 0 <= ty < ny):
+        return sites
+    for cx, cy in product((tx - 1, tx, tx + 1), (ty - 1, ty, ty + 1)):
+        if periodic:
+            cx, cy = cx % nx, cy % ny
+        elif not (0 <= cx < nx and 0 <= cy < ny):
+            continue
+        if cy * nx + cx != site and cy * nx + cx in sites:
+            return sites
+    return (sites - {site}) | {ty * nx + tx}

@@ -1,5 +1,7 @@
 import argparse
 import json
+import math
+import os
 import subprocess
 import sys
 
@@ -61,6 +63,23 @@ def test_exact2d_report(tmp_path, capsys):
     assert report["coefficients"] == [1, 16, 56, 48, 12]
     assert report["spec"]["width"] == 4
     assert report["evaluations"][0]["lambda"] == 2
+
+
+def test_exact2d_reports_log_beyond_float_range(capsys):
+    code, out, err = run_cli(
+        ["exact2d", "--width", "4", "--height", "4"]
+        + ["--lambda", "1e100", "--lambda", "1e-100"],
+        capsys,
+    )
+    assert code == 0, err
+    big, small = json.loads(out)["evaluations"]
+    # a_4 = 12 tiles dominate at lambda = 1e100, a_0 = 1 at 1e-100
+    assert big["value_tile_convention"] is None
+    assert big["log_value_tile_convention"] == pytest.approx(400 * math.log(10) + math.log(12))
+    assert big["value_vacancy_convention"] == pytest.approx(12.0)
+    assert small["value_tile_convention"] == pytest.approx(1.0)
+    assert small["value_vacancy_convention"] is None
+    assert small["log_value_vacancy_convention"] == pytest.approx(400 * math.log(10))
 
 
 def test_chessboard_bound(capsys):
@@ -202,6 +221,25 @@ def test_render_stick_overlay_count(tmp_path):
     svg = render_svg(cfg, stick_overlay=True)
     n_sticks = len(extract_sticks(cfg))
     assert svg.count('stroke="#2f9e44"') == n_sticks
+
+
+def test_render_bytes_independent_of_hash_seed(tmp_path):
+    from squarepack.sampler import Chain, ChainParams
+
+    chain = Chain(ChainParams(16, 16, 10.0, seed=3, sweeps=0)).sweep(50)
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(encode(chain.configuration()))
+    images = []
+    for hash_seed in ("1", "3"):
+        svg_path = tmp_path / f"img{hash_seed}.svg"
+        subprocess.run(
+            [sys.executable, "-m", "squarepack.cli", "render"]
+            + ["--in", str(cfg_path), "--out", str(svg_path)],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            check=True,
+        )
+        images.append(svg_path.read_bytes())
+    assert images[0] == images[1]
 
 
 def test_components_cli(capsys):

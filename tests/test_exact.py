@@ -165,6 +165,19 @@ def test_evaluations_and_report():
     assert len(report["evaluations"]) == 2
 
 
+def test_evaluation_beyond_float_range():
+    # Z = 1 + 10^400 lam: the coefficient does not fit in a float, the
+    # sum does at lam = 1e-300 and does not at lam = 1
+    poly = exact.PartitionPolynomial(4, 4, "periodic", (1, 10**400))
+    assert poly.evaluate_tile(1e-300) == pytest.approx(1e100)
+    assert poly.log_tile(1e-300) == pytest.approx(100 * math.log(10))
+    assert poly.evaluate_tile(1.0) is None
+    assert poly.log_tile(1.0) == pytest.approx(400 * math.log(10))
+    assert poly.log_vacancy(2.0) == pytest.approx(poly.log_tile(2.0) - 4 * math.log(2))
+    with pytest.raises(NonpositiveFugacity):
+        poly.log_tile(0.0)
+
+
 # -- event weights ---------------------------------------------------------
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from squarepack.errors import DimensionError
-from squarepack.lattice import create_configuration
+from squarepack.lattice import BOUNDARIES, create_configuration
 from squarepack.sampler import (
     Chain,
     ChainParams,
@@ -11,7 +12,8 @@ from squarepack.sampler import (
     seed_phase_configuration,
 )
 
-from oracles import pairwise_valid
+from oracles import pairwise_valid, translation_by_cells
+from strategies import random_valid_config
 
 
 def params(**kw):
@@ -99,14 +101,60 @@ def test_validity_preserved_free_boundary():
         assert pairwise_valid(occ, periodic=False)
 
 
-def test_engines_agree_exactly():
-    trail_a, trail_b = [], []
-    for engine, trail in (("scalar", trail_a), ("numpy", trail_b)):
-        chain = Chain(params(width=6, height=6, lam=3.0, seed=42), engine=engine)
+@pytest.mark.parametrize("fraction", [0.0, 0.25])
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+# 10x14 rectangles have odd interiors (9x13); 18x18 is above 256 sites
+@pytest.mark.parametrize("width,height", [(6, 6), (10, 14), (18, 18)])
+def test_engines_agree_exactly(width, height, boundary, fraction):
+    trails = []
+    for engine in ("scalar", "bitboard"):
+        chain = Chain(
+            params(
+                width=width,
+                height=height,
+                boundary=boundary,
+                translation_move_fraction=fraction,
+                lam=3.0,
+                seed=42,
+            ),
+            engine=engine,
+        )
+        trail = []
         for _ in range(50):
             chain.sweep()
             trail.append(chain.state_key())
-    assert trail_a == trail_b
+        trails.append(trail)
+    assert trails[0] == trails[1]
+    assert len(set(trails[0])) > 25
+
+
+@pytest.mark.parametrize("engine", ["scalar", "bitboard"])
+@settings(max_examples=40, deadline=None)
+@given(cfg=random_valid_config())
+def test_translation_matches_cell_reference(engine, cfg):
+    w, h = cfg.width, cfg.height
+    if cfg.boundary != "periodic":
+        # the sampler's rectangle grid is the interior lattice points
+        cfg = create_configuration(
+            w, h, cfg.boundary, [(x, y) for x, y in cfg.occupied if 0 < x < w and 0 < y < h]
+        )
+    chain = Chain(params(width=w, height=h, boundary=cfg.boundary, initial=cfg), engine=engine)
+    geom = chain.geom
+    sites = geom.from_configuration(cfg)
+    start = chain.state_key()
+    for q in range(4 * geom.n_sites):
+        chain.engine.occ = start
+        chain.engine.translations(np.array([q]))
+        moved = translation_by_cells(sites, geom.nx, geom.ny, geom.periodic, *divmod(q, 4))
+        assert chain.state_key() == sum(1 << i for i in moved)
+
+
+def test_engine_choice():
+    assert Chain(params(width=6, height=6)).engine_name == "scalar"
+    assert Chain(params(width=8, height=6)).engine_name == "bitboard"
+    assert Chain(params(width=8, height=8, boundary="free")).engine_name == "bitboard"
+    with pytest.raises(ValueError, match="scalar, bitboard"):
+        Chain(params(), engine="numpy")
 
 
 def test_determinism_same_seed():
