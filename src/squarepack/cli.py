@@ -284,14 +284,14 @@ def _cmd_sticks(args) -> int:
     }
     if args.psi:
         k, l, stype = int(args.psi[0]), int(args.psi[1]), args.psi[2]
-        points = sorted(sticks.psi_set(cfg, k, l, stype, args.n_div, stick_list))
+        psi = sticks.psi_set(cfg, k, l, stype, args.n_div, stick_list)
         nx = (cfg.width - args.n_div * k) // k + 1
         ny = (cfg.height - args.n_div * l) // l + 1
         bitmap = [
-            "".join("1" if (x, y) in set(points) else "0" for x in range(nx))
+            "".join("1" if (x, y) in psi else "0" for x in range(nx))
             for y in reversed(range(ny))
         ]
-        payload["psi"] = {"K": k, "L": l, "type": stype, "points": points, "bitmap": bitmap}
+        payload["psi"] = {"K": k, "L": l, "type": stype, "points": sorted(psi), "bitmap": bitmap}
     _emit(payload, args.out)
     return 0
 

@@ -192,25 +192,61 @@ def properly_divides(
     return stick_divides(stick, rect, config) and stick_divides(stick, inner, config)
 
 
+def _segment_arrays(
+    sticks: Sequence[Stick], config: Configuration, orientation: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fixed, lo, hi) over the planar segments of the sticks of one
+    orientation, as ``_stick_segments`` gives them: each segment's
+    coordinate across the stick and the span [lo, hi] it covers along it."""
+    flat = [
+        v for s in sticks if s.orientation == orientation for v in (*s.anchor, s.length, s.wraps)
+    ]
+    x, y, length, wraps = np.array(flat, dtype=np.int64).reshape(-1, 4).T
+    fixed, lo = (x, y) if orientation == "vertical" else (y, x)
+    hi = lo + length
+    if config.boundary != "periodic":
+        return fixed, lo, hi
+    period = config.height if orientation == "vertical" else config.width
+    # a cycle is one segment over [-period, 2 * period]; any other stick
+    # also gets copies shifted by one period either way
+    widen = period * wraps
+    lo, hi, step = lo - widen, hi + widen, period - widen
+    return (
+        np.concatenate((fixed, fixed, fixed)),
+        np.concatenate((lo, lo - step, lo + step)),
+        np.concatenate((hi, hi - step, hi + step)),
+    )
+
+
+def _divided(segments, cross_lo, cross_hi, start, stop) -> np.ndarray:
+    """Bitmap over (a, b): some segment lies strictly between cross_lo[a]
+    and cross_hi[a] across the stick and spans [start[b], stop[b]] along it.
+
+    This is ``divides`` for every segment and every rectangle whose
+    transverse interval is indexed by a and whose extent by b.
+    """
+    fixed, lo, hi = (v[:, None] for v in segments)
+    inside = (cross_lo < fixed) & (fixed < cross_hi)
+    span = (lo <= start) & (stop <= hi)
+    return (inside[:, :, None] & span[:, None, :]).any(axis=0)
+
+
 def divided_directions(
     config: Configuration, rect: Rect, sticks: Optional[Sequence[Stick]] = None
 ) -> Tuple[bool, bool]:
     """(vertically divided, horizontally divided) by any stick."""
     if sticks is None:
         sticks = extract_sticks(config)
-    ver = any(
-        s.orientation == "vertical" and stick_divides(s, rect, config) for s in sticks
-    )
-    hor = any(
-        s.orientation == "horizontal" and stick_divides(s, rect, config) for s in sticks
-    )
-    return ver, hor
+    x = np.array([rect.corner[0], rect.corner[0] + rect.width])
+    y = np.array([rect.corner[1], rect.corner[1] + rect.height])
+    ver = _divided(_segment_arrays(sticks, config, "vertical"), x[:1], x[1:], y[:1], y[1:])
+    hor = _divided(_segment_arrays(sticks, config, "horizontal"), y[:1], y[1:], x[:1], x[1:])
+    return bool(ver.any()), bool(hor.any())
 
 
-def _type_matches(stick: Stick, requested: str) -> bool:
-    if requested in ("ver", "hor"):
-        return stick.type.startswith(requested)
-    return stick.type == requested
+def _check_n(n: int) -> None:
+    if n < 3:
+        raise DimensionError(f"N={n}: the (N - 2)/N inner rectangle needs N >= 3")
 
 
 def psi_set(
@@ -225,10 +261,14 @@ def psi_set(
     of the requested type ("ver0", "ver1", "hor0", "hor1", "ver", "hor").
 
     The window with grid coordinates (x, y) has its corner at (xK, yL);
-    windows must fit inside the region without torus wrap.
+    windows must fit inside the region without torus wrap. K and L must
+    be at least 1 and N at least 3.
     """
     if stick_type not in ("ver", "hor") + PHASES:
         raise ValueError(f"unknown stick type {stick_type!r}")
+    if k < 1 or l < 1:
+        raise DimensionError(f"window scales K={k}, L={l} must be at least 1")
+    _check_n(n)
     win_w, win_h = n * k, n * l
     if win_w > config.width or win_h > config.height:
         raise WrapError(
@@ -236,14 +276,20 @@ def psi_set(
         )
     if sticks is None:
         sticks = extract_sticks(config)
-    matching = [s for s in sticks if _type_matches(s, stick_type)]
-    result: Set[Point] = set()
-    for gx in range((config.width - win_w) // k + 1):
-        for gy in range((config.height - win_h) // l + 1):
-            rect = Rect((gx * k, gy * l), win_w, win_h)
-            if any(properly_divides(s, rect, config, n) for s in matching):
-                result.add((gx, gy))
-    return result
+    orientation = "vertical" if stick_type.startswith("ver") else "horizontal"
+    matching = [s for s in sticks if s.type.startswith(stick_type)]
+    segments = _segment_arrays(matching, config, orientation)
+    x0 = np.arange((config.width - win_w) // k + 1) * k
+    y0 = np.arange((config.height - win_h) // l + 1) * l
+    # a segment divides a window and its inner copy (inset by K across x
+    # and L across y) exactly when it spans the window and lies strictly
+    # inside the inner copy across the stick
+    if orientation == "vertical":
+        hit = _divided(segments, x0 + k, x0 + win_w - k, y0, y0 + win_h)
+    else:
+        hit = _divided(segments, y0 + l, y0 + win_h - l, x0, x0 + win_w).T
+    gx, gy = np.nonzero(hit)
+    return set(zip(gx.tolist(), gy.tolist()))
 
 
 # -- phase classification -----------------------------------------------------
@@ -253,8 +299,9 @@ def default_stick_threshold(lam: float, n: int = DEFAULT_N, c: float = 1.0) -> i
     """Length scale b = 2 * floor(c * sqrt(lambda) / (2N)), at least 2.
 
     The paper's constant c is an existence constant; c = 1 here is a
-    calibration choice and is flagged in reports.
+    calibration choice and is flagged in reports. N must be at least 3.
     """
+    _check_n(n)
     return max(2, 2 * int(c * lam**0.5 / (2 * n)))
 
 
@@ -271,8 +318,9 @@ def classify_phase(
     Returns one of "ver0", "ver1", "hor0", "hor1" when one type holds a
     strict majority of the qualifying sticks, else "undetermined". The
     threshold b defaults from lam when given, else to a quarter of the
-    smaller dimension.
+    smaller dimension. N must be at least 3.
     """
+    _check_n(n)
     if b is None:
         if lam is not None:
             b = default_stick_threshold(lam, n)

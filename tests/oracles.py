@@ -7,6 +7,8 @@ enumeration over raw occupancy masks or sequences.
 
 from itertools import combinations, product
 
+from squarepack.sticks import Rect, properly_divides, stick_divides
+
 
 def linf_torus(u, v, width, height):
     dx = abs(u[0] - v[0]) % width
@@ -249,3 +251,26 @@ def translation_by_cells(sites, nx, ny, periodic, site, direction):
         if cy * nx + cx != site and cy * nx + cx in sites:
             return sites
     return (sites - {site}) | {ty * nx + tx}
+
+
+def psi_set_by_windows(config, k, l, stick_type, n, sticks):
+    """Psi set by testing every window against every matching stick with
+    ``properly_divides``; windows that do not fit give an empty set."""
+    matching = [s for s in sticks if s.type.startswith(stick_type)]
+    win_w, win_h = n * k, n * l
+    result = set()
+    for gx in range((config.width - win_w) // k + 1):
+        for gy in range((config.height - win_h) // l + 1):
+            rect = Rect((gx * k, gy * l), win_w, win_h)
+            if any(properly_divides(s, rect, config, n) for s in matching):
+                result.add((gx, gy))
+    return result
+
+
+def divided_directions_by_sticks(config, rect, sticks):
+    """(vertically divided, horizontally divided) by ``stick_divides`` on
+    every stick of each orientation."""
+    return tuple(
+        any(s.orientation == o and stick_divides(s, rect, config) for s in sticks)
+        for o in ("vertical", "horizontal")
+    )

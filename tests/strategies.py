@@ -26,3 +26,21 @@ def random_valid_config(draw, boundaries=BOUNDARIES):
             continue
         occ.add(c)
     return create_configuration(w, h, boundary, occ)
+
+
+@st.composite
+def striped_config(draw, boundaries=BOUNDARIES):
+    """Columns of stacked tiles at odd x, each shifted up by a drawn 0 or 1,
+    with drawn tiles removed and the axes drawn to be exchanged: long
+    sticks of every type, which sparse random placements rarely give."""
+    w = draw(st.sampled_from([4, 6, 8]))
+    h = draw(st.sampled_from([4, 6, 8]))
+    boundary = draw(st.sampled_from(boundaries))
+    periodic = boundary == "periodic"
+    occ = []
+    for x in range(1, w, 2):
+        shift = draw(st.integers(0, 1))
+        ys = range(1 + shift, h + 1 if periodic else h, 2)
+        occ.extend((x, y % h) for y in ys if draw(st.integers(0, 5)))
+    cfg = create_configuration(w, h, boundary, occ)
+    return cfg.transpose() if draw(st.booleans()) else cfg

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from squarepack.cli import build_parser, main
-from squarepack.lattice import encode
+from squarepack.lattice import create_configuration, encode
 from squarepack.sampler import seed_phase_configuration
 
 
@@ -201,6 +201,51 @@ def test_sticks_phase_render_pipeline(tmp_path, capsys):
     )
     assert code == 0
     assert ppm_path.read_bytes().startswith(b"P6\n")
+
+
+def test_sticks_psi_snapshot(tmp_path, capsys):
+    # an aligned packing with one column run shifted up and one row run
+    # shifted right: two finite vertical and two finite horizontal sticks
+    occ = {(x, y) for x in range(1, 16, 2) for y in range(1, 16, 2)}
+    occ -= {(5, 3), (5, 5), (5, 7), (5, 9), (7, 11), (9, 11), (11, 11), (13, 11)}
+    occ |= {(5, 4), (5, 6), (5, 8), (8, 11), (10, 11), (12, 11)}
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(encode(create_configuration(16, 16, "fully_packed", sorted(occ))))
+    empty, ver_rows, hor_rows = "0" * 13, "0010100000000", "0000000111000"
+    expected = {
+        "ver": (
+            [[2, 3], [2, 4], [2, 5], [4, 3], [4, 4], [4, 5]],
+            [empty] * 7 + [ver_rows] * 3 + [empty] * 3,
+        ),
+        "hor": (
+            [[7, 8], [7, 10], [8, 8], [8, 10], [9, 8], [9, 10]],
+            [empty, empty, hor_rows, empty, hor_rows] + [empty] * 8,
+        ),
+    }
+    for stype, (points, bitmap) in expected.items():
+        code, out, _ = run_cli(["sticks", "--in", str(cfg_path), "--psi", "1", "1", stype], capsys)
+        assert code == 0
+        psi = json.loads(out)["psi"]
+        assert (psi["points"], psi["bitmap"]) == (points, bitmap)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sticks", "--psi", "0", "2", "ver"],
+        ["sticks", "--psi", "-1", "2", "ver"],
+        ["sticks", "--psi", "2", "2", "ver", "--N", "0"],
+        ["phase", "--N", "0", "--lambda", "100"],
+        ["phase", "--N", "-4"],
+    ],
+)
+def test_bad_window_scales_rejected(tmp_path, capsys, args):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(encode(seed_phase_configuration(16, 16, "ver0")))
+    code, out, err = run_cli([args[0], "--in", str(cfg_path), *args[1:]], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "DimensionError"
 
 
 def test_render_four_parity_colors(tmp_path, capsys):

@@ -1,10 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squarepack.errors import DimensionError, WrapError
-from squarepack.lattice import create_configuration
+from squarepack.lattice import BOUNDARIES, create_configuration
+from squarepack.sampler import Chain, ChainParams
 from squarepack.sticks import (
+    PHASES,
     Rect,
     classify_phase,
+    default_stick_threshold,
     detect_stick_edges,
     divided_directions,
     divides,
@@ -13,6 +18,11 @@ from squarepack.sticks import (
     psi_set,
     stick_census,
 )
+
+from oracles import divided_directions_by_sticks, psi_set_by_windows
+from strategies import random_valid_config, striped_config
+
+STICK_TYPES = ("ver", "hor") + PHASES
 
 
 def aligned_packing(w, h):
@@ -180,8 +190,96 @@ def test_no_rect_divided_both_ways():
     cfg = offset_columns(16, 16, [1, 0, 0, 1, 0, 1, 1, 0])
     sticks = extract_sticks(cfg)
     for corner in [(0, 0), (3, 2), (5, 5), (8, 1)]:
-        ver, hor = divided_directions(cfg, Rect(corner, 6, 6), sticks)
+        rect = Rect(corner, 6, 6)
+        ver, hor = divided_directions(cfg, rect, sticks)
         assert not (ver and hor)
+        assert (ver, hor) == divided_directions_by_sticks(cfg, rect, sticks)
+
+
+def _sublist(data, sticks):
+    keep = data.draw(st.lists(st.booleans(), min_size=len(sticks), max_size=len(sticks)))
+    return [s for s, k in zip(sticks, keep) if k]
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("configs", [random_valid_config, striped_config])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_psi_set_matches_window_loop(boundary, configs, data):
+    cfg = data.draw(configs((boundary,)))
+    full = extract_sticks(cfg)
+    for sticks in (full, _sublist(data, full)):
+        for k, l in ((1, 1), (1, 2), (2, 1)):
+            if 4 * k > cfg.width or 4 * l > cfg.height:
+                with pytest.raises(WrapError):
+                    psi_set(cfg, k, l, "ver", 4, sticks)
+                continue
+            for t in STICK_TYPES:
+                assert psi_set(cfg, k, l, t, 4, sticks) == psi_set_by_windows(
+                    cfg, k, l, t, 4, sticks
+                ), (k, l, t)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("configs", [random_valid_config, striped_config])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_divided_directions_matches_stick_loop(boundary, configs, data):
+    cfg = data.draw(configs((boundary,)))
+    full = extract_sticks(cfg)
+    for sticks in (full, _sublist(data, full)):
+        for _ in range(10):
+            x, y = data.draw(st.integers(-2, cfg.width)), data.draw(st.integers(-2, cfg.height))
+            rect = Rect((x, y), data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6)))
+            assert divided_directions(cfg, rect, sticks) == divided_directions_by_sticks(
+                cfg, rect, sticks
+            )
+
+
+def test_psi_set_matches_window_loop_on_sampled_chains():
+    # the three 24x24 chains of the criterion-9 structure analysis
+    found = 0
+    for boundary, lam, initial, seed in (
+        ("periodic", 10.0, "empty", 91),
+        ("periodic", 130.0, "ver0", 92),
+        ("fully_packed", 130.0, "empty", 93),
+    ):
+        chain = Chain(
+            ChainParams(
+                width=24, height=24, lam=lam, seed=seed, sweeps=0, boundary=boundary,
+                translation_move_fraction=0.1, initial=initial,
+            )
+        )
+        chain.sweep(200)
+        for _ in range(4):
+            chain.sweep(4)
+            cfg = chain.configuration()
+            sticks = extract_sticks(cfg)
+            for t in STICK_TYPES:
+                psi = psi_set(cfg, 2, 2, t, 4, sticks)
+                assert psi == psi_set_by_windows(cfg, 2, 2, t, 4, sticks), (boundary, lam, t)
+                found += len(psi)
+            for corner, w, h in (((0, 0), 8, 8), ((5, 11), 4, 8), ((13, 2), 8, 4), ((9, 9), 6, 6)):
+                rect = Rect(corner, w, h)
+                assert divided_directions(cfg, rect, sticks) == divided_directions_by_sticks(
+                    cfg, rect, sticks
+                )
+    assert found > 0
+
+
+@pytest.mark.parametrize("k,l,n", [(0, 2, 4), (-1, 2, 4), (2, 0, 4), (2, 2, 2), (2, 2, 0)])
+def test_psi_set_rejects_bad_scales(k, l, n):
+    cfg = offset_columns(16, 16, [0, 1] * 4)
+    with pytest.raises(DimensionError):
+        psi_set(cfg, k, l, "ver", n)
+
+
+@pytest.mark.parametrize("n", [2, 0, -4])
+def test_stick_threshold_rejects_bad_n(n):
+    with pytest.raises(DimensionError):
+        default_stick_threshold(100.0, n)
+    with pytest.raises(DimensionError):
+        classify_phase(offset_columns(8, 8, [0, 1, 0, 1]), b=2, n=n)
 
 
 # -- phase classification ------------------------------------------------------
@@ -210,7 +308,6 @@ def test_classify_phase_aligned_undetermined():
 def test_stick_side_parities_constant():
     # the tiles bounding a stick keep one parity per side along its run
     from squarepack.lattice import tile_parity_class
-    from squarepack.sampler import Chain, ChainParams
 
     chain = Chain(
         ChainParams(width=16, height=16, lam=50.0, seed=6, sweeps=0, initial="ver0")
