@@ -275,6 +275,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_sticks(args) -> int:
+    sticks.check_n(args.n_div)
     cfg = _read_config(args.infile)
     stick_list = sticks.extract_sticks(cfg)
     payload = {

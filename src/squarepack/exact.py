@@ -7,7 +7,10 @@ tile of the finite-volume model always covers four region faces.
 
 Two independent enumeration paths are provided: depth-first brute force
 over occupancy masks, and a row-transfer recursion whose state is one
-row's occupancy pattern. They must agree coefficient-wise.
+row's occupancy pattern. They must agree coefficient-wise. The transfer
+packs each row's polynomial into one int, so a row step is one shifted
+sum per row state; on a torus it runs one start row per orbit of the
+rows under rotation and mirroring, weighted by the orbit size.
 """
 
 from __future__ import annotations
@@ -268,90 +271,62 @@ def _row_states(positions: int, cyclic: bool) -> Tuple[int, ...]:
     return tuple(states)
 
 
-def _rows_compatible(s: int, t: int, positions: int, cyclic: bool) -> bool:
-    spread = t | (t << 1) | (t >> 1)
+def _row_neighbours(states: Sequence[int], positions: int, cyclic: bool) -> List[List[int]]:
+    """Indices of the rows that may lie next to each row: no tile of one
+    within distance 1 of a tile of the other (a symmetric relation)."""
+    s = np.array(states, dtype=np.int64)
+    spread = s | s << 1 | s >> 1
     if cyclic:
-        if t & 1:
-            spread |= 1 << (positions - 1)
-        if t >> (positions - 1) & 1:
-            spread |= 1
-    return not (s & spread & ((1 << positions) - 1) or s & t)
+        spread |= s >> (positions - 1) | (s & 1) << (positions - 1)
+    compatible = (s[None, :] & spread[:, None]) == 0
+    return [np.flatnonzero(row).tolist() for row in compatible]
+
+
+def _dihedral_orbits(states: Sequence[int], positions: int) -> List[Tuple[int, int]]:
+    """(index of one row, orbit size) for each orbit of the cyclic rows
+    under rotation and mirroring."""
+    s = np.array(states, dtype=np.int64)
+    full = (1 << positions) - 1
+    mirror = sum((s >> i & 1) << (positions - 1 - i) for i in range(positions))
+    images = [(v << k | v >> (positions - k)) & full for v in (s, mirror) for k in range(positions)]
+    _, first, sizes = np.unique(np.min(images, axis=0), return_index=True, return_counts=True)
+    return list(zip(first.tolist(), sizes.tolist()))
 
 
 def _transfer_coefficients(width: int, height: int, boundary: str) -> List[int]:
+    """Row transfer with each row's polynomial packed into one int.
+
+    Coefficient n of a packed polynomial sits in bits [n*limb, (n+1)*limb).
+    Every limb of every partial sum counts row sequences (a shorter one
+    extends by empty rows), so it is at most the number of all sequences
+    of nrows rows, which fixes limb and keeps carries inside their limb.
+    """
     periodic = boundary == "periodic"
     positions = width if periodic else width - 1
     nrows = height if periodic else height - 1
     states = _row_states(positions, periodic)
-    compat = {
-        s: [t for t in states if _rows_compatible(s, t, positions, periodic)]
-        for s in states
-    }
-    bits = {s: bin(s).count("1") for s in states}
-    n_max = width * height // 4
+    neighbours = _row_neighbours(states, positions, periodic)
 
-    def empty_vec():
-        return {s: None for s in states}
+    def walk(vec: List[int], shifts: List[int]) -> List[int]:
+        for _ in range(nrows - 1):
+            vec = [sum(map(vec.__getitem__, nb)) << k for nb, k in zip(neighbours, shifts)]
+        return vec
 
+    limb = sum(walk([1] * len(states), [0] * len(states))).bit_length()
+    shifts = [bin(s).count("1") * limb for s in states]
     if periodic:
-        coeffs = [0] * (n_max + 1)
-        for start in states:
-            # distribution over (current state, tiles) after k row steps
-            vec: Dict[int, Optional[List[int]]] = {s: None for s in states}
-            v0 = [0] * (n_max + 1)
-            v0[bits[start]] = 1
-            vec[start] = v0
-            for _ in range(nrows - 1):
-                new: Dict[int, Optional[List[int]]] = {s: None for s in states}
-                for s, poly in vec.items():
-                    if poly is None:
-                        continue
-                    for t in compat[s]:
-                        shift = bits[t]
-                        tgt = new[t]
-                        if tgt is None:
-                            tgt = [0] * (n_max + 1)
-                            new[t] = tgt
-                        for n, c in enumerate(poly):
-                            if c and n + shift <= n_max:
-                                tgt[n + shift] += c
-                vec = new
-            # close the cycle: last row must be compatible with the start row
-            for s, poly in vec.items():
-                if poly is None or start not in compat[s]:
-                    continue
-                for n, c in enumerate(poly):
-                    coeffs[n] += c
-        return coeffs
-
-    # open chain over the interior rows
-    vec = {s: None for s in states}
-    for s in states:
-        v0 = [0] * (n_max + 1)
-        v0[bits[s]] = 1
-        vec[s] = v0
-    for _ in range(nrows - 1):
-        new = {s: None for s in states}
-        for s, poly in vec.items():
-            if poly is None:
-                continue
-            for t in compat[s]:
-                shift = bits[t]
-                tgt = new[t]
-                if tgt is None:
-                    tgt = [0] * (n_max + 1)
-                    new[t] = tgt
-                for n, c in enumerate(poly):
-                    if c and n + shift <= n_max:
-                        tgt[n + shift] += c
-        vec = new
-    coeffs = [0] * (n_max + 1)
-    for poly in vec.values():
-        if poly is None:
-            continue
-        for n, c in enumerate(poly):
-            coeffs[n] += c
-    return coeffs
+        # rotating or mirroring every row of a closed walk gives a closed
+        # walk with the same tiles, so all starts of an orbit sum alike
+        total = 0
+        for start, size in _dihedral_orbits(states, positions):
+            vec = [0] * len(states)
+            vec[start] = 1 << shifts[start]
+            vec = walk(vec, shifts)
+            total += size * sum(map(vec.__getitem__, neighbours[start]))
+    else:
+        total = sum(walk([1 << k for k in shifts], shifts))
+    low = (1 << limb) - 1
+    return [total >> n * limb & low for n in range(width * height // 4 + 1)]
 
 
 def partition_polynomial(
@@ -398,6 +373,9 @@ def partition_polynomial(
 @lru_cache(maxsize=16)
 def _ensemble(width: int, height: int, boundary: str):
     """All valid configurations as (masks uint64, tile counts int16)."""
+    sites = len(model_sites(width, height, boundary))
+    if sites > 64:
+        raise TooLarge(f"{sites} sites do not fit the 64-bit configuration masks")
     masks, tiles = [], []
     for mask, cnt in iter_valid_masks(width, height, boundary):
         masks.append(mask)

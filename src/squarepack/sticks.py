@@ -244,7 +244,8 @@ def divided_directions(
     return bool(ver.any()), bool(hor.any())
 
 
-def _check_n(n: int) -> None:
+def check_n(n: int) -> None:
+    """Raise DimensionError unless the window scale N is at least 3."""
     if n < 3:
         raise DimensionError(f"N={n}: the (N - 2)/N inner rectangle needs N >= 3")
 
@@ -268,7 +269,7 @@ def psi_set(
         raise ValueError(f"unknown stick type {stick_type!r}")
     if k < 1 or l < 1:
         raise DimensionError(f"window scales K={k}, L={l} must be at least 1")
-    _check_n(n)
+    check_n(n)
     win_w, win_h = n * k, n * l
     if win_w > config.width or win_h > config.height:
         raise WrapError(
@@ -301,7 +302,7 @@ def default_stick_threshold(lam: float, n: int = DEFAULT_N, c: float = 1.0) -> i
     The paper's constant c is an existence constant; c = 1 here is a
     calibration choice and is flagged in reports. N must be at least 3.
     """
-    _check_n(n)
+    check_n(n)
     return max(2, 2 * int(c * lam**0.5 / (2 * n)))
 
 
@@ -320,7 +321,7 @@ def classify_phase(
     threshold b defaults from lam when given, else to a quarter of the
     smaller dimension. N must be at least 3.
     """
-    _check_n(n)
+    check_n(n)
     if b is None:
         if lam is not None:
             b = default_stick_threshold(lam, n)

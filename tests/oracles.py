@@ -81,6 +81,68 @@ def cyclic_independent_set_counts(length):
     return counts
 
 
+def transfer_coefficients_by_rows(width, height, boundary):
+    """Row-transfer coefficients, one start row at a time, with each state's
+    polynomial as a list of tile-count coefficients.
+
+    Rows are occupancy patterns of the row's candidate centers; the torus
+    closes the walk back onto its start row, the rectangles sum open
+    chains over all start rows.
+    """
+    periodic = boundary == "periodic"
+    positions = width if periodic else width - 1
+    nrows = height if periodic else height - 1
+    states = [
+        s
+        for s in range(1 << positions)
+        if not s & (s << 1)
+        and not (periodic and s & 1 and s >> (positions - 1) & 1)
+    ]
+
+    def rows_compatible(s, t):
+        spread = t | (t << 1) | (t >> 1)
+        if periodic:
+            if t & 1:
+                spread |= 1 << (positions - 1)
+            if t >> (positions - 1) & 1:
+                spread |= 1
+        return not (s & spread & ((1 << positions) - 1) or s & t)
+
+    compat = {s: [t for t in states if rows_compatible(s, t)] for s in states}
+    bits = {s: bin(s).count("1") for s in states}
+    n_max = width * height // 4
+
+    def run(vec):
+        # distribution over (current state, tiles) after each row step
+        for _ in range(nrows - 1):
+            new = {}
+            for s, poly in vec.items():
+                for t in compat[s]:
+                    tgt = new.setdefault(t, [0] * (n_max + 1))
+                    for n, c in enumerate(poly):
+                        if c and n + bits[t] <= n_max:
+                            tgt[n + bits[t]] += c
+            vec = new
+        return vec
+
+    def unit(s):
+        poly = [0] * (n_max + 1)
+        poly[bits[s]] = 1
+        return poly
+
+    coeffs = [0] * (n_max + 1)
+    if periodic:
+        for start in states:
+            for s, poly in run({start: unit(start)}).items():
+                # close the cycle: the last row must be compatible with the start row
+                if start in compat[s]:
+                    coeffs = [a + b for a, b in zip(coeffs, poly)]
+    else:
+        for poly in run({s: unit(s) for s in states}).values():
+            coeffs = [a + b for a, b in zip(coeffs, poly)]
+    return coeffs
+
+
 def king_clusters_bfs(points, width=None, height=None, periodic=False):
     """Connected components under 8-neighbor adjacency, plain BFS."""
     points = set(points)

@@ -92,6 +92,21 @@ def test_chessboard_bound(capsys):
     assert payload["zeta"] <= 16 ** -0.25 + 1e-12
 
 
+def test_chessboard_beyond_64_sites_rejected_before_enumeration():
+    # 72 sites pass the raised area cap but not the 64-bit masks; the
+    # error must come before the enumeration, which takes minutes here
+    proc = subprocess.run(
+        [sys.executable, "-m", "squarepack.cli", "chessboard"]
+        + ["--width", "4", "--height", "18", "--lambda", "1", "--area-cap", "80"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "TooLarge"
+
+
 def test_sample_deterministic(tmp_path, capsys):
     spec = {
         "width": 4,
@@ -237,6 +252,7 @@ def test_sticks_psi_snapshot(tmp_path, capsys):
         ["sticks", "--psi", "2", "2", "ver", "--N", "0"],
         ["phase", "--N", "0", "--lambda", "100"],
         ["phase", "--N", "-4"],
+        ["sticks", "--N", "0"],
     ],
 )
 def test_bad_window_scales_rejected(tmp_path, capsys, args):

@@ -10,6 +10,7 @@ from squarepack.errors import NonpositiveFugacity, OddLength, TooLarge
 from oracles import (
     cyclic_independent_set_counts,
     torus_partition_counts,
+    transfer_coefficients_by_rows,
     z1d_periodic_enumeration,
 )
 
@@ -115,6 +116,9 @@ def test_partition_4x4_torus_against_mask_oracle():
         ((4, 4), "free"),
         ((6, 6), "free"),
         ((6, 4), "fully_packed"),
+        ((4, 8), "periodic"),
+        ((6, 4), "free"),
+        ((4, 6), "fully_packed"),
     ],
 )
 def test_brute_and_transfer_agree(dims, boundary):
@@ -122,6 +126,38 @@ def test_brute_and_transfer_agree(dims, boundary):
     brute = exact.partition_polynomial(w, h, boundary, method="brute")
     transfer = exact.partition_polynomial(w, h, boundary, method="transfer")
     assert brute.coefficients == transfer.coefficients
+
+
+@pytest.mark.parametrize(
+    "dims,boundary",
+    [
+        ((8, 8), "periodic"),
+        ((10, 10), "periodic"),
+        ((8, 6), "periodic"),
+        ((6, 10), "periodic"),
+        ((12, 4), "periodic"),
+        ((12, 12), "free"),
+        ((14, 8), "free"),
+        ((12, 12), "fully_packed"),
+        ((14, 8), "fully_packed"),
+        # coefficients beyond 2^63: no fixed-width packing holds them
+        ((14, 14), "free"),
+    ],
+)
+def test_transfer_matches_row_by_row_reference(dims, boundary):
+    w, h = dims
+    poly = exact.partition_polynomial(w, h, boundary, method="transfer")
+    assert poly.coefficients == exact._trim(transfer_coefficients_by_rows(w, h, boundary))
+    if (w, h) == (14, 14):
+        assert max(poly.coefficients) > 2**63
+
+
+@pytest.mark.parametrize("dims", [(4, 10), (6, 8), (8, 10), (6, 12)])
+def test_torus_polynomial_invariant_under_transposition(dims):
+    w, h = dims
+    wide = exact.partition_polynomial(w, h, "periodic", method="transfer")
+    tall = exact.partition_polynomial(h, w, "periodic", method="transfer")
+    assert wide.coefficients == tall.coefficients
 
 
 def test_free_and_fully_packed_polynomials_coincide():
