@@ -5,22 +5,23 @@ the tile count n; the vacancy-convention value differs from the
 tile-convention value by the constant factor lambda^(-Area/4), since a
 tile of the finite-volume model always covers four region faces.
 
-Two independent enumeration paths are provided: depth-first brute force
-over occupancy masks, and a row-transfer recursion whose state is one
-row's occupancy pattern. They must agree coefficient-wise. The transfer
-packs each row's polynomial into one int, so a row step is one shifted
-sum per row state; on a torus it runs one start row per orbit of the
-rows under rotation and mirroring, weighted by the orbit size.
+Two enumeration paths are provided and must agree coefficient-wise:
+brute force counts the tiles of every configuration, listed as masks
+grown row by row in numpy arrays (``lattice.iter_mask_blocks``), and a
+row-transfer recursion sums over row sequences. They share only the row
+states and their neighbour lists. The transfer packs each row's
+polynomial into one int, so a row step is one shifted sum per row
+state; on a torus it runs one start row per orbit of the rows under
+rotation and mirroring, weighted by the orbit size.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +32,15 @@ from .errors import (
     OddLength,
     TooLarge,
 )
-from .lattice import Point, iter_valid_masks, model_sites
+from .lattice import (
+    Point,
+    _row_neighbours,
+    _row_states,
+    iter_mask_blocks,
+    iter_valid_masks,
+    map_start_rows,
+    model_sites,
+)
 
 DEFAULT_AREA_CAP = 36
 TRANSFER_WIDTH_CAP = 14
@@ -209,77 +218,13 @@ def _trim(coeffs: List[int]) -> Tuple[int, ...]:
     return tuple(coeffs[: last + 1])
 
 
-def _brute_coefficients(width: int, height: int, boundary: str) -> List[int]:
-    n_max = width * height // 4
-    coeffs = [0] * (n_max + 1)
-    for _, cnt in iter_valid_masks(width, height, boundary):
-        coeffs[cnt] += 1
-    return coeffs
-
-
-def _brute_worker(args) -> List[int]:
-    """Count configurations whose first decided sites match a fixed prefix."""
-    width, height, boundary, prefix_len, prefix_mask = args
-    from .lattice import _site_index
-
-    sites, _, nbr = _site_index(width, height, boundary)
-    n = len(sites)
-    n_max = width * height // 4
-    coeffs = [0] * (n_max + 1)
-    blocked = 0
-    cnt = 0
-    for i in range(prefix_len):
-        if prefix_mask >> i & 1:
-            if blocked >> i & 1:
-                return coeffs  # infeasible prefix
-            blocked |= nbr[i]
-            cnt += 1
-    stack = [(prefix_len, blocked, cnt)]
-    while stack:
-        i, blocked, cnt = stack.pop()
-        if i == n:
-            coeffs[cnt] += 1
-            continue
-        if not blocked >> i & 1:
-            stack.append((i + 1, blocked | nbr[i], cnt + 1))
-        stack.append((i + 1, blocked, cnt))
-    return coeffs
-
-
-def _brute_coefficients_parallel(width, height, boundary, threads) -> List[int]:
-    prefix_len = min(8, width)
-    jobs = [
-        (width, height, boundary, prefix_len, mask) for mask in range(1 << prefix_len)
-    ]
-    coeffs = [0] * (width * height // 4 + 1)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_brute_worker, jobs, chunksize=16):
-            coeffs = [a + b for a, b in zip(coeffs, part)]
-    return coeffs
-
-
-@lru_cache(maxsize=64)
-def _row_states(positions: int, cyclic: bool) -> Tuple[int, ...]:
-    """Occupancy patterns of one row: no two tiles within distance 1."""
-    states = []
-    for s in range(1 << positions):
-        if s & (s << 1):
-            continue
-        if cyclic and positions > 1 and (s & 1) and (s >> (positions - 1) & 1):
-            continue
-        states.append(s)
-    return tuple(states)
-
-
-def _row_neighbours(states: Sequence[int], positions: int, cyclic: bool) -> List[List[int]]:
-    """Indices of the rows that may lie next to each row: no tile of one
-    within distance 1 of a tile of the other (a symmetric relation)."""
-    s = np.array(states, dtype=np.int64)
-    spread = s | s << 1 | s >> 1
-    if cyclic:
-        spread |= s >> (positions - 1) | (s & 1) << (positions - 1)
-    compatible = (s[None, :] & spread[:, None]) == 0
-    return [np.flatnonzero(row).tolist() for row in compatible]
+def _brute_coefficients(width: int, height: int, boundary: str, starts=None) -> List[int]:
+    """Configurations per tile count, from the given first-row states (all
+    by default)."""
+    counts = np.zeros(width * height // 4 + 1, dtype=np.int64)
+    for _, tiles in iter_mask_blocks(width, height, boundary, starts):
+        counts += np.bincount(tiles, minlength=len(counts))
+    return counts.tolist()
 
 
 def _dihedral_orbits(states: Sequence[int], positions: int) -> List[Tuple[int, int]]:
@@ -351,7 +296,9 @@ def partition_polynomial(
         if area > area_cap:
             raise TooLarge(f"area {area} exceeds brute-force cap {area_cap}")
         if threads > 1:
-            coeffs = _brute_coefficients_parallel(width, height, boundary, threads)
+            count = partial(_brute_coefficients, width, height, boundary)
+            parts = map_start_rows(count, width, height, boundary, threads)
+            coeffs = [sum(part) for part in zip(*parts)]
         else:
             coeffs = _brute_coefficients(width, height, boundary)
     elif method == "transfer":
@@ -372,15 +319,10 @@ def partition_polynomial(
 
 @lru_cache(maxsize=16)
 def _ensemble(width: int, height: int, boundary: str):
-    """All valid configurations as (masks uint64, tile counts int16)."""
-    sites = len(model_sites(width, height, boundary))
-    if sites > 64:
-        raise TooLarge(f"{sites} sites do not fit the 64-bit configuration masks")
-    masks, tiles = [], []
-    for mask, cnt in iter_valid_masks(width, height, boundary):
-        masks.append(mask)
-        tiles.append(cnt)
-    return np.array(masks, dtype=np.uint64), np.array(tiles, dtype=np.int16)
+    """All valid configurations as (masks uint64, tile counts int16), in
+    the order of iter_valid_masks."""
+    masks, tiles = zip(*iter_mask_blocks(width, height, boundary))
+    return np.concatenate(masks), np.concatenate(tiles)
 
 
 def _check_enumerable(width, height, area_cap):
@@ -480,21 +422,30 @@ def _pattern_table(width, height, corner, k, l) -> np.ndarray:
 
 def _patterns_for(masks: np.ndarray, site_idx: np.ndarray) -> np.ndarray:
     """Pattern ids of every configuration for one reflection."""
-    out = np.zeros(len(masks), dtype=np.int64)
+    out = np.zeros(len(masks), dtype=np.uint64)
     for bit, s in enumerate(site_idx):
-        out |= ((masks >> np.uint64(s)) & np.uint64(1)).astype(np.int64) << bit
-    return out
+        out |= (masks >> np.uint64(s) & np.uint64(1)) << np.uint64(bit)
+    return out.astype(np.int64)
 
 
 def _eval_local(
     fn: LocalFunction, points: List[Point], pattern_ids: np.ndarray
 ) -> np.ndarray:
-    """Evaluate a local function on every pattern id, memoizing patterns."""
-    uniq, inverse = np.unique(pattern_ids, return_inverse=True)
-    values = np.empty(len(uniq), dtype=np.float64)
-    for idx, pid in enumerate(uniq):
-        pat = {q: int(pid) >> b & 1 for b, q in enumerate(points)}
-        values[idx] = float(fn(pat))
+    """Evaluate a local function on every pattern id, calling it once per
+    distinct id in ascending order.
+
+    The distinct ids come from a count over all 2^points ids when there
+    are no more of those than configurations, and from a sort otherwise.
+    """
+    if 1 << len(points) <= len(pattern_ids):
+        seen = np.bincount(pattern_ids, minlength=1 << len(points)) > 0
+        ids, inverse = np.flatnonzero(seen), (np.cumsum(seen) - 1)[pattern_ids]
+    else:
+        ids, inverse = np.unique(pattern_ids, return_inverse=True)
+    values = np.array(
+        [float(fn({q: pid >> b & 1 for b, q in enumerate(points)})) for pid in ids.tolist()],
+        dtype=np.float64,
+    )
     return values[inverse]
 
 
@@ -613,19 +564,8 @@ def reflection_positivity_value(
     points, p0, p1, tiles = reflection_pair_patterns(
         width, height, corner, block_width, block_height
     )
-
-    cache: Dict[int, float] = {}
-
-    def fval(pid: int) -> float:
-        v = cache.get(pid)
-        if v is None:
-            v = float(f({q: pid >> b & 1 for b, q in enumerate(points)}))
-            cache[pid] = v
-        return v
-
-    weights = np.power(float(lam), tiles.astype(np.float64))
-    vals = np.array([fval(int(a)) * fval(int(b)) for a, b in zip(p0, p1)])
-    return float((weights * vals).sum() / weights.sum())
+    values = _eval_local(f, points, p0) * _eval_local(f, points, p1)
+    return _torus_expectation(tiles, values, lam)
 
 
 def face_vacant_event(corner: Point) -> Tuple[Point, int, int, Event]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -30,7 +31,8 @@ from .lattice import (
     _unchecked,
     edge_sides,
     face_cover,
-    iter_valid_masks,
+    iter_mask_blocks,
+    map_start_rows,
     model_sites,
 )
 
@@ -245,6 +247,10 @@ def canonicalize_compressed(graph: ComponentGraph) -> str:
     embedded key cannot be used. Each vertex has at most one incident
     edge per (orientation, direction) slot, which makes a deterministic
     slot-order traversal a canonical encoding once minimized over roots.
+
+    The first four tokens of an encoding are the root's own slots, and
+    none of those is a prefix of another, so only roots with the least
+    four tokens can give the least key; only those are encoded in full.
     """
     if graph.trivial:
         return EMPTY_KEY
@@ -255,11 +261,11 @@ def canonicalize_compressed(graph: ComponentGraph) -> str:
         slots[b][(orient, "in")] = (a, kind)
     order = (("v", "out"), ("v", "in"), ("h", "out"), ("h", "in"))
 
-    def encode_from(root: Point) -> str:
+    def encode_from(root: Point, limit: Optional[int] = None) -> str:
         ids: Dict[Point, int] = {root: 0}
         out: List[str] = []
         stack = [root]
-        while stack:
+        while stack and (limit is None or len(out) < limit):
             v = stack.pop()
             for slot in order:
                 entry = slots[v].get(slot)
@@ -275,7 +281,9 @@ def canonicalize_compressed(graph: ComponentGraph) -> str:
                     stack.append(w)
         return "|".join(out)
 
-    return min(encode_from(v) for v in sorted(slots))
+    heads = {v: encode_from(v, len(order)) for v in slots}
+    least = min(heads.values())
+    return min(encode_from(v) for v in sorted(slots) if heads[v] == least)
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -327,29 +335,14 @@ def _harvest_mask(width: int, height: int, sites, mask: int, max_stick, catalog)
         )
 
 
-def _enumerate_worker(args) -> Dict[str, ComponentRecord]:
-    """Harvest the subtree of configurations matching a site prefix."""
-    width, height, prefix_len, prefix_mask, max_stick = args
-    from .lattice import _site_index
-
-    sites, _, nbr = _site_index(width, height, "fully_packed")
-    n = len(sites)
+def _harvest(width: int, height: int, max_stick, starts=None) -> Dict[str, ComponentRecord]:
+    """Catalog of the configurations from the given first-row states (all
+    by default), in enumeration order."""
+    sites = model_sites(width, height, "fully_packed")
     catalog: Dict[str, ComponentRecord] = {}
-    blocked = 0
-    for i in range(prefix_len):
-        if prefix_mask >> i & 1:
-            if blocked >> i & 1:
-                return catalog  # infeasible prefix
-            blocked |= nbr[i]
-    stack = [(prefix_len, prefix_mask, blocked)]
-    while stack:
-        i, mask, blk = stack.pop()
-        if i == n:
+    for masks, _ in iter_mask_blocks(width, height, "fully_packed", starts):
+        for mask in masks.tolist():
             _harvest_mask(width, height, sites, mask, max_stick, catalog)
-            continue
-        if not blk >> i & 1:
-            stack.append((i + 1, mask | (1 << i), blk | nbr[i]))
-        stack.append((i + 1, mask, blk))
     return catalog
 
 
@@ -371,33 +364,22 @@ def enumerate_components(
     arise). ``max_stick`` keeps only components whose stick paths have
     length at most that bound. Completeness is relative to the window.
 
-    With ``threads`` > 1 the configuration search tree is partitioned by
-    site prefixes across a process pool; the merged catalog is
-    independent of the worker count.
+    With ``threads`` > 1 the configurations are partitioned by their
+    first row across a process pool and the catalogs merged in that
+    order, which gives the serial catalog, order included.
     """
     if width * height > window_cap:
         raise TooLarge(f"window area {width * height} exceeds cap {window_cap}")
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        prefix_len = min(8, width)
-        jobs = [
-            (width, height, prefix_len, mask, max_stick)
-            for mask in range(1 << prefix_len)
-        ]
-        catalog: Dict[str, ComponentRecord] = {}
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_enumerate_worker, jobs, chunksize=8):
-                for key, rec in part.items():
-                    if key in catalog:
-                        catalog[key].multiplicity += rec.multiplicity
-                    else:
-                        catalog[key] = rec
-        return catalog
-    catalog = {}
-    sites = model_sites(width, height, "fully_packed")
-    for mask, _ in iter_valid_masks(width, height, "fully_packed"):
-        _harvest_mask(width, height, sites, mask, max_stick, catalog)
+    if threads <= 1:
+        return _harvest(width, height, max_stick)
+    harvest = partial(_harvest, width, height, max_stick)
+    catalog: Dict[str, ComponentRecord] = {}
+    for part in map_start_rows(harvest, width, height, "fully_packed", threads):
+        for key, rec in part.items():
+            if key in catalog:
+                catalog[key].multiplicity += rec.multiplicity
+            else:
+                catalog[key] = rec
     return catalog
 
 

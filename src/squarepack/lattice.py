@@ -20,9 +20,10 @@ pairwise disjoint.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import (
     OverlapError,
     ParseError,
     RegionOutOfBounds,
+    TooLarge,
 )
 
 Point = Tuple[int, int]
@@ -382,9 +384,12 @@ def from_json(text: str) -> Configuration:
         raise ParseError(f"bad JSON configuration: {exc}") from exc
 
 
-# -- enumeration support ---------------------------------------------------
+# -- enumeration -------------------------------------------------------------
+
+_BLOCK = 1 << 16  # partial configurations per row step
 
 
+@lru_cache(maxsize=32)
 def model_sites(width: int, height: int, boundary: str) -> Tuple[Point, ...]:
     """Candidate centers of the finite-volume model, raster order.
 
@@ -398,49 +403,114 @@ def model_sites(width: int, height: int, boundary: str) -> Tuple[Point, ...]:
     return tuple((x, y) for y in range(1, height) for x in range(1, width))
 
 
-@lru_cache(maxsize=32)
-def _site_index(width: int, height: int, boundary: str):
-    sites = model_sites(width, height, boundary)
-    index = {p: i for i, p in enumerate(sites)}
-    periodic = boundary == "periodic"
-    nbr_masks = []
-    for x, y in sites:
-        m = 0
-        for dx, dy in _NEIGHBOR_OFFSETS:
-            if periodic:
-                q = ((x + dx) % width, (y + dy) % height)
-            else:
-                q = (x + dx, y + dy)
-            j = index.get(q)
-            if j is not None:
-                m |= 1 << j
-        nbr_masks.append(m)
-    return sites, index, tuple(nbr_masks)
+@lru_cache(maxsize=64)
+def _row_states(positions: int, cyclic: bool) -> Tuple[int, ...]:
+    """Occupancy patterns of one row, no two tiles within distance 1,
+    ascending in the bit-reversed value (position 0 most significant)."""
+    s = np.arange(1 << positions, dtype=np.int64)
+    valid = (s & s << 1 | cyclic * (s & s >> (positions - 1) & 1)) == 0
+    return tuple(sorted(s[valid].tolist(), key=lambda v: f"{v:0{positions}b}"[::-1]))
+
+
+def _row_neighbours(states: Sequence[int], positions: int, cyclic: bool) -> List[List[int]]:
+    """Indices of the rows that may lie next to each row, ascending: no
+    tile of one within distance 1 of a tile of the other (a symmetric
+    relation)."""
+    s = np.array(states, dtype=np.int64)
+    spread = s | s << 1 | s >> 1
+    if cyclic:
+        spread |= s >> (positions - 1) | (s & 1) << (positions - 1)
+    step = max(1, (1 << 22) // len(s))  # 2^22 pairs a slice; 21 positions: 28,657 rows
+    return [
+        np.flatnonzero(row).tolist()
+        for lo in range(0, len(s), step)
+        for row in (s[None, :] & spread[lo : lo + step, None]) == 0
+    ]
+
+
+@lru_cache(maxsize=16)
+def _row_tables(positions: int, cyclic: bool):
+    """Row states as uint64 patterns, their tile counts, their neighbour
+    lists, and those flattened: flat[first[i] : first[i] + degree[i]]."""
+    states = _row_states(positions, cyclic)
+    neighbours = _row_neighbours(states, positions, cyclic)
+    values = np.array(states, dtype=np.uint64)
+    counts = np.array([bin(v).count("1") for v in states], dtype=np.int16)
+    degree = np.array([len(nb) for nb in neighbours])
+    flat = np.array([t for nb in neighbours for t in nb], dtype=np.int64)
+    return values, counts, neighbours, degree, np.cumsum(degree) - degree, flat
+
+
+def _row_layout(width: int, height: int, boundary: str) -> Tuple[bool, int, int]:
+    """(cyclic rows, sites per row, rows) of the model sites, which fill
+    the mask bits row by row; TooLarge above 64 sites."""
+    sites = len(model_sites(width, height, boundary))
+    if sites > 64:
+        raise TooLarge(f"{sites} sites do not fit the 64-bit configuration masks")
+    if boundary == "periodic":
+        return True, width, height
+    return False, width - 1, height - 1
+
+
+def iter_mask_blocks(
+    width: int, height: int, boundary: str, starts: Optional[Iterable[int]] = None
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Valid configurations as blocks of (masks uint64, tile counts int16).
+
+    A configuration grows one row of sites at a time into each row state
+    that fits next to its last row, from each first-row state in
+    ``starts`` (all by default) in turn, in blocks of at most 2^16; on a
+    torus the last row must also fit next to the first. The blocks
+    concatenate to the order of iter_valid_masks.
+    """
+    cyclic, positions, nrows = _row_layout(width, height, boundary)
+    values, counts, neighbours, degree, first, flat = _row_tables(positions, cyclic)
+    for start in range(len(values)) if starts is None else starts:
+        closes = np.zeros(len(values), dtype=bool)
+        closes[neighbours[start]] = True
+        pending = [(1, values[start : start + 1], counts[start : start + 1], np.array([start]))]
+        while pending:
+            row, masks, tiles, last = pending.pop()
+            if row == nrows:
+                keep = closes[last] if cyclic else slice(None)
+                yield masks[keep], tiles[keep]
+                continue
+            deg = degree[last]
+            ends = np.cumsum(deg)
+            if ends[-1] > _BLOCK and len(last) > 1:
+                # expand the head now and the rest after it, keeping the order
+                cut = max(1, int(np.searchsorted(ends, _BLOCK, side="right")))
+                pending.append((row, masks[cut:], tiles[cut:], last[cut:]))
+                pending.append((row, masks[:cut], tiles[:cut], last[:cut]))
+                continue
+            # children in parent order, each parent's in neighbour order
+            nxt = flat[np.arange(ends[-1]) + np.repeat(first[last] - ends + deg, deg)]
+            masks = np.repeat(masks, deg) | values[nxt] << np.uint64(row * positions)
+            pending.append((row + 1, masks, np.repeat(tiles, deg) + counts[nxt], nxt))
+
+
+def map_start_rows(fn: Callable, width: int, height: int, boundary: str, threads: int):
+    """fn([start]) for every first-row state of iter_mask_blocks, in start
+    order, across a pool of ``threads`` processes."""
+    cyclic, positions, _ = _row_layout(width, height, boundary)
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(fn, ([start] for start in range(len(_row_states(positions, cyclic)))))
 
 
 def iter_valid_masks(width: int, height: int, boundary: str) -> Iterator[Tuple[int, int]]:
-    """Yield (bitmask, tile_count) for every valid configuration.
+    """Yield (bitmask, tile_count) as Python ints for every valid configuration.
 
-    Bit i of the mask corresponds to model_sites(...)[i]. Depth-first with
-    hard-core pruning, so only valid configurations are visited.
+    Bit i of the mask corresponds to model_sites(...)[i]. The order is
+    lexicographic over the sites, site 0 first and an empty site before
+    an occupied one: ascending in the bit-reversed mask, as a site-by-site
+    depth-first search that tries the empty branch first gives it. Raises
+    TooLarge above 64 sites, the width of the masks.
     """
-    sites, _, nbr = _site_index(width, height, boundary)
-    n = len(sites)
-    # stack entries: (next site index, occupied mask, blocked mask, count)
-    stack = [(0, 0, 0, 0)]
-    while stack:
-        i, occ, blocked, cnt = stack.pop()
-        if i == n:
-            yield occ, cnt
-            continue
-        bit = 1 << i
-        # branch: place a tile at site i when not blocked
-        if not blocked & bit:
-            stack.append((i + 1, occ | bit, blocked | nbr[i], cnt + 1))
-        stack.append((i + 1, occ, blocked, cnt))
+    for masks, tiles in iter_mask_blocks(width, height, boundary):
+        yield from zip(masks.tolist(), tiles.tolist())
 
 
 def mask_to_configuration(width, height, boundary, mask: int) -> Configuration:
-    sites, _, _ = _site_index(width, height, boundary)
+    sites = model_sites(width, height, boundary)
     occ = frozenset(sites[i] for i in range(len(sites)) if mask >> i & 1)
     return _unchecked(width, height, boundary, occ)

@@ -5,8 +5,12 @@ code paths: validity is checked pairwise, sums are accumulated by direct
 enumeration over raw occupancy masks or sequences.
 """
 
+from collections import defaultdict
 from itertools import combinations, product
 
+import numpy as np
+
+from squarepack.lattice import model_sites
 from squarepack.sticks import Rect, properly_divides, stick_divides
 
 
@@ -141,6 +145,101 @@ def transfer_coefficients_by_rows(width, height, boundary):
         for poly in run({s: unit(s) for s in states}).values():
             coeffs = [a + b for a, b in zip(coeffs, poly)]
     return coeffs
+
+
+def valid_masks_by_sites(width, height, boundary):
+    """Yield (mask, tiles) for every valid configuration by a site-by-site
+    depth-first search that tries the empty branch first.
+
+    Bit i of a mask is model_sites(...)[i]; a tile blocks the eight
+    sites around it, on the torus across the seams.
+    """
+    sites = model_sites(width, height, boundary)
+    index = {p: i for i, p in enumerate(sites)}
+    periodic = boundary == "periodic"
+    nbr = []
+    for x, y in sites:
+        m = 0
+        for dx, dy in product((-1, 0, 1), repeat=2):
+            q = (x + dx, y + dy)
+            if periodic:
+                q = (q[0] % width, q[1] % height)
+            if (dx, dy) != (0, 0) and q in index:
+                m |= 1 << index[q]
+        nbr.append(m)
+    n = len(sites)
+    # stack entries: (next site, occupied mask, blocked mask, tiles)
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, occ, blocked, cnt = stack.pop()
+        if i == n:
+            yield occ, cnt
+            continue
+        bit = 1 << i
+        if not blocked & bit:
+            stack.append((i + 1, occ | bit, blocked | nbr[i], cnt + 1))
+        stack.append((i + 1, occ, blocked, cnt))
+
+
+def canonicalize_compressed_all_roots(graph):
+    """Compressed-class key as the least slot-order encoding over every
+    root vertex."""
+    if graph.trivial:
+        return "trivial"
+    slots = defaultdict(dict)
+    for a, b, kind in graph.edges:
+        orient = "v" if a[0] == b[0] else "h"
+        slots[a][(orient, "out")] = (b, kind)
+        slots[b][(orient, "in")] = (a, kind)
+    order = (("v", "out"), ("v", "in"), ("h", "out"), ("h", "in"))
+
+    def encode_from(root):
+        ids = {root: 0}
+        out = []
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for slot in order:
+                entry = slots[v].get(slot)
+                if entry is None:
+                    out.append(".")
+                    continue
+                w, kind = entry
+                if w in ids:
+                    out.append(f"{slot[0]}{slot[1][0]}{kind[0]}>{ids[w]}")
+                else:
+                    ids[w] = len(ids)
+                    out.append(f"{slot[0]}{slot[1][0]}{kind[0]}+")
+                    stack.append(w)
+        return "|".join(out)
+
+    return min(encode_from(v) for v in sorted(slots))
+
+
+def eval_local_by_unique(fn, points, pattern_ids):
+    """Local function values per configuration: one call per distinct
+    pattern id, in ascending order, found by sorting the ids."""
+    uniq, inverse = np.unique(pattern_ids, return_inverse=True)
+    values = np.empty(len(uniq), dtype=np.float64)
+    for idx, pid in enumerate(uniq):
+        pat = {q: int(pid) >> b & 1 for b, q in enumerate(points)}
+        values[idx] = float(fn(pat))
+    return values[inverse]
+
+
+def reflection_positivity_by_configurations(f, points, p0, p1, tiles, lam):
+    """mu^per(f * (f o reflection)) from the identity and mirror pattern
+    ids, one configuration at a time, with f memoized per pattern id."""
+    cache = {}
+
+    def fval(pid):
+        if pid not in cache:
+            cache[pid] = float(f({q: pid >> b & 1 for b, q in enumerate(points)}))
+        return cache[pid]
+
+    weights = np.power(float(lam), tiles.astype(np.float64))
+    vals = np.array([fval(int(a)) * fval(int(b)) for a, b in zip(p0, p1)])
+    return float((weights * vals).sum() / weights.sum())
 
 
 def king_clusters_bfs(points, width=None, height=None, periodic=False):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from squarepack import exact
 from squarepack.errors import BlockConditionViolated, GeometryMismatch
 from squarepack.exact import (
     SeminormQuery,
@@ -9,8 +10,11 @@ from squarepack.exact import (
     disseminated_expectation,
     face_vacant_event,
     partition_polynomial,
+    reflection_pair_patterns,
     reflection_positivity_value,
 )
+
+from oracles import eval_local_by_unique, reflection_positivity_by_configurations
 
 
 def block_points(corner, k, l):
@@ -59,6 +63,18 @@ def test_face_vacant_bound(dims, lam):
     corner, k, l, event = face_vacant_event((1, 1))
     zeta = chessboard_seminorm(SeminormQuery(w, h, corner, k, l, event), lam)
     assert zeta <= lam ** -0.25 + 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.5, 4.0, 30.0])
+@pytest.mark.parametrize("dims", [(4, 4), (4, 6), (6, 6), (4, 8)])
+def test_face_vacant_seminorm_is_root_of_transfer_partition(dims, lam):
+    # all faces vacant leaves only the empty configuration, of tile weight
+    # 1, and a 1x1 block has W*H reflections: zeta = Z_tile^(-1/WH)
+    w, h = dims
+    corner, k, l, event = face_vacant_event((1, 0))
+    zeta = chessboard_seminorm(SeminormQuery(w, h, corner, k, l, event), lam)
+    z = partition_polynomial(w, h, "periodic", method="transfer").evaluate_tile(lam)
+    assert zeta == pytest.approx(z ** (-1.0 / (w * h)), rel=1e-12)
 
 
 # -- seminorm properties (homogeneity, triangle, monotone) -------------------
@@ -136,6 +152,33 @@ def test_chessboard_estimate_random_indicator_families(seed):
     assert lhs <= rhs + 1e-12
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dims,k,l", [((6, 6), 1, 1), ((4, 4), 2, 2)])
+def test_pattern_values_match_unique_reference(dims, k, l, seed, monkeypatch):
+    w, h = dims
+    # 16 face patterns against 42,938 configurations take the counting
+    # path; 512 patterns of a 2x2 block against 133 take the sort
+    assert (1 << (k + 1) * (l + 1) <= len(exact._ensemble(w, h, "periodic")[0])) == (k == 1)
+    rng = random.Random(seed)
+    corner = (rng.randrange(w), rng.randrange(h))
+    points = block_points(corner, k, l)
+    f = _random_local(points, rng)
+    cells = [(rng.randrange(w // k), rng.randrange(h // l)) for _ in range(3)]
+    events = {cell: random_indicator(points, rng) for cell in cells}
+    lam = rng.choice([0.5, 4.0, 30.0])
+
+    def values():
+        return (
+            chessboard_seminorm(SeminormQuery(w, h, corner, k, l, f), lam),
+            chessboard_seminorm(SeminormQuery(w, h, corner, k, l, events[cells[0]]), lam),
+            disseminated_expectation(w, h, lam, corner, k, l, events),
+        )
+
+    got = values()
+    monkeypatch.setattr(exact, "_eval_local", eval_local_by_unique)
+    assert got == values()
+
+
 # -- reflection positivity -----------------------------------------------------
 
 
@@ -171,6 +214,20 @@ def test_reflection_positivity_random_pm_one(seed):
     lam = rng.choice([0.5, 1.0, 4.0, 32.0])
     val = reflection_positivity_value(w, h, lam, corner, k, l, f)
     assert val >= -1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reflection_positivity_matches_per_configuration_reference(seed):
+    rng = random.Random(seed)
+    w, h = rng.choice([(4, 4), (4, 6), (8, 4)])
+    k, l = (w // 2, h) if rng.random() < 0.5 else (w, h // 2)
+    corner = (rng.randrange(w), rng.randrange(h))
+    f = _random_local(block_points(corner, k, l), rng)
+    lam = rng.choice([0.5, 4.0, 32.0])
+    reference = reflection_positivity_by_configurations(
+        f, *reflection_pair_patterns(w, h, corner, k, l), lam
+    )
+    assert reflection_positivity_value(w, h, lam, corner, k, l, f) == reference
 
 
 def test_reflection_positivity_geometry_mismatch():

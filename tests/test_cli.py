@@ -107,6 +107,21 @@ def test_chessboard_beyond_64_sites_rejected_before_enumeration():
     assert json.loads(proc.stderr)["error"]["type"] == "TooLarge"
 
 
+def test_brute_beyond_64_sites_rejected_before_enumeration():
+    # within the raised area cap, 72 torus sites exceed the 64-bit masks;
+    # a site-by-site search would list 2,446,240,685 configurations
+    proc = subprocess.run(
+        [sys.executable, "-m", "squarepack.cli", "exact2d", "--width", "4"]
+        + ["--height", "18", "--method", "brute", "--area-cap", "72"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "TooLarge"
+
+
 def test_sample_deterministic(tmp_path, capsys):
     spec = {
         "width": 4,

@@ -180,6 +180,12 @@ def test_partition_too_large():
         exact.partition_polynomial(10, 10, "periodic", method="brute")
     with pytest.raises(TooLarge):
         exact.partition_polynomial(16, 4, "periodic", method="transfer")
+    # within a raised area cap, but beyond the 64-bit masks
+    for threads in (1, 2):
+        with pytest.raises(TooLarge):
+            exact.partition_polynomial(
+                4, 18, "periodic", method="brute", area_cap=72, threads=threads
+            )
 
 
 def test_partition_parallel_matches_serial():

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
+from squarepack import graphs
 from squarepack.errors import TooLarge
 from squarepack.graphs import (
     build_component_graph,
@@ -11,7 +13,10 @@ from squarepack.graphs import (
     max_stick_run,
     verify_counting_bounds,
 )
-from squarepack.lattice import create_configuration
+from squarepack.lattice import create_configuration, mask_to_configuration, model_sites
+
+from oracles import canonicalize_compressed_all_roots, valid_masks_by_sites
+from strategies import random_valid_config, striped_config
 
 
 def aligned_packing(w, h, boundary="periodic"):
@@ -183,6 +188,49 @@ def test_enumerate_threaded_matches_serial():
     assert set(serial) == set(threaded)
     for key in serial:
         assert serial[key].multiplicity == threaded[key].multiplicity
+    # first rows are merged in order, so the catalog order is the serial one
+    assert list(threaded.items()) == list(serial.items())
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (6, 4), (4, 6)])
+def test_enumerate_matches_site_dfs_harvest(dims, monkeypatch):
+    w, h = dims
+    catalog = enumerate_components(w, h)
+    # the reference harvest: site-by-site enumeration, all-roots keys
+    monkeypatch.setattr(graphs, "canonicalize_compressed", canonicalize_compressed_all_roots)
+    sites = model_sites(w, h, "fully_packed")
+    reference = {}
+    for mask, _ in valid_masks_by_sites(w, h, "fully_packed"):
+        graphs._harvest_mask(w, h, sites, mask, None, reference)
+    assert list(catalog.items()) == list(reference.items())
+    args = ([1, 2, 3], [100.0, 1e4])
+    assert verify_counting_bounds(catalog, *args) == verify_counting_bounds(reference, *args)
+
+
+def _compressed(config):
+    return [compress(comp) for comp in build_component_graph(config)]
+
+
+@pytest.mark.parametrize("dims", [(6, 4), (4, 6)])
+def test_compressed_key_matches_all_roots_on_windows(dims):
+    w, h = dims
+    for mask, _ in valid_masks_by_sites(w, h, "fully_packed"):
+        for comp in _compressed(mask_to_configuration(w, h, "fully_packed", mask)):
+            assert canonicalize_compressed(comp) == canonicalize_compressed_all_roots(comp)
+
+
+@given(random_valid_config())
+@settings(max_examples=60, deadline=None)
+def test_compressed_key_matches_all_roots(cfg):
+    for comp in _compressed(cfg):
+        assert canonicalize_compressed(comp) == canonicalize_compressed_all_roots(comp)
+
+
+@given(striped_config())
+@settings(max_examples=60, deadline=None)
+def test_compressed_key_matches_all_roots_striped(cfg):
+    for comp in _compressed(cfg):
+        assert canonicalize_compressed(comp) == canonicalize_compressed_all_roots(comp)
 
 
 def test_verify_counting_bounds_4x4():

@@ -2,25 +2,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from squarepack import lattice
 from squarepack.errors import (
     BoundaryConflict,
     DimensionError,
     OverlapError,
     ParseError,
     RegionOutOfBounds,
+    TooLarge,
 )
 from squarepack.lattice import (
+    BOUNDARIES,
     count_vacancies,
     create_configuration,
     decode,
     encode,
     from_json,
+    iter_mask_blocks,
+    iter_valid_masks,
+    map_start_rows,
     model_sites,
     tile_parity_class,
     to_json,
 )
 
-from oracles import pairwise_valid
+from oracles import pairwise_valid, valid_masks_by_sites
 from strategies import random_valid_config
 
 
@@ -166,3 +174,57 @@ def test_translate_and_transpose():
     asym = create_configuration(6, 4, "periodic", [(1, 2)])
     assert asym.transpose().width == 4
     assert asym.transpose().occupied == frozenset({(2, 1)})
+
+
+@pytest.mark.parametrize(
+    "dims,boundary",
+    [
+        (dims, boundary)
+        for boundary in BOUNDARIES
+        for dims in [(4, 4), (4, 6), (6, 4), (6, 6), (4, 8), (8, 4)]
+    ]
+    + [((8, 6), "fully_packed")],
+)
+def test_row_expansion_matches_site_dfs_order(dims, boundary):
+    expected = list(valid_masks_by_sites(*dims, boundary))
+    got = list(iter_valid_masks(*dims, boundary))
+    assert got == expected
+    assert {type(v) for pair in got for v in pair} == {int}
+    masks, tiles = zip(*iter_mask_blocks(*dims, boundary))
+    assert {m.dtype for m in masks} == {np.dtype(np.uint64)}
+    assert {t.dtype for t in tiles} == {np.dtype(np.int16)}
+
+
+@pytest.mark.parametrize("dims,boundary", [((6, 6), "periodic"), ((6, 6), "free")])
+def test_row_expansion_order_survives_block_splits(dims, boundary, monkeypatch):
+    # blocks of 50 partial configurations split nearly every row step
+    monkeypatch.setattr(lattice, "_BLOCK", 50)
+    assert list(iter_valid_masks(*dims, boundary)) == list(
+        valid_masks_by_sites(*dims, boundary)
+    )
+
+
+def test_enumeration_beyond_64_sites_rejected():
+    # 72 sites: the masks are 64 bits wide; the pool is not started
+    for enumerate_ in (iter_valid_masks, iter_mask_blocks):
+        with pytest.raises(TooLarge):
+            next(enumerate_(4, 18, "periodic"))
+    with pytest.raises(TooLarge):
+        next(map_start_rows(len, 4, 18, "periodic", threads=2))
+    # the 4x18 rectangle has 51 interior sites
+    masks, tiles = next(iter_mask_blocks(4, 18, "free"))
+    assert masks[0] == 0 and tiles[0] == 0
+
+
+@pytest.mark.parametrize("positions,cyclic", [(16, True), (17, False)])
+def test_row_neighbours_on_wide_rows(positions, cyclic):
+    # more than 2048 states: the compatibility matrix is built in slices
+    states = lattice._row_states(positions, cyclic)
+    neighbours = lattice._row_neighbours(states, positions, cyclic)
+    assert len(states) > 2048 and len(neighbours) == len(states)
+    for i in range(0, len(states), 97):
+        cells = {x for x in range(positions) if states[i] >> x & 1}
+        near = {(x + d) % positions if cyclic else x + d for x in cells for d in (-1, 0, 1)}
+        blocked = sum(1 << x for x in near if 0 <= x < positions)
+        expected = [j for j, t in enumerate(states) if not t & blocked]
+        assert neighbours[i] == expected
