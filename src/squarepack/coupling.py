@@ -7,23 +7,25 @@ the two configurations on the finite disagreement cluster of an anchor
 set preserves the product measure; finite clusters therefore bound how
 far information can travel, and the directional reach of clusters
 measures the anisotropic correlation structure of a phase.
+
+``king_clusters`` lists the clusters ordered by their least member
+(tuple order, x first), a function of the point set alone.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import ShapeMismatch
+import numpy as np
+
+from .errors import RegionOutOfBounds, ShapeMismatch
 from .lattice import Configuration, Point, _unchecked
 from .observables import fit_decay_length
 from .sampler import Chain, ChainParams
 from .sticks import classify_phase
-
-KING_OFFSETS = tuple(
-    (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
-)
 
 
 def disagreement_set(a: Configuration, b: Configuration) -> FrozenSet[Point]:
@@ -41,31 +43,59 @@ def king_clusters(
     height: Optional[int] = None,
     periodic: bool = False,
 ) -> List[FrozenSet[Point]]:
-    """Connected components under 8-neighbor adjacency via union-find."""
-    pts = set(points)
-    parent = {p: p for p in pts}
+    """Connected components under 8-neighbor adjacency, ordered by their
+    least member.
 
-    def find(p):
-        root = p
-        while parent[root] != root:
-            root = parent[root]
-        while parent[p] != root:
-            parent[p], p = root, parent[p]
-        return root
-
-    for x, y in pts:
-        for dx, dy in KING_OFFSETS:
-            q = (x + dx, y + dy)
-            if periodic:
-                q = (q[0] % width, q[1] % height)
-            if q in pts:
-                ra, rb = find((x, y)), find(q)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: Dict[Point, Set[Point]] = defaultdict(set)
-    for p in pts:
-        groups[find(p)].add(p)
-    return [frozenset(g) for g in groups.values()]
+    The points are labelled on a dense index grid: their bounding box with
+    a margin of one, or the torus when periodic, where they must lie in
+    the fundamental domain (else RegionOutOfBounds). Each point is joined
+    to the points at the four forward king offsets, wrapping on a torus,
+    by min-label propagation with pointer jumping until every joined pair
+    shares a label.
+    """
+    pts = list(set(points))
+    n = len(pts)
+    if not n:
+        return []
+    xy = np.fromiter(chain.from_iterable(pts), dtype=np.int64, count=2 * n)
+    perm = np.lexsort((xy[1::2], xy[::2]))
+    x, y = xy[::2][perm], xy[1::2][perm]
+    if periodic:
+        if x.min() < 0 or y.min() < 0 or x.max() >= width or y.max() >= height:
+            raise RegionOutOfBounds(f"points outside the {width}x{height} torus")
+        shape = (width, height)
+    else:
+        x, y = x - (x.min() - 1), y - (y.min() - 1)
+        shape = (int(x.max()) + 2, int(y.max()) + 2)
+    index = np.full(shape, -1, dtype=np.int64)
+    index[x, y] = np.arange(n)
+    qx = x + np.array([1, 1, 1, 0])[:, None]
+    qy = y + np.array([-1, 0, 1, 1])[:, None]
+    if periodic:
+        qx, qy = qx % width, qy % height
+    v = index[qx, qy]
+    hit = v >= 0
+    u, v = np.nonzero(hit)[1], v[hit]
+    # label[i] <= i throughout; after the jumps every label is a root,
+    # the least index of its tree, and each pass hooks roots onto lesser ones
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        if not apart.any():
+            break
+        np.minimum.at(label, np.maximum(lu, lv)[apart], np.minimum(lu, lv)[apart])
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
+    # a root is its cluster's least index, so the points' sort order
+    # orders the clusters by least member
+    order = np.argsort(label, kind="stable")
+    members = [pts[i] for i in perm[order].tolist()]
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), n]
+    return [frozenset(members[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def disagreement_cluster_of(

@@ -45,6 +45,8 @@ from .lattice import (
 DEFAULT_AREA_CAP = 36
 TRANSFER_WIDTH_CAP = 14
 TRANSFER_AREA_CAP = 4096
+# 6x8 and 4x12 tori fit (1,455,509 and 1,816,021); 4x14 does not (20,053,757)
+ENSEMBLE_CAP = 1 << 22
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -320,7 +322,15 @@ def partition_polynomial(
 @lru_cache(maxsize=16)
 def _ensemble(width: int, height: int, boundary: str):
     """All valid configurations as (masks uint64, tile counts int16), in
-    the order of iter_valid_masks."""
+    the order of iter_valid_masks. TooLarge beyond ENSEMBLE_CAP of them,
+    counted by the row transfer before any is listed."""
+    # the transposed region has as many configurations; narrow rows count fastest
+    count = sum(_transfer_coefficients(min(width, height), max(width, height), boundary))
+    if count > ENSEMBLE_CAP:
+        raise TooLarge(
+            f"{width}x{height} {boundary} has {count} configurations, "
+            f"more than the {ENSEMBLE_CAP} that exact evaluation lists"
+        )
     masks, tiles = zip(*iter_mask_blocks(width, height, boundary))
     return np.concatenate(masks), np.concatenate(tiles)
 

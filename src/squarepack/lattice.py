@@ -23,6 +23,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -195,12 +196,10 @@ class Configuration:
         Shape is (height, width) for periodic and
         (height + 1, width + 1) for the rectangle modes.
         """
-        if self.boundary == "periodic":
-            grid = np.zeros((self.height, self.width), dtype=bool)
-        else:
-            grid = np.zeros((self.height + 1, self.width + 1), dtype=bool)
-        for x, y in self.occupied:
-            grid[y, x] = True
+        extra = 0 if self.boundary == "periodic" else 1
+        grid = np.zeros((self.height + extra, self.width + extra), dtype=bool)
+        xy = np.fromiter(chain.from_iterable(self.occupied), dtype=np.int64)
+        grid[xy[1::2], xy[::2]] = True
         return grid
 
     def translate(self, dx: int, dy: int) -> "Configuration":
@@ -257,12 +256,13 @@ def face_cover(config: Configuration) -> np.ndarray:
     w, h, m = config.width, config.height, FACE_MARGIN
     # centers -m .. size + m, one more than the faces, since the tile at
     # (cx, cy) covers the faces with corners cx - 1 .. cx, cy - 1 .. cy
-    if config.boundary == "periodic":
-        occupied = np.pad(config.occupancy_grid(), ((m, m + 1), (m, m + 1)), mode="wrap")
-    else:
-        occupied = np.pad(config.occupancy_grid(), m)
     cx = np.arange(-m, w + m + 1)
     cy = np.arange(-m, h + m + 1)[:, None]
+    if config.boundary == "periodic":
+        occupied = config.occupancy_grid()[cy % h, cx % w]
+    else:
+        occupied = np.zeros((h + 2 * m + 1, w + 2 * m + 1), dtype=bool)
+        occupied[m:-m, m:-m] = config.occupancy_grid()
     if config.boundary == "fully_packed":
         interior = (cx >= 1) & (cx <= w - 1) & (cy >= 1) & (cy <= h - 1)
         occupied |= (cx % 2 == 1) & (cy % 2 == 1) & ~interior

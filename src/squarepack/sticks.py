@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from itertools import repeat
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, WrapError
-from .lattice import Configuration, Point, edge_sides, face_cover
+from .lattice import FACE_MARGIN, Configuration, Point, edge_sides, face_cover
 
 Edge = Tuple[str, int, int]  # ("v", x, y) from (x,y) to (x,y+1); ("h", x, y) to (x+1,y)
 
@@ -79,6 +81,15 @@ class Rect:
 # -- stick edge detection ---------------------------------------------------
 
 
+def _stick_edge_grids(config: Configuration) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """Boolean grids of vertical and horizontal stick edges over the edges
+    that ``edge_sides`` scans, and the corner (x0, y0) of entry [0, 0]."""
+    left, below, here, x0, y0 = edge_sides(config, face_cover(config), -1)
+    covered = here >= 0
+    ver, hor = ((other >= 0) & covered & (other != here) for other in (left, below))
+    return ver, hor, x0, y0
+
+
 def detect_stick_edges(config: Configuration) -> Set[Edge]:
     """All stick edges of the configuration.
 
@@ -86,52 +97,90 @@ def detect_stick_edges(config: Configuration) -> Set[Edge]:
     modes the scan covers the two-face margin of ``face_cover`` so that
     boundary sticks against the fully-packed exterior are found.
     """
-    left, below, here, x0, y0 = edge_sides(config, face_cover(config), -1)
+    ver, hor, x0, y0 = _stick_edge_grids(config)
     edges: Set[Edge] = set()
-    for orientation, other in (("v", left), ("h", below)):
-        ys, xs = np.nonzero((other >= 0) & (here >= 0) & (other != here))
+    for orientation, grid in (("v", ver), ("h", hor)):
+        ys, xs = np.nonzero(grid)
         edges.update(
             (orientation, x, y) for x, y in zip((xs + x0).tolist(), (ys + y0).tolist())
         )
     return edges
 
 
+def _edge_set_grids(
+    config: Configuration, edges: Set[Edge]
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """``_stick_edge_grids`` of a given edge set; ValueError for an edge
+    outside the scanned edges."""
+    m = 0 if config.boundary == "periodic" else FACE_MARGIN
+    grids = np.zeros((2, config.height + 2 * m, config.width + 2 * m), dtype=bool)
+    kinds, xs, ys = zip(*edges) if edges else ((), (), ())
+    horizontal = np.fromiter(map("h".__eq__, kinds), dtype=np.int64, count=len(kinds))
+    at = (horizontal, np.array(ys, dtype=np.int64) + m, np.array(xs, dtype=np.int64) + m)
+    grids.reshape(-1)[np.ravel_multi_index(at, grids.shape)] = True
+    return grids[0], grids[1], -m, -m
+
+
+Runs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _stick_runs(
+    config: Configuration, edges: Optional[Set[Edge]] = None
+) -> Tuple[Runs, Runs]:
+    """Maximal runs of stick edges, vertical then horizontal.
+
+    Each orientation gives (fixed, start, length, wraps) arrays, ordered
+    by the coordinate across the stick and then along it. On a torus a
+    full line is one wrapping run from 0, and a run ending at the
+    modulus continues the run starting at 0 on its line: the two merge,
+    anchored at the tail's start and listed first on the line.
+    """
+    if edges is None:
+        ver, hor, x0, y0 = _stick_edge_grids(config)
+    else:
+        ver, hor, x0, y0 = _edge_set_grids(config, edges)
+    periodic = config.boundary == "periodic"
+    runs = []
+    for lines, fixed0, start0 in ((ver.T, x0, y0), (hor, y0, x0)):
+        # the lines laid end to end, each after one 0, and a final 0
+        nlines, modulus = lines.shape
+        flat = np.zeros(nlines * (modulus + 1) + 1, dtype=np.int8)
+        flat[:-1].reshape(nlines, modulus + 1)[:, 1:] = lines
+        step = np.diff(flat)
+        begin = np.flatnonzero(step == 1)
+        length = np.flatnonzero(step == -1) - begin
+        line, start = np.divmod(begin, modulus + 1)
+        if periodic and (lines[:, 0] & lines[:, -1]).any():
+            head = np.flatnonzero(start == 0)
+            tail = np.searchsorted(line, line[head], side="right") - 1
+            merge = (tail != head) & (start[tail] + length[tail] == modulus)
+            head, tail = head[merge], tail[merge]
+            start[head] = start[tail]
+            length[head] += length[tail]
+            line, start, length = (np.delete(v, tail) for v in (line, start, length))
+        wraps = (length == modulus) & periodic
+        runs.append((line + fixed0, start + start0, length, wraps))
+    return runs[0], runs[1]
+
+
 def extract_sticks(
     config: Configuration, edges: Optional[Set[Edge]] = None
 ) -> List[Stick]:
-    """Partition the stick edges into maximal straight runs."""
-    if edges is None:
-        edges = detect_stick_edges(config)
+    """Partition the stick edges into maximal straight runs.
+
+    Vertical sticks come first, then horizontal ones, each ordered by
+    their line and along it as ``_stick_runs`` gives them. ``edges``
+    defaults to ``detect_stick_edges(config)``.
+    """
     sticks: List[Stick] = []
-    periodic = config.boundary == "periodic"
-    for orientation, fixed_of, var_of, modulus in (
-        ("vertical", lambda e: e[1], lambda e: e[2], config.height),
-        ("horizontal", lambda e: e[2], lambda e: e[1], config.width),
+    for orientation, (fixed, start, length, wraps) in zip(
+        ("vertical", "horizontal"), _stick_runs(config, edges)
     ):
-        key = "v" if orientation == "vertical" else "h"
-        lines: Dict[int, List[int]] = defaultdict(list)
-        for e in edges:
-            if e[0] == key:
-                lines[fixed_of(e)].append(var_of(e))
-        for fixed, values in sorted(lines.items()):
-            values = sorted(set(values))
-            if periodic and len(values) == modulus:
-                anchor = (fixed, 0) if key == "v" else (0, fixed)
-                sticks.append(Stick(orientation, anchor, modulus, wraps=True))
-                continue
-            runs: List[List[int]] = []
-            for v in values:
-                if runs and v == runs[-1][-1] + 1:
-                    runs[-1].append(v)
-                else:
-                    runs.append([v])
-            # on a torus, a run ending at modulus-1 may continue at 0
-            if periodic and len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == modulus - 1:
-                runs[0] = runs.pop() + [v + modulus for v in runs[0]]
-            for run in runs:
-                start = run[0]
-                anchor = (fixed, start) if key == "v" else (start, fixed)
-                sticks.append(Stick(orientation, anchor, len(run)))
+        fixed, start = fixed.tolist(), start.tolist()
+        anchors = zip(fixed, start) if orientation == "vertical" else zip(start, fixed)
+        sticks.extend(
+            map(Stick, repeat(orientation), anchors, length.tolist(), wraps.tolist())
+        )
     return sticks
 
 
@@ -192,30 +241,47 @@ def properly_divides(
     return stick_divides(stick, rect, config) and stick_divides(stick, inner, config)
 
 
-def _segment_arrays(
-    sticks: Sequence[Stick], config: Configuration, orientation: str
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fixed, lo, hi) over the planar segments of the sticks of one
-    orientation, as ``_stick_segments`` gives them: each segment's
-    coordinate across the stick and the span [lo, hi] it covers along it."""
-    flat = [
-        v for s in sticks if s.orientation == orientation for v in (*s.anchor, s.length, s.wraps)
-    ]
-    x, y, length, wraps = np.array(flat, dtype=np.int64).reshape(-1, 4).T
-    fixed, lo = (x, y) if orientation == "vertical" else (y, x)
-    hi = lo + length
-    if config.boundary != "periodic":
-        return fixed, lo, hi
-    period = config.height if orientation == "vertical" else config.width
-    # a cycle is one segment over [-period, 2 * period]; any other stick
-    # also gets copies shifted by one period either way
-    widen = period * wraps
-    lo, hi, step = lo - widen, hi + widen, period - widen
-    return (
-        np.concatenate((fixed, fixed, fixed)),
-        np.concatenate((lo, lo - step, lo + step)),
-        np.concatenate((hi, hi - step, hi + step)),
-    )
+Segments = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+@lru_cache(maxsize=8)
+def _segments(
+    sticks: Tuple[Stick, ...], periods: Optional[Tuple[int, int]]
+) -> Tuple[Segments, Segments]:
+    """(fixed, lo, hi) over the planar segments of the vertical and of the
+    horizontal sticks, as ``_stick_segments`` gives them: each segment's
+    coordinate across the stick and the span [lo, hi] it covers along it.
+    ``periods`` is (width, height) on a torus and None otherwise. The
+    arrays are shared by every caller, so they are read-only."""
+    flat = np.array(
+        [(s.orientation == "vertical", *s.anchor, s.length, s.wraps) for s in sticks],
+        dtype=np.int64,
+    ).reshape(-1, 5)
+    out = []
+    for vertical in (1, 0):
+        _, x, y, length, wraps = flat[flat[:, 0] == vertical].T
+        fixed, lo = (x, y) if vertical else (y, x)
+        hi = lo + length
+        if periods is not None:
+            period = periods[vertical]
+            # a cycle is one segment over [-period, 2 * period]; any other
+            # stick also gets copies shifted by one period either way
+            widen = period * wraps
+            lo, hi, step = lo - widen, hi + widen, period - widen
+            fixed = np.concatenate((fixed, fixed, fixed))
+            lo = np.concatenate((lo, lo - step, lo + step))
+            hi = np.concatenate((hi, hi - step, hi + step))
+        for v in (fixed, lo, hi):
+            v.flags.writeable = False
+        out.append((fixed, lo, hi))
+    return out[0], out[1]
+
+
+def _segment_arrays(sticks: Sequence[Stick], config: Configuration) -> Tuple[Segments, Segments]:
+    """``_segments`` of a stick list, built once for the rectangles and
+    windows that one configuration's list is tested against."""
+    periods = (config.width, config.height) if config.boundary == "periodic" else None
+    return _segments(tuple(sticks), periods)
 
 
 def _divided(segments, cross_lo, cross_hi, start, stop) -> np.ndarray:
@@ -239,8 +305,9 @@ def divided_directions(
         sticks = extract_sticks(config)
     x = np.array([rect.corner[0], rect.corner[0] + rect.width])
     y = np.array([rect.corner[1], rect.corner[1] + rect.height])
-    ver = _divided(_segment_arrays(sticks, config, "vertical"), x[:1], x[1:], y[:1], y[1:])
-    hor = _divided(_segment_arrays(sticks, config, "horizontal"), y[:1], y[1:], x[:1], x[1:])
+    vertical, horizontal = _segment_arrays(sticks, config)
+    ver = _divided(vertical, x[:1], x[1:], y[:1], y[1:])
+    hor = _divided(horizontal, y[:1], y[1:], x[:1], x[1:])
     return bool(ver.any()), bool(hor.any())
 
 
@@ -278,8 +345,10 @@ def psi_set(
     if sticks is None:
         sticks = extract_sticks(config)
     orientation = "vertical" if stick_type.startswith("ver") else "horizontal"
-    matching = [s for s in sticks if s.type.startswith(stick_type)]
-    segments = _segment_arrays(matching, config, orientation)
+    segments = _segment_arrays(sticks, config)[orientation == "horizontal"]
+    if stick_type[3:]:
+        keep = segments[0] % 2 == int(stick_type[3])
+        segments = tuple(v[keep] for v in segments)
     x0 = np.arange((config.width - win_w) // k + 1) * k
     y0 = np.arange((config.height - win_h) // l + 1) * l
     # a segment divides a window and its inner copy (inset by K across x
@@ -308,7 +377,6 @@ def default_stick_threshold(lam: float, n: int = DEFAULT_N, c: float = 1.0) -> i
 
 def classify_phase(
     config: Configuration,
-    a: Optional[int] = None,
     b: Optional[int] = None,
     *,
     lam: Optional[float] = None,
@@ -327,19 +395,19 @@ def classify_phase(
             b = default_stick_threshold(lam, n)
         else:
             b = max(2, min(config.width, config.height) // 4)
-    if b <= 0 or (a is not None and a <= 0):
-        raise ValueError("thresholds must be positive")
-    counts = {p: 0 for p in PHASES}
-    total = 0
-    for stick in extract_sticks(config):
-        if stick.length >= b:
-            counts[stick.type] += 1
-            total += 1
-    if total == 0:
-        return "undetermined"
-    best = max(PHASES, key=lambda p: counts[p])
+    if b <= 0:
+        raise ValueError("threshold b must be positive")
+    # counts in PHASES order: ver0, ver1, hor0, hor1
+    counts = np.concatenate(
+        [
+            np.bincount(fixed[length >= b] % 2, minlength=2)
+            for fixed, _, length, _ in _stick_runs(config)
+        ]
+    )
+    total = int(counts.sum())
+    best = int(counts.argmax())
     if 2 * counts[best] > total:
-        return best
+        return PHASES[best]
     return "undetermined"
 
 

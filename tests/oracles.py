@@ -11,7 +11,7 @@ from itertools import combinations, product
 import numpy as np
 
 from squarepack.lattice import model_sites
-from squarepack.sticks import Rect, properly_divides, stick_divides
+from squarepack.sticks import PHASES, Rect, Stick, properly_divides, stick_divides
 
 
 def linf_torus(u, v, width, height):
@@ -267,6 +267,82 @@ def king_clusters_bfs(points, width=None, height=None, periodic=False):
                     queue.append(q)
         clusters.append(frozenset(comp))
     return clusters
+
+
+def king_clusters_by_union_find(points, width=None, height=None, periodic=False):
+    """Connected components under 8-neighbor adjacency, one union-find
+    step per point and king offset; the order follows set hashing."""
+    pts = set(points)
+    parent = {p: p for p in pts}
+
+    def find(p):
+        root = p
+        while parent[root] != root:
+            root = parent[root]
+        while parent[p] != root:
+            parent[p], p = root, parent[p]
+        return root
+
+    for x, y in pts:
+        for dx, dy in product((-1, 0, 1), repeat=2):
+            q = (x + dx, y + dy)
+            if periodic:
+                q = (q[0] % width, q[1] % height)
+            if q in pts:
+                ra, rb = find((x, y)), find(q)
+                if ra != rb:
+                    parent[rb] = ra
+    groups = defaultdict(set)
+    for p in pts:
+        groups[find(p)].add(p)
+    return [frozenset(g) for g in groups.values()]
+
+
+def sticks_by_edges(config, edges):
+    """Maximal straight runs of a stick edge set, grouped edge by edge:
+    vertical lines then horizontal ones, each by its coordinate and along
+    it, a torus run through the seam first on its line."""
+    sticks = []
+    periodic = config.boundary == "periodic"
+    for orientation, key, modulus in (
+        ("vertical", "v", config.height),
+        ("horizontal", "h", config.width),
+    ):
+        lines = defaultdict(list)
+        for o, x, y in edges:
+            if o == key:
+                fixed, along = (x, y) if key == "v" else (y, x)
+                lines[fixed].append(along)
+        for fixed, values in sorted(lines.items()):
+            values = sorted(set(values))
+            if periodic and len(values) == modulus:
+                anchor = (fixed, 0) if key == "v" else (0, fixed)
+                sticks.append(Stick(orientation, anchor, modulus, wraps=True))
+                continue
+            runs = []
+            for v in values:
+                if runs and v == runs[-1][-1] + 1:
+                    runs[-1].append(v)
+                else:
+                    runs.append([v])
+            # on a torus, a run ending at modulus-1 may continue at 0
+            if periodic and len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == modulus - 1:
+                runs[0] = runs.pop() + [v + modulus for v in runs[0]]
+            for run in runs:
+                anchor = (fixed, run[0]) if key == "v" else (run[0], fixed)
+                sticks.append(Stick(orientation, anchor, len(run)))
+    return sticks
+
+
+def phase_by_sticks(sticks, b):
+    """Type holding a strict majority of the sticks of length >= b, else
+    "undetermined"."""
+    counts = {p: 0 for p in PHASES}
+    long_sticks = [s for s in sticks if s.length >= b]
+    for s in long_sticks:
+        counts[s.type] += 1
+    best = max(PHASES, key=counts.get)
+    return best if 2 * counts[best] > len(long_sticks) else "undetermined"
 
 
 def _cover_parity(config, face):

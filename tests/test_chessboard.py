@@ -3,7 +3,7 @@ import random
 import pytest
 
 from squarepack import exact
-from squarepack.errors import BlockConditionViolated, GeometryMismatch
+from squarepack.errors import BlockConditionViolated, GeometryMismatch, TooLarge
 from squarepack.exact import (
     SeminormQuery,
     chessboard_seminorm,
@@ -180,6 +180,22 @@ def test_pattern_values_match_unique_reference(dims, k, l, seed, monkeypatch):
 
 
 # -- reflection positivity -----------------------------------------------------
+
+
+def test_ensemble_cap_counts_before_listing(monkeypatch):
+    exact._ensemble.cache_clear()
+    monkeypatch.setattr(exact, "ENSEMBLE_CAP", 1372)
+    with pytest.raises(TooLarge, match="1373 configurations"):
+        exact._ensemble(6, 4, "periodic")
+    monkeypatch.setattr(exact, "ENSEMBLE_CAP", 1373)
+    assert len(exact._ensemble(6, 4, "periodic")[0]) == 1373
+    exact._ensemble.cache_clear()
+
+
+def test_ensemble_cap_admits_8x6_torus():
+    masks, tiles = exact._ensemble(8, 6, "periodic")
+    assert len(masks) == len(tiles) == 1_455_509
+    exact._ensemble.cache_clear()
 
 
 def test_reflection_positivity_constant_function():

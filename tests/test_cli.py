@@ -107,6 +107,23 @@ def test_chessboard_beyond_64_sites_rejected_before_enumeration():
     assert json.loads(proc.stderr)["error"]["type"] == "TooLarge"
 
 
+def test_chessboard_beyond_ensemble_cap_rejected_before_enumeration():
+    # 64 sites fit the masks, but the 8x8 torus has 157,763,829
+    # configurations: listing them all runs out of memory
+    proc = subprocess.run(
+        [sys.executable, "-m", "squarepack.cli", "chessboard"]
+        + ["--width", "8", "--height", "8", "--lambda", "1", "--area-cap", "64"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "TooLarge"
+    assert "157763829" in error["message"]
+
+
 def test_brute_beyond_64_sites_rejected_before_enumeration():
     # within the raised area cap, 72 torus sites exceed the 64-bit masks;
     # a site-by-site search would list 2,446,240,685 configurations

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squarepack.coupling import (
     disagreement_cluster_of,
@@ -10,11 +12,11 @@ from squarepack.coupling import (
     radius_tail_experiment,
     swap_map,
 )
-from squarepack.errors import ShapeMismatch
+from squarepack.errors import RegionOutOfBounds, ShapeMismatch
 from squarepack.lattice import create_configuration, mask_to_configuration
 from squarepack.sampler import ChainParams
 
-from oracles import king_clusters_bfs
+from oracles import king_clusters_bfs, king_clusters_by_union_find
 
 
 def cfg(occ, w=8, h=8, boundary="periodic"):
@@ -68,6 +70,54 @@ def test_king_clusters_match_bfs_oracle(seed):
     ours = king_clusters(pts, 10, 10, periodic=periodic)
     oracle = king_clusters_bfs(pts, 10, 10, periodic=periodic)
     assert set(ours) == set(oracle)
+
+
+@st.composite
+def king_point_sets(draw):
+    """(points, width, height, periodic): points on a torus as narrow as
+    1 or 2, where the king offsets -1 and +1 meet, or anywhere in the
+    plane, negative coordinates included."""
+    periodic = draw(st.booleans())
+    if periodic:
+        w, h = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        xs, ys = st.integers(0, w - 1), st.integers(0, h - 1)
+    else:
+        w = h = None
+        xs = ys = st.integers(-12, 12)
+    points = draw(st.sets(st.tuples(xs, ys), max_size=60))
+    return points, w, h, periodic
+
+
+@settings(max_examples=300, deadline=None)
+@given(king_point_sets())
+def test_king_clusters_match_oracles_in_order(case):
+    points, w, h, periodic = case
+    ours = king_clusters(points, w, h, periodic)
+    # the BFS starts each cluster at its least member, in sorted order
+    assert ours == king_clusters_bfs(points, w, h, periodic)
+    assert set(ours) == set(king_clusters_by_union_find(points, w, h, periodic))
+
+
+def test_king_clusters_narrow_torus_and_empty():
+    assert king_clusters(set(), 2, 2, periodic=True) == []
+    assert king_clusters([], None, None) == []
+    # on a torus of width 2, x - 1 and x + 1 are the same column
+    assert king_clusters({(0, 0), (1, 4)}, 2, 5, periodic=True) == [frozenset({(0, 0), (1, 4)})]
+    assert king_clusters({(0, 0), (0, 2)}, 2, 5, periodic=True) == [
+        frozenset({(0, 0)}),
+        frozenset({(0, 2)}),
+    ]
+    assert king_clusters([(-3, -1), (-2, 0), (5, -7), (-3, -1)]) == [
+        frozenset({(-3, -1), (-2, 0)}),
+        frozenset({(5, -7)}),
+    ]
+
+
+def test_king_clusters_reject_points_off_the_torus():
+    with pytest.raises(RegionOutOfBounds):
+        king_clusters({(0, 0), (8, 1)}, 8, 8, periodic=True)
+    with pytest.raises(RegionOutOfBounds):
+        king_clusters({(0, -1)}, 8, 8, periodic=True)
 
 
 # -- swap map ----------------------------------------------------------------------

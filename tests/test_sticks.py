@@ -19,7 +19,12 @@ from squarepack.sticks import (
     stick_census,
 )
 
-from oracles import divided_directions_by_sticks, psi_set_by_windows
+from oracles import (
+    divided_directions_by_sticks,
+    phase_by_sticks,
+    psi_set_by_windows,
+    sticks_by_edges,
+)
 from strategies import random_valid_config, striped_config
 
 STICK_TYPES = ("ver", "hor") + PHASES
@@ -115,6 +120,80 @@ def test_stick_type_parity():
     cfg = offset_columns(8, 8, [0, 1, 1, 1]).translate(1, 0)
     sticks = extract_sticks(cfg)
     assert {s.type for s in sticks} == {"ver1"}
+
+
+STICK_THRESHOLDS = (1, 2, 3, 4, 6, 8, 16)
+
+
+def _match_edge_runs(cfg):
+    """extract_sticks, list order included, and classify_phase at several
+    thresholds against runs grouped edge by edge; returns the sticks."""
+    edges = detect_stick_edges(cfg)
+    reference = sticks_by_edges(cfg, edges)
+    assert extract_sticks(cfg) == reference
+    assert extract_sticks(cfg, edges) == reference
+    for b in STICK_THRESHOLDS:
+        assert classify_phase(cfg, b) == phase_by_sticks(reference, b), b
+    return reference
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("configs", [random_valid_config, striped_config])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sticks_and_phase_match_edge_runs(boundary, configs, data):
+    _match_edge_runs(data.draw(configs((boundary,))))
+
+
+def test_sticks_and_phase_match_edge_runs_on_sampled_chains():
+    # the criterion-9 chains on 24x24 and the criterion-11 pair geometry
+    wraps = seams = 0
+    for w, h, boundary, lam, initial, seed in (
+        (24, 24, "periodic", 10.0, "empty", 91),
+        (24, 24, "periodic", 130.0, "ver0", 92),
+        (24, 24, "fully_packed", 130.0, "empty", 93),
+        (32, 256, "periodic", 100.0, "ver0", 94),
+    ):
+        chain = Chain(
+            ChainParams(
+                width=w, height=h, lam=lam, seed=seed, sweeps=0, boundary=boundary,
+                translation_move_fraction=0.1, initial=initial,
+            )
+        )
+        chain.sweep(200)
+        for _ in range(4):
+            chain.sweep(10)
+            for s in _match_edge_runs(chain.configuration()):
+                wraps += s.wraps
+                vertical = s.orientation == "vertical"
+                along, period = (s.anchor[1], h) if vertical else (s.anchor[0], w)
+                seams += not s.wraps and along + s.length > period
+    # both torus cases of `_stick_runs` occur: full lines, and runs
+    # joined through the seam
+    assert wraps > 0 and seams > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_extract_sticks_matches_edge_runs_on_any_edge_set(data):
+    # arbitrary edge sets give runs that no configuration has, such as
+    # gaps of one edge next to the torus seam
+    boundary = data.draw(st.sampled_from(BOUNDARIES))
+    w, h = data.draw(st.sampled_from([4, 6, 8])), data.draw(st.sampled_from([4, 6, 8]))
+    cfg = create_configuration(w, h, boundary, [])
+    m = 0 if boundary == "periodic" else 2
+    scan = [(o, x, y) for o in "vh" for x in range(-m, w + m) for y in range(-m, h + m)]
+    density = data.draw(st.sampled_from([0.3, 0.7, 0.95]))
+    keep = data.draw(st.lists(st.floats(0, 1), min_size=len(scan), max_size=len(scan)))
+    edges = {e for e, u in zip(scan, keep) if u < density}
+    assert extract_sticks(cfg, edges) == sticks_by_edges(cfg, edges)
+
+
+def test_extract_sticks_rejects_edges_outside_the_scan():
+    with pytest.raises(ValueError):
+        extract_sticks(create_configuration(8, 8, "periodic", []), {("v", 8, 0)})
+    with pytest.raises(ValueError):
+        extract_sticks(create_configuration(8, 8, "free", []), {("h", -3, 0)})
 
 
 # -- division predicates -------------------------------------------------------
