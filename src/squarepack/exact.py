@@ -34,6 +34,7 @@ from .errors import (
 )
 from .lattice import (
     Point,
+    _row_layout,
     _row_neighbours,
     _row_states,
     iter_mask_blocks,
@@ -324,6 +325,8 @@ def _ensemble(width: int, height: int, boundary: str):
     """All valid configurations as (masks uint64, tile counts int16), in
     the order of iter_valid_masks. TooLarge beyond ENSEMBLE_CAP of them,
     counted by the row transfer before any is listed."""
+    # the 64-bit masks bound the sites, and so the transfer's narrow side
+    _row_layout(width, height, boundary)
     # the transposed region has as many configurations; narrow rows count fastest
     count = sum(_transfer_coefficients(min(width, height), max(width, height), boundary))
     if count > ENSEMBLE_CAP:

@@ -53,7 +53,13 @@ class Stick:
 
     @property
     def type(self) -> str:
-        return ("ver" if self.orientation == "vertical" else "hor") + str(self.parity)
+        return PHASES[_phase_index(self.orientation == "vertical", self.parity)]
+
+
+def _phase_index(vertical, fixed):
+    """Index into PHASES of sticks (ints or arrays) by orientation and by
+    the coordinate across the stick: vertical ones first, then parity."""
+    return 2 * (1 - vertical) + fixed % 2
 
 
 @dataclass(frozen=True)
@@ -142,13 +148,14 @@ def _stick_runs(
     periodic = config.boundary == "periodic"
     runs = []
     for lines, fixed0, start0 in ((ver.T, x0, y0), (hor, y0, x0)):
-        # the lines laid end to end, each after one 0, and a final 0
+        # the lines laid end to end, each after one 0, and a final 0: the
+        # value changes at each run's first edge and after its last
         nlines, modulus = lines.shape
-        flat = np.zeros(nlines * (modulus + 1) + 1, dtype=np.int8)
+        flat = np.zeros(nlines * (modulus + 1) + 1, dtype=bool)
         flat[:-1].reshape(nlines, modulus + 1)[:, 1:] = lines
-        step = np.diff(flat)
-        begin = np.flatnonzero(step == 1)
-        length = np.flatnonzero(step == -1) - begin
+        change = np.flatnonzero(flat[1:] != flat[:-1])
+        begin = change[0::2]
+        length = change[1::2] - begin
         line, start = np.divmod(begin, modulus + 1)
         if periodic and (lines[:, 0] & lines[:, -1]).any():
             head = np.flatnonzero(start == 0)
@@ -157,7 +164,9 @@ def _stick_runs(
             head, tail = head[merge], tail[merge]
             start[head] = start[tail]
             length[head] += length[tail]
-            line, start, length = (np.delete(v, tail) for v in (line, start, length))
+            keep = np.ones(len(start), dtype=bool)
+            keep[tail] = False
+            line, start, length = line[keep], start[keep], length[keep]
         wraps = (length == modulus) & periodic
         runs.append((line + fixed0, start + start0, length, wraps))
     return runs[0], runs[1]
@@ -344,17 +353,17 @@ def psi_set(
         )
     if sticks is None:
         sticks = extract_sticks(config)
-    orientation = "vertical" if stick_type.startswith("ver") else "horizontal"
-    segments = _segment_arrays(sticks, config)[orientation == "horizontal"]
-    if stick_type[3:]:
-        keep = segments[0] % 2 == int(stick_type[3])
+    vertical = stick_type.startswith("ver")
+    segments = _segment_arrays(sticks, config)[not vertical]
+    if stick_type in PHASES:
+        keep = _phase_index(vertical, segments[0]) == PHASES.index(stick_type)
         segments = tuple(v[keep] for v in segments)
     x0 = np.arange((config.width - win_w) // k + 1) * k
     y0 = np.arange((config.height - win_h) // l + 1) * l
     # a segment divides a window and its inner copy (inset by K across x
     # and L across y) exactly when it spans the window and lies strictly
     # inside the inner copy across the stick
-    if orientation == "vertical":
+    if vertical:
         hit = _divided(segments, x0 + k, x0 + win_w - k, y0, y0 + win_h)
     else:
         hit = _divided(segments, y0 + l, y0 + win_h - l, x0, x0 + win_w).T
@@ -397,13 +406,11 @@ def classify_phase(
             b = max(2, min(config.width, config.height) // 4)
     if b <= 0:
         raise ValueError("threshold b must be positive")
-    # counts in PHASES order: ver0, ver1, hor0, hor1
-    counts = np.concatenate(
-        [
-            np.bincount(fixed[length >= b] % 2, minlength=2)
-            for fixed, _, length, _ in _stick_runs(config)
-        ]
-    )
+    types = [
+        _phase_index(vertical, fixed[length >= b])
+        for vertical, (fixed, _, length, _) in zip((True, False), _stick_runs(config))
+    ]
+    counts = np.bincount(np.concatenate(types), minlength=len(PHASES))
     total = int(counts.sum())
     best = int(counts.argmax())
     if 2 * counts[best] > total:

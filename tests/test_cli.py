@@ -107,6 +107,23 @@ def test_chessboard_beyond_64_sites_rejected_before_enumeration():
     assert json.loads(proc.stderr)["error"]["type"] == "TooLarge"
 
 
+def test_chessboard_wide_torus_rejected_before_counting():
+    # 400 sites fail the 64-bit masks; counting first would walk 15,127
+    # row states of a 20-site row
+    proc = subprocess.run(
+        [sys.executable, "-m", "squarepack.cli", "chessboard"]
+        + ["--width", "20", "--height", "20", "--lambda", "1", "--area-cap", "400"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "TooLarge"
+    assert "64-bit" in error["message"]
+
+
 def test_chessboard_beyond_ensemble_cap_rejected_before_enumeration():
     # 64 sites fit the masks, but the 8x8 torus has 157,763,829
     # configurations: listing them all runs out of memory
