@@ -319,6 +319,7 @@ def _cmd_phase(args) -> int:
 def _cmd_components(args) -> int:
     m_values = args.m_values or [1, 2, 3]
     lambdas = args.lambdas or [100.0, 1e4]
+    graphs.check_bound_grid(m_values, lambdas)  # before the harvest, which can be long
     catalog = graphs.enumerate_components(
         args.width, args.height, window_cap=args.window_cap, threads=args.threads
     )

@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from .errors import RegionOutOfBounds, ShapeMismatch
-from .lattice import Configuration, Point, _unchecked
+from .lattice import Configuration, Point, _unchecked, component_labels
 from .observables import fit_decay_length
 from .sampler import Chain, ChainParams
 from .sticks import classify_phase
@@ -50,8 +50,7 @@ def king_clusters(
     a margin of one, or the torus when periodic, where they must lie in
     the fundamental domain (else RegionOutOfBounds). Each point is joined
     to the points at the four forward king offsets, wrapping on a torus,
-    by min-label propagation with pointer jumping until every joined pair
-    shares a label.
+    and labelled by ``component_labels``.
     """
     pts = list(set(points))
     n = len(pts)
@@ -76,20 +75,7 @@ def king_clusters(
     v = index[qx, qy]
     hit = v >= 0
     u, v = np.nonzero(hit)[1], v[hit]
-    # label[i] <= i throughout; after the jumps every label is a root,
-    # the least index of its tree, and each pass hooks roots onto lesser ones
-    label = np.arange(n)
-    while True:
-        lu, lv = label[u], label[v]
-        apart = lu != lv
-        if not apart.any():
-            break
-        np.minimum.at(label, np.maximum(lu, lv)[apart], np.minimum(lu, lv)[apart])
-        while True:
-            jumped = label[label]
-            if (jumped == label).all():
-                break
-            label = jumped
+    label = component_labels(n, u, v)
     # a root is its cluster's least index, so the points' sort order
     # orders the clusters by least member
     order = np.argsort(label, kind="stable")

@@ -12,28 +12,37 @@ right; unit steps in a raw component graph, full stick spans after
 compression. Exhaustive enumeration harvests every component arising
 from any configuration of a bounded window under fully-packed boundary
 conditions, which realizes all components fitting inside the window.
+
+The harvest runs as array passes. The configurations of
+``iter_mask_blocks`` are taken up to ``_PASS`` at a time, and one pass
+finds the face covers, marks the edges and labels the components of all
+of them with ``component_labels``; only a component whose key is new is
+turned into strings. The catalog keeps its order: components enter by
+configuration, in enumeration order, then by their first edge in
+``_marked_edges`` order.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import NonpositiveFugacity, SpecError, TooLarge
 from .lattice import (
     FACE_MARGIN,
     Configuration,
     Point,
-    _unchecked,
+    component_labels,
     edge_sides,
     face_cover,
+    grid_face_cover,
     iter_mask_blocks,
     map_start_rows,
-    model_sites,
 )
 
 Edge = Tuple[Point, Point, str]  # (start, end, "stick" | "vacancy")
@@ -66,23 +75,33 @@ class ComponentGraph:
         return not self.edges
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: Dict = {}
+def _edge_kinds(width: int, height: int, boundary: str, cover: np.ndarray):
+    """Kinds of the unit edges that ``edge_sides`` scans, for one face
+    cover or a stack of them: 0 regular, 1 stick, 2 vacancy.
 
-    def find(self, a):
-        parent = self.parent
-        root = parent.setdefault(a, a)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
+    Returns (kinds, region_vacant, x0, y0). ``kinds`` is indexed [..., x,
+    y, orientation], orientation 0 vertical and 1 horizontal, for the
+    edge that starts at (x0 + x, y0 + y); ``region_vacant`` is indexed
+    [..., fy, fx] over the faces of the region. Only uncovered faces
+    inside the region are vacant: under free boundary the margin is
+    outside the model.
+    """
+    m = FACE_MARGIN
+    region_vacant = cover[..., m : m + height, m : m + width] < 0
+    # the torus margin repeats the region's vacancies; outside a
+    # rectangle nothing is vacant
+    pad = [(0, 0)] * (cover.ndim - 2) + [(m, m)] * 2
+    mode = "wrap" if boundary == "periodic" else "constant"
+    vacant_faces = np.pad(region_vacant, pad, mode=mode)
+    left, below, here, x0, y0 = edge_sides(width, height, boundary, cover, -1)
+    vac_left, vac_below, vac_here, _, _ = edge_sides(width, height, boundary, vacant_faces, False)
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    def marks(before, vacant_before):
+        stick = (before >= 0) & (here >= 0) & (before != here)
+        return np.where(vacant_before | vac_here, np.int8(2), stick.view(np.int8))
+
+    kinds = np.stack([marks(left, vac_left), marks(below, vac_below)], axis=-1)
+    return np.swapaxes(kinds, -3, -2), region_vacant, x0, y0
 
 
 def _marked_edges(config: Configuration) -> Tuple[List[Edge], Set[Point]]:
@@ -92,28 +111,12 @@ def _marked_edges(config: Configuration) -> Tuple[List[Edge], Set[Point]]:
     crossing the periodic seam stay connected (their stick runs, however,
     are reported in fundamental-domain pieces). For the rectangle modes
     the scan covers the margin of ``face_cover`` so fully-packed boundary
-    structure is included. Only uncovered faces inside the region are
-    vacant: under free boundary the margin is outside the model. Edges
-    are listed by start point, x before y, vertical before horizontal.
+    structure is included. Edges are listed by start point, x before y,
+    vertical before horizontal.
     """
-    w, h, m = config.width, config.height, FACE_MARGIN
+    w, h = config.width, config.height
     periodic = config.boundary == "periodic"
-    cover = face_cover(config)
-    region_vacant = cover[m : m + h, m : m + w] < 0
-    # the torus margin repeats the region's vacancies; outside a
-    # rectangle nothing is vacant
-    vacant_faces = np.pad(region_vacant, m, mode="wrap" if periodic else "constant")
-    left, below, here, x0, y0 = edge_sides(config, cover, -1)
-    vac_left, vac_below, vac_here, _, _ = edge_sides(config, vacant_faces, False)
-
-    def marks(before, vacant_before):
-        stick = (before >= 0) & (here >= 0) & (before != here)
-        return np.where(vacant_before | vac_here, 2, stick)
-
-    # indexed [x, y, orientation] for the edge order: 0 regular, 1 stick,
-    # 2 vacancy; orientation 0 is vertical, 1 horizontal
-    kinds = np.stack([marks(left, vac_left), marks(below, vac_below)], axis=-1)
-    kinds = kinds.transpose(1, 0, 2)
+    kinds, region_vacant, x0, y0 = _edge_kinds(w, h, config.boundary, face_cover(config))
     xs, ys, orients = np.nonzero(kinds)
     found = kinds[xs, ys, orients]
     edges: List[Edge] = []
@@ -128,23 +131,36 @@ def _marked_edges(config: Configuration) -> Tuple[List[Edge], Set[Point]]:
     return edges, set(zip(vx.tolist(), vy.tolist()))
 
 
-def build_component_graph(config: Configuration) -> List[ComponentGraph]:
-    """Connected components of the configuration graph, trivial ones omitted."""
-    edges, vacant = _marked_edges(config)
-    uf = _UnionFind()
+def _labelled(edges: Sequence[Edge]) -> Tuple[Dict[Point, int], List[int]]:
+    """Vertex indices in order of first appearance, and the component
+    label of each index: the least index in its component."""
+    index: Dict[Point, int] = {}
     for a, b, _ in edges:
-        uf.union(a, b)
-    grouped: Dict = defaultdict(list)
+        index.setdefault(a, len(index))
+        index.setdefault(b, len(index))
+    u = np.array([index[a] for a, _, _ in edges], dtype=np.int64)
+    v = np.array([index[b] for _, b, _ in edges], dtype=np.int64)
+    return index, component_labels(len(index), u, v).tolist()
+
+
+def build_component_graph(config: Configuration) -> List[ComponentGraph]:
+    """Connected components of the configuration graph, trivial ones
+    omitted, ordered by their first edge in ``_marked_edges`` order."""
+    edges, vacant = _marked_edges(config)
+    index, label = _labelled(edges)
+    # a component's label indexes the start of its first edge, so the
+    # groups fill in order of first edges
+    grouped: Dict[int, List[Edge]] = {}
     for e in edges:
-        grouped[uf.find(e[0])].append(e)
+        grouped.setdefault(label[index[e[0]]], []).append(e)
     periodic = config.boundary == "periodic"
     w, h = config.width, config.height
-    vac_by_root: Dict = defaultdict(set)
+    vac_by_root: Dict[int, Set[Point]] = defaultdict(set)
     for fx, fy in vacant:
         corners = [(fx + dx, fy + dy) for dx in (0, 1) for dy in (0, 1)]
         if periodic:
             corners = [(x % w, y % h) for x, y in corners]
-        roots = {uf.find(c) for c in corners if c in uf.parent}
+        roots = {label[index[c]] for c in corners if c in index}
         # the four bounding edges of a vacancy lie in one component
         if len(roots) == 1:
             vac_by_root[roots.pop()].add((fx, fy))
@@ -161,10 +177,8 @@ def _subcomponent_count(graph: ComponentGraph, drop_orientation: str) -> int:
         for e in graph.edges
         if not (e[2] == "stick" and edge_orientation(e) == drop_orientation)
     ]
-    uf = _UnionFind()
-    for a, b, _ in kept:
-        uf.union(a, b)
-    return len({uf.find(e[0]) for e in kept})
+    _, label = _labelled(kept)
+    return sum(root == i for i, root in enumerate(label))
 
 
 def component_stats(graph: ComponentGraph) -> Tuple[int, int, int]:
@@ -240,6 +254,71 @@ def canonicalize(graph: ComponentGraph) -> str:
     return ";".join(f"{x1},{y1},{x2},{y2},{kind[0]}" for x1, y1, x2, y2, kind in items)
 
 
+_SLOT_TOKENS = (("vos", "vov"), ("vis", "viv"), ("hos", "hov"), ("his", "hiv"))
+
+
+def _slot_table(edges: Iterable[Tuple[object, object, int, int]]) -> Dict:
+    """Each vertex's four slots -- vertical out, vertical in, horizontal
+    out, horizontal in -- as None or (neighbour, token), from edges given
+    as (start, end, 1 if horizontal else 0, 1 if vacancy else 0). A token
+    names the slot and the kind of its edge."""
+    slots: Dict = defaultdict(lambda: [None, None, None, None])
+    for a, b, horizontal, vacancy in edges:
+        out = 2 * horizontal
+        slots[a][out] = (b, _SLOT_TOKENS[out][vacancy])
+        slots[b][out + 1] = (a, _SLOT_TOKENS[out + 1][vacancy])
+    return slots
+
+
+def _head(slots: list) -> str:
+    """The first four tokens of an encoding: those of the root's slots,
+    with a back-reference where two slots reach one neighbour, as the
+    full traversal would write it."""
+    met: list = []
+    out = []
+    for entry in slots:
+        if entry is None:
+            out.append(".")
+        elif entry[0] in met:
+            out.append(f"{entry[1]}>{met.index(entry[0]) + 1}")
+        else:
+            met.append(entry[0])
+            out.append(entry[1] + "+")
+    return "|".join(out)
+
+
+def _least_encoding(slots: Dict) -> str:
+    """Least slot-order traversal encoding of a slot table over its roots.
+
+    The first four tokens of an encoding are the root's own slots, and
+    none of those is a prefix of another, so only roots with the least
+    head can give the least key; only those are encoded in full.
+    """
+
+    def encode_from(root) -> str:
+        ids = {root: 0}
+        out: List[str] = []
+        stack = [root]
+        while stack:
+            for entry in slots[stack.pop()]:
+                if entry is None:
+                    out.append(".")
+                    continue
+                w, token = entry
+                seen = ids.get(w)
+                if seen is None:
+                    ids[w] = len(ids)
+                    out.append(token + "+")
+                    stack.append(w)
+                else:
+                    out.append(f"{token}>{seen}")
+        return "|".join(out)
+
+    heads = {v: _head(s) for v, s in slots.items()}
+    least = min(heads.values())
+    return min(encode_from(v) for v, head in heads.items() if head == least)
+
+
 def canonicalize_compressed(graph: ComponentGraph) -> str:
     """Canonical key of a compressed graph up to stick-length changes.
 
@@ -247,43 +326,11 @@ def canonicalize_compressed(graph: ComponentGraph) -> str:
     embedded key cannot be used. Each vertex has at most one incident
     edge per (orientation, direction) slot, which makes a deterministic
     slot-order traversal a canonical encoding once minimized over roots.
-
-    The first four tokens of an encoding are the root's own slots, and
-    none of those is a prefix of another, so only roots with the least
-    four tokens can give the least key; only those are encoded in full.
     """
     if graph.trivial:
         return EMPTY_KEY
-    slots: Dict[Point, Dict[Tuple[str, str], Tuple[Point, str]]] = defaultdict(dict)
-    for a, b, kind in graph.edges:
-        orient = "v" if a[0] == b[0] else "h"
-        slots[a][(orient, "out")] = (b, kind)
-        slots[b][(orient, "in")] = (a, kind)
-    order = (("v", "out"), ("v", "in"), ("h", "out"), ("h", "in"))
-
-    def encode_from(root: Point, limit: Optional[int] = None) -> str:
-        ids: Dict[Point, int] = {root: 0}
-        out: List[str] = []
-        stack = [root]
-        while stack and (limit is None or len(out) < limit):
-            v = stack.pop()
-            for slot in order:
-                entry = slots[v].get(slot)
-                if entry is None:
-                    out.append(".")
-                    continue
-                w, kind = entry
-                if w in ids:
-                    out.append(f"{slot[0]}{slot[1][0]}{kind[0]}>{ids[w]}")
-                else:
-                    ids[w] = len(ids)
-                    out.append(f"{slot[0]}{slot[1][0]}{kind[0]}+")
-                    stack.append(w)
-        return "|".join(out)
-
-    heads = {v: encode_from(v, len(order)) for v in slots}
-    least = min(heads.values())
-    return min(encode_from(v) for v in sorted(slots) if heads[v] == least)
+    edges = ((a, b, int(a[0] != b[0]), int(kind == "vacancy")) for a, b, kind in graph.edges)
+    return _least_encoding(_slot_table(edges))
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -303,47 +350,167 @@ class ComponentRecord:
     multiplicity: int = 1
 
 
-def _harvest_mask(width: int, height: int, sites, mask: int, max_stick, catalog) -> None:
-    occ = frozenset(sites[i] for i in range(len(sites)) if mask >> i & 1)
-    config = _unchecked(width, height, "fully_packed", occ)
-    for comp in build_component_graph(config):
-        if any(
-            not (0 <= x <= width and 0 <= y <= height) for x, y in comp.vertices
-        ):
-            continue
-        run = max_stick_run(comp)
-        if max_stick is not None and run > max_stick:
-            continue
-        key = canonicalize(comp)
-        rec = catalog.get(key)
+_PASS = 1 << 10  # configurations in one harvest pass; bounds its arrays
+
+
+def _mask_passes(width: int, height: int, starts) -> Iterable[np.ndarray]:
+    """The masks of iter_mask_blocks in order, regrouped into arrays of at
+    most _PASS configurations."""
+    held: List[np.ndarray] = []
+    size = 0
+    for masks, _ in iter_mask_blocks(width, height, "fully_packed", starts):
+        for lo in range(0, len(masks), _PASS):
+            part = masks[lo : lo + _PASS]
+            if size + len(part) > _PASS:
+                yield np.concatenate(held)
+                held, size = [], 0
+            held.append(part)
+            size += len(part)
+    if held:
+        yield np.concatenate(held)
+
+
+def _runs(ids: np.ndarray, step: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Maximal runs in ascending ids that go up by ``step``: the first id
+    of each and its length."""
+    new = np.ones(len(ids), dtype=bool)
+    new[1:] = np.diff(ids) != step
+    heads = np.flatnonzero(new)
+    return ids[heads], np.diff(np.append(heads, len(ids)))
+
+
+def _harvest_pass(width: int, height: int, masks: np.ndarray, max_stick, seen: Dict) -> None:
+    """Add the components of the configurations in ``masks`` to ``seen``,
+    a dict from the bytes of each component's edge rows to its record.
+
+    Vertex b * per + xi * col + yi is the corner (x0 + xi, y0 + yi) of the
+    edge scan of configuration b. Edges point up or right, so the least
+    vertex of a component, which ``component_labels`` returns, is the
+    start of its first edge, and the components sort by (configuration,
+    first edge).
+    """
+    w, h = width, height
+    bits = np.unpackbits(
+        masks.astype("<u8").view(np.uint8).reshape(-1, 8),
+        axis=1,
+        count=(w - 1) * (h - 1),
+        bitorder="little",
+    )
+    grids = np.zeros((len(masks), h + 1, w + 1), dtype=bool)
+    grids[:, 1:h, 1:w] = bits.reshape(-1, h - 1, w - 1)
+    kinds, region_vacant, x0, y0 = _edge_kinds(
+        w, h, "fully_packed", grid_face_cover(w, h, "fully_packed", grids)
+    )
+    nb, nx, ny, _ = kinds.shape
+    col = ny + 1
+    per = (nx + 1) * col
+    n = nb * per
+    b, xi, yi, hz = np.nonzero(kinds)  # hz: 1 for a horizontal edge
+    kind = kinds[b, xi, yi, hz]
+    start = b * per + xi * col + yi
+    end = start + np.where(hz == 1, col, 1)
+    label = component_labels(n, start, end)
+    is_root = np.zeros(n, dtype=bool)
+    is_root[label[start]] = True
+    comp_at = np.cumsum(is_root) - 1  # component number of each root
+    nc = int(comp_at[-1]) + 1
+    comp = comp_at[label[start]]
+
+    def per_component(vertices):
+        return np.bincount(comp_at[label[vertices]], minlength=nc)
+
+    def parts(u, v):
+        """Components of a subgraph within each component."""
+        sub = component_labels(n, u, v)
+        heads = np.zeros(n, dtype=bool)
+        heads[sub[u]] = True
+        return per_component(np.flatnonzero(heads))
+
+    x, y = xi + x0, yi + y0
+    inside = (x >= 0) & (x + hz <= w) & (y >= 0) & (y + 1 - hz <= h)
+    keep = per_component(start[~inside]) == 0
+    sticks = kind == 1
+    ver, ver_len = _runs(start[sticks & (hz == 0)], 1)
+    hor = sticks & (hz == 1)
+    # by configuration, then row, then x along the row
+    hor, hor_len = _runs(start[hor][np.lexsort((xi[hor], yi[hor], b[hor]))], col)
+    longest = np.zeros(nc, dtype=np.int64)
+    np.maximum.at(longest, comp_at[label[ver]], ver_len)
+    np.maximum.at(longest, comp_at[label[hor]], hor_len)
+    if max_stick is not None:
+        keep &= longest <= max_stick
+
+    fb, fy, fx = np.nonzero(region_vacant)
+    # a vacancy's bounding edges join its four corners in one component
+    v_count = per_component(fb * per + (fx - x0) * col + (fy - y0))
+    used = np.zeros(n, dtype=bool)
+    used[start] = used[end] = True
+    vertex_count = per_component(np.flatnonzero(used))
+    edge_count = np.bincount(comp, minlength=nc)
+    k_ver = parts(start[~sticks | (hz == 0)], end[~sticks | (hz == 0)])
+    k_hor = parts(start[~sticks | (hz == 1)], end[~sticks | (hz == 1)])
+    # the compressed graph: the vacancy edges and one stick edge per run
+    vacancy = kind == 2
+    vac_start, vac_end = start[vacancy], end[vacancy]
+    ver_end, hor_end = ver + ver_len, hor + col * hor_len
+    k_compressed = parts(
+        np.concatenate([vac_start, ver]), np.concatenate([vac_end, ver_end])
+    ) + parts(np.concatenate([vac_start, hor]), np.concatenate([vac_end, hor_end]))
+    c_start = np.concatenate([vac_start, ver, hor])
+    c_order = np.argsort(comp_at[label[c_start]], kind="stable")
+    c_edges = [
+        c_start[c_order],
+        np.concatenate([vac_end, ver_end, hor_end])[c_order],
+        np.concatenate([hz[vacancy], 0 * ver, 0 * hor + 1])[c_order],
+        c_order < len(vac_start),
+    ]
+
+    # each edge row (dx, dy, hz, vacancy) from the component's least
+    # vertex as one code, and the canonicalize token of every code
+    root = label[start]
+    dx, dy = xi - root % per // col, yi - root % col
+    code = (((dx * 2 * col + dy + col) * 2 + hz) * 2 + vacancy).astype("<i4")
+    code = code[np.argsort(comp, kind="stable")]
+    rows = code.tobytes()
+    tokens = [
+        f"{i},{j},{i + o},{j + 1 - o},{k}"
+        for i in range(nx + 1)
+        for j in range(-col, col)
+        for o in (0, 1)
+        for k in "sv"
+    ]
+    cuts = np.cumsum([0, *edge_count]).tolist()
+    c_cuts = np.cumsum([0, *per_component(c_start)]).tolist()
+    stats = np.stack([v_count, k_ver, k_hor, longest, k_compressed, edge_count, vertex_count], 1)
+    for c in np.flatnonzero(keep).tolist():
+        lo, hi = cuts[c], cuts[c + 1]
+        key = rows[4 * lo : 4 * hi]
+        rec = seen.get(key)
         if rec is not None:
             rec.multiplicity += 1
             continue
-        v, k_ver, k_hor = component_stats(comp)
-        comp_c = compress(comp)
-        _, kc_ver, kc_hor = component_stats(comp_c)
-        catalog[key] = ComponentRecord(
-            key=key,
+        v, kv, kh, run, kc, n_edges, n_vertices = stats[c].tolist()
+        compressed = zip(*(a[c_cuts[c] : c_cuts[c + 1]].tolist() for a in c_edges))
+        seen[key] = ComponentRecord(
+            key=";".join([tokens[t] for t in code[lo:hi].tolist()]),
             v_count=v,
-            k_ver=k_ver,
-            k_hor=k_hor,
+            k_ver=kv,
+            k_hor=kh,
             max_stick_run=run,
-            compressed_key=canonicalize_compressed(comp_c),
-            k_compressed=kc_ver + kc_hor,
-            edge_count=len(comp.edges),
-            vertex_count=len(comp.vertices),
+            compressed_key=_least_encoding(_slot_table(compressed)),
+            k_compressed=kc,
+            edge_count=n_edges,
+            vertex_count=n_vertices,
         )
 
 
 def _harvest(width: int, height: int, max_stick, starts=None) -> Dict[str, ComponentRecord]:
     """Catalog of the configurations from the given first-row states (all
     by default), in enumeration order."""
-    sites = model_sites(width, height, "fully_packed")
-    catalog: Dict[str, ComponentRecord] = {}
-    for masks, _ in iter_mask_blocks(width, height, "fully_packed", starts):
-        for mask in masks.tolist():
-            _harvest_mask(width, height, sites, mask, max_stick, catalog)
-    return catalog
+    seen: Dict[bytes, ComponentRecord] = {}
+    for masks in _mask_passes(width, height, starts):
+        _harvest_pass(width, height, masks, max_stick, seen)
+    return {rec.key: rec for rec in seen.values()}
 
 
 def enumerate_components(
@@ -383,6 +550,17 @@ def enumerate_components(
     return catalog
 
 
+def check_bound_grid(m_values: Sequence[int], lambda_grid: Sequence[float]) -> None:
+    """SpecError for a stick cap M below 1, NonpositiveFugacity for a
+    fugacity that is not positive and finite."""
+    for m in m_values:
+        if m < 1:
+            raise SpecError(f"stick cap M must be at least 1, got {m}")
+    for lam in lambda_grid:
+        if not 0 < lam < math.inf:
+            raise NonpositiveFugacity(f"fugacity must be positive and finite, got {lam}")
+
+
 def verify_counting_bounds(
     catalog: Dict[str, ComponentRecord],
     m_values: Sequence[int],
@@ -394,8 +572,11 @@ def verify_counting_bounds(
     compression. Per compressed class and stick cap M: the number of
     distinct components with stick runs at most M is at most M^(k-2).
     Reports the weight sums 1 + sum lambda^(-v/4) and the smallest
-    constant C with sum - 1 <= C * M / lambda across the grid.
+    constant C with sum - 1 <= C * M / lambda across the grid. Raises
+    as ``check_bound_grid`` does, and TooLarge for a weight sum beyond
+    the float range.
     """
+    check_bound_grid(m_values, lambda_grid)
     violations = []
     for rec in catalog.values():
         k = rec.k_ver + rec.k_hor
@@ -427,11 +608,16 @@ def verify_counting_bounds(
     fitted_c = 0.0
     for m in m_values:
         for lam in lambda_grid:
-            total = 1.0 + sum(
-                lam ** (-rec.v_count / 4.0)
-                for rec in catalog.values()
-                if rec.max_stick_run <= m
-            )
+            try:
+                total = 1.0 + sum(
+                    lam ** (-rec.v_count / 4.0)
+                    for rec in catalog.values()
+                    if rec.max_stick_run <= m
+                )
+            except OverflowError:
+                total = math.inf
+            if total == math.inf:
+                raise TooLarge(f"weight sum at lambda={lam} exceeds the float range")
             fitted_c = max(fitted_c, (total - 1.0) * lam / m)
             weight_rows.append({"M": m, "lambda": lam, "weight_sum": total})
     return {

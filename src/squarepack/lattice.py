@@ -253,47 +253,79 @@ def face_cover(config: Configuration) -> np.ndarray:
     fully_packed boundary the exterior tiles cover it. Agrees with
     ``Configuration.face_cover_center`` face by face.
     """
-    w, h, m = config.width, config.height, FACE_MARGIN
+    return grid_face_cover(config.width, config.height, config.boundary, config.occupancy_grid())
+
+
+def grid_face_cover(width: int, height: int, boundary: str, grids: np.ndarray) -> np.ndarray:
+    """``face_cover`` of occupancy grids laid out as ``occupancy_grid``'s,
+    under any leading axes: a stack of configurations gives a stack of
+    covers."""
+    w, h, m = width, height, FACE_MARGIN
     # centers -m .. size + m, one more than the faces, since the tile at
     # (cx, cy) covers the faces with corners cx - 1 .. cx, cy - 1 .. cy
     cx = np.arange(-m, w + m + 1)
     cy = np.arange(-m, h + m + 1)[:, None]
-    if config.boundary == "periodic":
-        occupied = config.occupancy_grid()[cy % h, cx % w]
+    if boundary == "periodic":
+        occupied = grids[..., cy % h, cx % w]
     else:
-        occupied = np.zeros((h + 2 * m + 1, w + 2 * m + 1), dtype=bool)
-        occupied[m:-m, m:-m] = config.occupancy_grid()
-    if config.boundary == "fully_packed":
+        occupied = np.zeros(grids.shape[:-2] + (h + 2 * m + 1, w + 2 * m + 1), dtype=bool)
+        occupied[..., m:-m, m:-m] = grids
+    if boundary == "fully_packed":
         interior = (cx >= 1) & (cx <= w - 1) & (cy >= 1) & (cy <= h - 1)
         occupied |= (cx % 2 == 1) & (cy % 2 == 1) & ~interior
     # code + 1 per occupied center, 0 elsewhere; open tiles are disjoint,
     # so at most one of the four centers around a face is occupied
     code = np.where(occupied, 2 * ((cx - 1) % 2) + (cy - 1) % 2 + 1, 0).astype(np.int8)
     cover = np.maximum(
-        np.maximum(code[:-1, :-1], code[:-1, 1:]), np.maximum(code[1:, :-1], code[1:, 1:])
+        np.maximum(code[..., :-1, :-1], code[..., :-1, 1:]),
+        np.maximum(code[..., 1:, :-1], code[..., 1:, 1:]),
     )
     return cover - 1
 
 
-def edge_sides(config: Configuration, faces: np.ndarray, fill):
+def edge_sides(width: int, height: int, boundary: str, faces: np.ndarray, fill):
     """Faces on both sides of the unit edges that bulk scans visit.
 
-    ``faces`` is any array over the extent of ``face_cover``. Returns
-    (left, below, here, x0, y0): entry [i, j] is the face with corner
-    (x0 + j, y0 + i), where the vertical edge from ``left`` and the
-    horizontal edge from ``below`` start. A torus scans its region only,
-    as the margin repeats it; rectangles scan the whole extent, with
-    ``fill`` beyond it.
+    ``faces`` is any array over the extent of ``face_cover``, under any
+    leading axes. Returns (left, below, here, x0, y0): entry [..., i, j]
+    is the face with corner (x0 + j, y0 + i), where the vertical edge
+    from ``left`` and the horizontal edge from ``below`` start. A torus
+    scans its region only, as the margin repeats it; rectangles scan the
+    whole extent, with ``fill`` beyond it.
     """
     m = FACE_MARGIN
     left = np.full_like(faces, fill)
-    left[:, 1:] = faces[:, :-1]
+    left[..., 1:] = faces[..., :-1]
     below = np.full_like(faces, fill)
-    below[1:] = faces[:-1]
-    if config.boundary == "periodic":
-        core = (slice(m, m + config.height), slice(m, m + config.width))
+    below[..., 1:, :] = faces[..., :-1, :]
+    if boundary == "periodic":
+        core = (Ellipsis, slice(m, m + height), slice(m, m + width))
         return left[core], below[core], faces[core], 0, 0
     return left, below, faces, -m, -m
+
+
+def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Least node of each node's connected component, for the nodes
+    0 .. n - 1 joined by the edges (u[i], v[i]).
+
+    Min-label hooking with pointer jumping: each pass hooks the larger
+    label of every edge whose ends disagree onto the smaller one, then
+    jumps every label to its root, until no edge disagrees.
+    """
+    # label[i] <= i throughout; after the jumps every label is a root,
+    # the least index of its tree, and each pass hooks roots onto lesser ones
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        if not apart.any():
+            return label
+        np.minimum.at(label, np.maximum(lu, lv)[apart], np.minimum(lu, lv)[apart])
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
 
 
 def count_vacancies(

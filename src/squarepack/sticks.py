@@ -90,7 +90,9 @@ class Rect:
 def _stick_edge_grids(config: Configuration) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """Boolean grids of vertical and horizontal stick edges over the edges
     that ``edge_sides`` scans, and the corner (x0, y0) of entry [0, 0]."""
-    left, below, here, x0, y0 = edge_sides(config, face_cover(config), -1)
+    left, below, here, x0, y0 = edge_sides(
+        config.width, config.height, config.boundary, face_cover(config), -1
+    )
     covered = here >= 0
     ver, hor = ((other >= 0) & covered & (other != here) for other in (left, below))
     return ver, hor, x0, y0

@@ -10,7 +10,15 @@ from itertools import combinations, product
 
 import numpy as np
 
-from squarepack.lattice import model_sites
+from squarepack.graphs import (
+    ComponentRecord,
+    build_component_graph,
+    canonicalize,
+    component_stats,
+    compress,
+    max_stick_run,
+)
+from squarepack.lattice import mask_to_configuration, model_sites
 from squarepack.sticks import PHASES, Rect, Stick, properly_divides, stick_divides
 
 
@@ -214,6 +222,43 @@ def canonicalize_compressed_all_roots(graph):
         return "|".join(out)
 
     return min(encode_from(v) for v in sorted(slots))
+
+
+def harvest_mask(width, height, mask, max_stick, catalog, compressed_key=None):
+    """Reference harvest of one configuration of the fully-packed window:
+    its component graphs one at a time, each keyed by ``canonicalize`` and
+    added to ``catalog`` (key -> ComponentRecord) or counted there.
+
+    Compressed keys come from ``compressed_key``, by default the least
+    encoding over every root.
+    """
+    compressed_key = compressed_key or canonicalize_compressed_all_roots
+    config = mask_to_configuration(width, height, "fully_packed", mask)
+    for comp in build_component_graph(config):
+        if any(not (0 <= x <= width and 0 <= y <= height) for x, y in comp.vertices):
+            continue
+        run = max_stick_run(comp)
+        if max_stick is not None and run > max_stick:
+            continue
+        key = canonicalize(comp)
+        rec = catalog.get(key)
+        if rec is not None:
+            rec.multiplicity += 1
+            continue
+        v, k_ver, k_hor = component_stats(comp)
+        comp_c = compress(comp)
+        _, kc_ver, kc_hor = component_stats(comp_c)
+        catalog[key] = ComponentRecord(
+            key=key,
+            v_count=v,
+            k_ver=k_ver,
+            k_hor=k_hor,
+            max_stick_run=run,
+            compressed_key=compressed_key(comp_c),
+            k_compressed=kc_ver + kc_hor,
+            edge_count=len(comp.edges),
+            vertex_count=len(comp.vertices),
+        )
 
 
 def eval_local_by_unique(fn, points, pattern_ids):

@@ -362,6 +362,40 @@ def test_components_cli(capsys):
     assert payload["spec"]["boundary"] == "fully_packed"
 
 
+@pytest.mark.parametrize(
+    "extra,error",
+    [
+        (["--M", "0"], "SpecError"),
+        (["--M", "-1"], "SpecError"),
+        (["--lambda", "0"], "NonpositiveFugacity"),
+        (["--lambda", "-5"], "NonpositiveFugacity"),
+        (["--lambda", "nan"], "NonpositiveFugacity"),
+        (["--lambda", "inf"], "NonpositiveFugacity"),
+        (["--lambda", "1e-300"], "TooLarge"),
+    ],
+)
+def test_components_cli_rejects_bad_bounds(extra, error, capsys):
+    code, out, err = run_cli(["components", "--width", "4", "--height", "4", *extra], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == error
+
+
+def test_components_cli_checks_bounds_before_the_harvest():
+    # the 8x8 window has about 12.7M configurations; the bad stick cap must
+    # be rejected before any of them is harvested
+    proc = subprocess.run(
+        [sys.executable, "-m", "squarepack.cli", "components"]
+        + ["--width", "8", "--height", "8", "--M", "0"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "SpecError"
+
+
 def test_coupling_cli(tmp_path, capsys):
     csv_path = tmp_path / "tails.csv"
     code, out, _ = run_cli(

@@ -1,8 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 
 from squarepack import graphs
-from squarepack.errors import TooLarge
+from squarepack.errors import NonpositiveFugacity, SpecError, TooLarge
 from squarepack.graphs import (
     build_component_graph,
     canonicalize,
@@ -13,9 +15,9 @@ from squarepack.graphs import (
     max_stick_run,
     verify_counting_bounds,
 )
-from squarepack.lattice import create_configuration, mask_to_configuration, model_sites
+from squarepack.lattice import create_configuration, mask_to_configuration
 
-from oracles import canonicalize_compressed_all_roots, valid_masks_by_sites
+from oracles import canonicalize_compressed_all_roots, harvest_mask, valid_masks_by_sites
 from strategies import random_valid_config, striped_config
 
 
@@ -192,19 +194,52 @@ def test_enumerate_threaded_matches_serial():
     assert list(threaded.items()) == list(serial.items())
 
 
+def reference_catalog(w, h, max_stick=None, compressed_key=None):
+    """The reference harvest over a site-by-site enumeration."""
+    catalog = {}
+    for mask, _ in valid_masks_by_sites(w, h, "fully_packed"):
+        harvest_mask(w, h, mask, max_stick, catalog, compressed_key)
+    return catalog
+
+
 @pytest.mark.parametrize("dims", [(4, 4), (6, 4), (4, 6)])
-def test_enumerate_matches_site_dfs_harvest(dims, monkeypatch):
+def test_enumerate_matches_site_dfs_harvest(dims):
+    # the reference harvest: site-by-site enumeration, one component graph
+    # at a time, all-roots compressed keys
     w, h = dims
     catalog = enumerate_components(w, h)
-    # the reference harvest: site-by-site enumeration, all-roots keys
-    monkeypatch.setattr(graphs, "canonicalize_compressed", canonicalize_compressed_all_roots)
-    sites = model_sites(w, h, "fully_packed")
-    reference = {}
-    for mask, _ in valid_masks_by_sites(w, h, "fully_packed"):
-        graphs._harvest_mask(w, h, sites, mask, None, reference)
+    reference = reference_catalog(w, h)
     assert list(catalog.items()) == list(reference.items())
     args = ([1, 2, 3], [100.0, 1e4])
     assert verify_counting_bounds(catalog, *args) == verify_counting_bounds(reference, *args)
+
+
+@pytest.mark.parametrize("max_stick", [0, 1, 2, 3])
+@pytest.mark.parametrize("dims", [(4, 4), (6, 4), (4, 6)])
+def test_enumerate_matches_reference_under_stick_caps(dims, max_stick):
+    # keys, order, every record field and multiplicities
+    catalog = enumerate_components(*dims, max_stick=max_stick)
+    assert list(catalog.items()) == list(reference_catalog(*dims, max_stick).items())
+
+
+def test_enumerate_matches_reference_6x6():
+    # the compressed keys of the reference come from canonicalize_compressed
+    # here, which the all-roots tests check on their own; all roots would
+    # triple the run
+    reference = reference_catalog(6, 6, compressed_key=canonicalize_compressed)
+    assert list(enumerate_components(6, 6).items()) == list(reference.items())
+
+
+@pytest.mark.parametrize("max_stick", [None, 2])
+@pytest.mark.parametrize("pass_size", [3, 25])
+def test_catalog_order_survives_pass_boundaries(monkeypatch, pass_size, max_stick):
+    whole = list(enumerate_components(6, 4, max_stick=max_stick).items())
+    # the 6x4 blocks hold 13 to 43 configurations: passes of 3 cut every
+    # block, passes of 25 cut the largest and join smaller ones
+    monkeypatch.setattr(graphs, "_PASS", pass_size)
+    assert list(enumerate_components(6, 4, max_stick=max_stick).items()) == whole
+    threaded = enumerate_components(6, 4, max_stick=max_stick, threads=2)
+    assert list(threaded.items()) == whole
 
 
 def _compressed(config):
@@ -244,6 +279,23 @@ def test_verify_counting_bounds_4x4():
     small = min(r["weight_sum"] for r in report["weight_sums"] if r["lambda"] == 1e4)
     big = max(r["weight_sum"] for r in report["weight_sums"] if r["lambda"] == 100.0)
     assert small < big
+
+
+@pytest.mark.parametrize("m_values", [[0], [1, -1]])
+def test_verify_counting_bounds_rejects_stick_caps_below_one(m_values):
+    with pytest.raises(SpecError):
+        verify_counting_bounds(enumerate_components(4, 4), m_values, [100.0])
+
+
+@pytest.mark.parametrize("lam", [0.0, -5.0, math.nan, math.inf])
+def test_verify_counting_bounds_rejects_bad_fugacities(lam):
+    with pytest.raises(NonpositiveFugacity):
+        verify_counting_bounds(enumerate_components(4, 4), [1], [100.0, lam])
+
+
+def test_verify_counting_bounds_rejects_weight_overflow():
+    with pytest.raises(TooLarge):
+        verify_counting_bounds(enumerate_components(4, 4), [1], [1e-300])
 
 
 def test_closed_cycle_balance():

@@ -15,6 +15,7 @@ from squarepack.errors import (
 )
 from squarepack.lattice import (
     BOUNDARIES,
+    component_labels,
     count_vacancies,
     create_configuration,
     decode,
@@ -228,3 +229,31 @@ def test_row_neighbours_on_wide_rows(positions, cyclic):
         blocked = sum(1 << x for x in near if 0 <= x < positions)
         expected = [j for j, t in enumerate(states) if not t & blocked]
         assert neighbours[i] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        )
+    )
+)
+def test_component_labels_are_least_connected_nodes(graph):
+    n, edges = graph
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    adjacent = {i: set() for i in range(n)}
+    for a, b in edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    expected = [None] * n
+    for root in range(n):  # ascending, so each search starts at its least node
+        if expected[root] is None:
+            expected[root], queue = root, [root]
+            while queue:
+                for q in adjacent[queue.pop()]:
+                    if expected[q] is None:
+                        expected[q] = root
+                        queue.append(q)
+    assert component_labels(n, u, v).tolist() == expected
