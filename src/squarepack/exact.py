@@ -13,6 +13,13 @@ states and their neighbour lists. The transfer packs each row's
 polynomial into one int, so a row step is one shifted sum per row
 state; on a torus it runs one start row per orbit of the rows under
 rotation and mirroring, weighted by the orbit size.
+
+Chessboard seminorms and disseminated products are a band transfer: a
+float row transfer along the torus's narrow side whose steps span one
+row of reflected blocks each, with the tile count kept as a polynomial
+degree and the fugacity applied in logs at the end. The listed ensemble
+of configurations is kept for reflection positivity, and the tests keep
+its per-configuration loops as the seminorms' reference.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .lattice import (
     _row_layout,
     _row_neighbours,
     _row_states,
+    _row_tables,
     iter_mask_blocks,
     iter_valid_masks,
     map_start_rows,
@@ -320,20 +328,28 @@ def partition_polynomial(
 # -- event weights -----------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _ensemble(width: int, height: int, boundary: str):
-    """All valid configurations as (masks uint64, tile counts int16), in
-    the order of iter_valid_masks. TooLarge beyond ENSEMBLE_CAP of them,
-    counted by the row transfer before any is listed."""
+def _admitted_coefficients(width: int, height: int, boundary: str) -> Tuple[int, ...]:
+    """Tile-count coefficients by the row transfer along the narrow side
+    (the transposed region has the same ones); TooLarge beyond 64 sites,
+    or beyond ENSEMBLE_CAP configurations, before any is listed."""
     # the 64-bit masks bound the sites, and so the transfer's narrow side
     _row_layout(width, height, boundary)
-    # the transposed region has as many configurations; narrow rows count fastest
-    count = sum(_transfer_coefficients(min(width, height), max(width, height), boundary))
+    coefficients = _trim(_transfer_coefficients(min(width, height), max(width, height), boundary))
+    count = sum(coefficients)
     if count > ENSEMBLE_CAP:
         raise TooLarge(
             f"{width}x{height} {boundary} has {count} configurations, "
             f"more than the {ENSEMBLE_CAP} that exact evaluation lists"
         )
+    return coefficients
+
+
+@lru_cache(maxsize=16)
+def _ensemble(width: int, height: int, boundary: str):
+    """All valid configurations as (masks uint64, tile counts int16), in
+    the order of iter_valid_masks. TooLarge beyond ENSEMBLE_CAP of them,
+    counted by the row transfer before any is listed."""
+    _admitted_coefficients(width, height, boundary)
     masks, tiles = zip(*iter_mask_blocks(width, height, boundary))
     return np.concatenate(masks), np.concatenate(tiles)
 
@@ -396,6 +412,10 @@ class SeminormQuery:
     event: LocalFunction
 
     def __post_init__(self):
+        if self.block_width < 1 or self.block_height < 1:
+            raise BlockConditionViolated(
+                f"block dimensions must be positive, got {self.block_width}x{self.block_height}"
+            )
         if self.width % (2 * self.block_width) or self.height % (2 * self.block_height):
             raise BlockConditionViolated(
                 f"{self.block_width}x{self.block_height} block does not tile the "
@@ -448,7 +468,7 @@ def _eval_local(
     distinct id in ascending order.
 
     The distinct ids come from a count over all 2^points ids when there
-    are no more of those than configurations, and from a sort otherwise.
+    are no more of those than given ids, and from a sort otherwise.
     """
     if 1 << len(points) <= len(pattern_ids):
         seen = np.bincount(pattern_ids, minlength=1 << len(points)) > 0
@@ -463,9 +483,102 @@ def _eval_local(
 
 
 def _torus_expectation(tiles: np.ndarray, values: np.ndarray, lam: float) -> float:
-    """mu^per of a per-configuration value array."""
-    weights = np.power(float(lam), tiles.astype(np.float64))
+    """mu^per of a per-configuration value array, each weight taken
+    relative to the largest, lam^(tiles - most tiles) for lam > 1."""
+    top = tiles.max() if lam > 1 else tiles.min()
+    weights = np.power(float(lam), tiles.astype(np.float64) - top)
     return float((weights * values).sum() / weights.sum())
+
+
+def _check_fugacity(lam: float) -> None:
+    if not 0 < lam < math.inf:
+        raise NonpositiveFugacity(f"fugacity must be positive and finite, got {lam}")
+
+
+def _band_pairs(positions: int, rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every run of rows + 1 cyclic row states, each next to the one
+    before, as state indices (runs, rows + 1), and the tiles of the
+    first ``rows`` states of each run."""
+    _, counts, _, degree, first, flat = _row_tables(positions, True)
+    runs = np.arange(len(counts))[:, None]
+    for _ in range(rows):
+        last = runs[:, -1]
+        deg = degree[last]
+        ends = np.cumsum(deg)
+        nxt = flat[np.arange(ends[-1]) + np.repeat(first[last] - ends + deg, deg)]
+        runs = np.column_stack([np.repeat(runs, deg, axis=0), nxt])
+    return runs, counts[runs[:, :-1]].sum(axis=1)
+
+
+def _log_disseminated(
+    width: int,
+    height: int,
+    lam: float,
+    corner: Point,
+    k: int,
+    l: int,
+    events: Mapping[Tuple[int, int], LocalFunction],
+) -> Tuple[int, float]:
+    """(sign, log |value|) of mu^per(prod over cells (i, j) of events[i, j]
+    at reflection (i, j)), by a row transfer along the narrow side.
+
+    Reflection row j spans the l rows of band j and the first row of band
+    j + 1. The runs of l + 1 row states give every (band, next row) pair,
+    and its factor is x^tiles(band) times the product of its cells' values
+    at the bits the reflected block points read. K_j folds these into an
+    S x S matrix of polynomials in the tile count, and the torus sum is
+    tr(K_0 ... K_{ny-1}), rescaled at every step into a log. lam enters
+    only at the end, summed relative to the largest term as in log_tile,
+    so no weight overflows or underflows at any fugacity.
+    """
+    coefficients = _admitted_coefficients(width, height, "periodic")
+    points = _block_points(corner, k, l)
+    cells = list(events)
+    sites = np.array(
+        [[_reflected_point(q, i, j, corner, k, l) for q in points] for i, j in cells],
+        dtype=np.int64,
+    ).reshape(len(cells), len(points), 2) % (width, height)
+    axis = 1
+    if height < width:  # rows along the narrow side: transpose the query
+        width, height, l, axis = height, width, k, 0
+        sites = sites[..., ::-1]
+    band = np.array([cell[axis] for cell in cells], dtype=np.int64)
+    runs, tiles = _band_pairs(width, l)
+    row_values = _row_tables(width, True)[0]
+    size = len(row_values)
+    states = row_values[runs]
+    # each point's row within its run, and its bit in that row's state
+    row = (sites[..., 1] - corner[axis] - band[:, None] * l) % height
+    bits = states[:, row] >> sites[..., 0].astype(np.uint64) & np.uint64(1)
+    ids = (bits << np.arange(len(points), dtype=np.uint64)).sum(axis=2).astype(np.int64)
+    # one evaluation per local function, over all of its cells
+    factors = np.ones((height // l, len(runs)))
+    by_function = {}
+    for c, cell in enumerate(cells):
+        by_function.setdefault(id(events[cell]), []).append(c)
+    for group in by_function.values():
+        values = _eval_local(events[cells[group[0]]], points, ids[:, group].ravel())
+        for c, column in zip(group, values.reshape(len(runs), len(group)).T):
+            factors[band[c]] *= column
+    index = (tiles * size + runs[:, 0]) * size + runs[:, -1]
+    degrees = int(tiles.max()) + 1
+    product, log_scale = np.eye(size)[None], 0.0
+    for factor in factors:
+        kernel = np.bincount(index, factor, degrees * size * size).reshape(degrees, size, size)
+        out = np.zeros((len(product) + degrees - 1, size, size))
+        for t, term in enumerate(kernel):
+            out[t : t + len(product)] += product @ term
+        top = float(np.abs(out).max()) or 1.0
+        product, log_scale = out / top, log_scale + math.log(top)
+    trace = np.einsum("nii->n", product)
+    n = np.flatnonzero(trace)
+    logs = np.log(np.abs(trace[n])) + n * math.log(lam)
+    top = logs.max(initial=-math.inf)
+    total = float(np.sign(trace[n]) @ np.exp(logs - top))
+    if total == 0.0:
+        return 0, -math.inf
+    log_z = PartitionPolynomial(width, height, "periodic", coefficients).log_tile(lam)
+    return (1 if total > 0 else -1), log_scale + top + math.log(abs(total)) - log_z
 
 
 def chessboard_seminorm(
@@ -476,22 +589,19 @@ def chessboard_seminorm(
     The expectation of the disseminated product is nonnegative by
     reflection positivity; tiny negative float residue is clamped to 0.
     """
-    if lam <= 0:
-        raise NonpositiveFugacity(f"fugacity must be positive, got {lam}")
+    _check_fugacity(lam)
     _check_enumerable(query.width, query.height, area_cap)
-    masks, tiles = _ensemble(query.width, query.height, "periodic")
-    table = _pattern_table(
-        query.width, query.height, query.corner, query.block_width, query.block_height
+    nx, ny = query.width // query.block_width, query.height // query.block_height
+    sign, log_value = _log_disseminated(
+        query.width,
+        query.height,
+        lam,
+        query.corner,
+        query.block_width,
+        query.block_height,
+        {(i, j): query.event for i in range(nx) for j in range(ny)},
     )
-    points = _block_points(query.corner, query.block_width, query.block_height)
-    nx, ny = table.shape[:2]
-    values = np.ones(len(masks), dtype=np.float64)
-    for i in range(nx):
-        for j in range(ny):
-            pats = _patterns_for(masks, table[i, j])
-            values *= _eval_local(query.event, points, pats)
-    value = max(_torus_expectation(tiles, values, lam), 0.0)
-    return value ** (1.0 / (nx * ny))
+    return math.exp(log_value / (nx * ny)) if sign > 0 else 0.0
 
 
 def disseminated_expectation(
@@ -511,21 +621,17 @@ def disseminated_expectation(
     0 <= j < H/l, to block-local events; missing cells contribute no
     constraint. This is the left-hand side of the chessboard estimate.
     """
-    if lam <= 0:
-        raise NonpositiveFugacity(f"fugacity must be positive, got {lam}")
+    _check_fugacity(lam)
     _check_enumerable(width, height, area_cap)
     SeminormQuery(width, height, corner, block_width, block_height, lambda _: True)
-    masks, tiles = _ensemble(width, height, "periodic")
-    table = _pattern_table(width, height, corner, block_width, block_height)
-    points = _block_points(corner, block_width, block_height)
-    nx, ny = table.shape[:2]
-    values = np.ones(len(masks), dtype=np.float64)
-    for (i, j), event in events.items():
+    nx, ny = width // block_width, height // block_height
+    for i, j in events:
         if not (0 <= i < nx and 0 <= j < ny):
             raise BlockConditionViolated(f"reflection index {(i, j)} out of range")
-        pats = _patterns_for(masks, table[i, j])
-        values *= _eval_local(event, points, pats)
-    return _torus_expectation(tiles, values, lam)
+    sign, log_value = _log_disseminated(
+        width, height, lam, corner, block_width, block_height, events
+    )
+    return sign * math.exp(log_value)
 
 
 def reflection_pair_patterns(
@@ -571,8 +677,7 @@ def reflection_positivity_value(
     reflection through the shared block edge. Nonnegative up to float
     rounding for every local f.
     """
-    if lam <= 0:
-        raise NonpositiveFugacity(f"fugacity must be positive, got {lam}")
+    _check_fugacity(lam)
     _check_enumerable(width, height, area_cap)
     points, p0, p1, tiles = reflection_pair_patterns(
         width, height, corner, block_width, block_height

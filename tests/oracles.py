@@ -10,6 +10,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from squarepack import exact
 from squarepack.graphs import (
     ComponentRecord,
     build_component_graph,
@@ -285,6 +286,21 @@ def reflection_positivity_by_configurations(f, points, p0, p1, tiles, lam):
     weights = np.power(float(lam), tiles.astype(np.float64))
     vals = np.array([fval(int(a)) * fval(int(b)) for a, b in zip(p0, p1)])
     return float((weights * vals).sum() / weights.sum())
+
+
+def disseminated_by_configurations(width, height, lam, corner, k, l, events):
+    """(mu^per of the product of reflected block functions, mu^per of its
+    absolute value) over every listed torus configuration: one bit gather
+    and one local function pass per reflection (i, j) in ``events``."""
+    masks, tiles = exact._ensemble(width, height, "periodic")
+    table = exact._pattern_table(width, height, corner, k, l)
+    points = exact._block_points(corner, k, l)
+    values = np.ones(len(masks), dtype=np.float64)
+    for (i, j), fn in events.items():
+        values *= eval_local_by_unique(fn, points, exact._patterns_for(masks, table[i, j]))
+    weights = np.power(float(lam), tiles.astype(np.float64))
+    z = weights.sum()
+    return float((weights * values).sum() / z), float((weights * np.abs(values)).sum() / z)
 
 
 def king_clusters_bfs(points, width=None, height=None, periodic=False):

@@ -1,9 +1,15 @@
+import math
 import random
 
 import pytest
 
 from squarepack import exact
-from squarepack.errors import BlockConditionViolated, GeometryMismatch, TooLarge
+from squarepack.errors import (
+    BlockConditionViolated,
+    GeometryMismatch,
+    NonpositiveFugacity,
+    TooLarge,
+)
 from squarepack.exact import (
     SeminormQuery,
     chessboard_seminorm,
@@ -14,7 +20,11 @@ from squarepack.exact import (
     reflection_positivity_value,
 )
 
-from oracles import eval_local_by_unique, reflection_positivity_by_configurations
+from oracles import (
+    disseminated_by_configurations,
+    eval_local_by_unique,
+    reflection_positivity_by_configurations,
+)
 
 
 def block_points(corner, k, l):
@@ -46,6 +56,25 @@ def test_block_condition_enforced():
         SeminormQuery(4, 4, (0, 0), 4, 2, lambda pat: True)
 
 
+@pytest.mark.parametrize("k,l", [(0, 1), (1, 0), (-2, 1), (2, -2), (-4, -4)])
+def test_block_sizes_below_one_rejected(k, l):
+    with pytest.raises(BlockConditionViolated, match="positive"):
+        SeminormQuery(4, 4, (0, 0), k, l, lambda pat: True)
+    with pytest.raises(BlockConditionViolated, match="positive"):
+        disseminated_expectation(4, 4, 1.0, (0, 0), k, l, {})
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+def test_fugacity_not_positive_and_finite_rejected(lam):
+    corner, k, l, event = face_vacant_event((0, 0))
+    with pytest.raises(NonpositiveFugacity):
+        chessboard_seminorm(SeminormQuery(4, 4, corner, k, l, event), lam)
+    with pytest.raises(NonpositiveFugacity):
+        disseminated_expectation(4, 4, lam, corner, k, l, {})
+    with pytest.raises(NonpositiveFugacity):
+        reflection_positivity_value(4, 4, lam, (0, 0), 2, 4, lambda p: 1.0)
+
+
 def test_face_vacant_norm_4x4_lambda1():
     corner, k, l, event = face_vacant_event((0, 0))
     q = SeminormQuery(4, 4, corner, k, l, event)
@@ -75,6 +104,82 @@ def test_face_vacant_seminorm_is_root_of_transfer_partition(dims, lam):
     zeta = chessboard_seminorm(SeminormQuery(w, h, corner, k, l, event), lam)
     z = partition_polynomial(w, h, "periodic", method="transfer").evaluate_tile(lam)
     assert zeta == pytest.approx(z ** (-1.0 / (w * h)), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e100, 1e300])
+@pytest.mark.parametrize("dims", [(4, 4), (6, 4), (4, 6), (6, 6)])
+def test_face_vacant_seminorm_at_huge_fugacity(dims, lam):
+    # lam^tiles overflows the float range here; the transfer sums in logs
+    w, h = dims
+    corner, k, l, event = face_vacant_event((0, 1))
+    zeta = chessboard_seminorm(SeminormQuery(w, h, corner, k, l, event), lam)
+    log_z = partition_polynomial(w, h, "periodic", method="transfer").log_tile(lam)
+    assert zeta == pytest.approx(math.exp(-log_z / (w * h)), rel=1e-12)
+
+
+# -- band transfer against the configuration loops ----------------------------
+
+
+def _block_shapes(w, h):
+    """Every k x l block that tiles the w x h torus with even multiplicity."""
+    return [
+        (k, l)
+        for k in range(1, w // 2 + 1)
+        if w % (2 * k) == 0
+        for l in range(1, h // 2 + 1)
+        if h % (2 * l) == 0
+    ]
+
+
+TRANSFER_LAMBDAS = (0.3, 1.0, 30.0, 1e4)
+
+
+@pytest.mark.parametrize(
+    "dims", [(4, 4), (6, 4), (4, 6), (6, 6), (8, 4), (4, 8), (12, 4), (8, 6)]
+)
+def test_disseminated_transfer_matches_configuration_loops(dims):
+    # every block shape, corners off the fundamental domain, missing cells,
+    # signed and 0/1 functions; 8x4 and 12x4 run transposed, 4x8 has a
+    # band of l = 4 = H/2, and 12x4 and 8x6 are beyond the benchmark's tori
+    w, h = dims
+    listed = w * h > 36  # 1.4-1.8M configurations: few cells per draw
+    rng = random.Random(w * 100 + h)
+    draws = 0
+    try:
+        for k, l in _block_shapes(w, h):
+            for _ in range(1 if listed else 3):
+                corner = (rng.randrange(-w, 2 * w), rng.randrange(-h, 2 * h))
+                points = block_points(corner, k, l)
+                cells = [(i, j) for i in range(w // k) for j in range(h // l)]
+                chosen = rng.sample(cells, rng.randrange(1, (2 if listed else len(cells)) + 1))
+                if rng.random() < 0.5:
+                    functions = [_random_local(points, rng) for _ in range(2)]
+                else:
+                    functions = [random_indicator(points, rng) for _ in range(2)]
+                events = {cell: rng.choice(functions) for cell in chosen}
+                lam = TRANSFER_LAMBDAS[draws % len(TRANSFER_LAMBDAS)]
+                draws += 1
+                got = disseminated_expectation(w, h, lam, corner, k, l, events, area_cap=64)
+                want, scale = disseminated_by_configurations(w, h, lam, corner, k, l, events)
+                assert abs(got - want) <= 1e-12 * scale, (k, l, corner, lam)
+    finally:
+        exact._ensemble.cache_clear()
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (6, 4), (4, 6), (8, 4), (4, 8), (6, 6)])
+def test_seminorm_transfer_matches_configuration_loops(dims):
+    w, h = dims
+    rng = random.Random(w * 10 + h)
+    for draw, (k, l) in enumerate(_block_shapes(w, h)):
+        corner = (rng.randrange(-w, 2 * w), rng.randrange(-h, 2 * h))
+        points = block_points(corner, k, l)
+        f = _random_local(points, rng) if draw % 2 else random_indicator(points, rng)
+        lam = TRANSFER_LAMBDAS[draw % len(TRANSFER_LAMBDAS)]
+        reflections = (w // k) * (h // l)
+        every_cell = {(i, j): f for i in range(w // k) for j in range(h // l)}
+        want, scale = disseminated_by_configurations(w, h, lam, corner, k, l, every_cell)
+        zeta = chessboard_seminorm(SeminormQuery(w, h, corner, k, l, f), lam)
+        assert abs(zeta**reflections - max(want, 0.0)) <= 1e-12 * scale, (k, l, corner)
 
 
 # -- seminorm properties (homogeneity, triangle, monotone) -------------------
@@ -156,9 +261,6 @@ def test_chessboard_estimate_random_indicator_families(seed):
 @pytest.mark.parametrize("dims,k,l", [((6, 6), 1, 1), ((4, 4), 2, 2)])
 def test_pattern_values_match_unique_reference(dims, k, l, seed, monkeypatch):
     w, h = dims
-    # 16 face patterns against 42,938 configurations take the counting
-    # path; 512 patterns of a 2x2 block against 133 take the sort
-    assert (1 << (k + 1) * (l + 1) <= len(exact._ensemble(w, h, "periodic")[0])) == (k == 1)
     rng = random.Random(seed)
     corner = (rng.randrange(w), rng.randrange(h))
     points = block_points(corner, k, l)
@@ -174,7 +276,18 @@ def test_pattern_values_match_unique_reference(dims, k, l, seed, monkeypatch):
             disseminated_expectation(w, h, lam, corner, k, l, events),
         )
 
+    counting = []
+    eval_local = exact._eval_local
+
+    def spy(fn, points, pattern_ids):
+        counting.append(1 << len(points) <= len(pattern_ids))
+        return eval_local(fn, points, pattern_ids)
+
+    monkeypatch.setattr(exact, "_eval_local", spy)
     got = values()
+    # 16 face patterns against the 6x6 band pairs of all cells take the
+    # counting path; 512 patterns of a 2x2 block on 4x4 take the sort
+    assert set(counting) == {k == 1}
     monkeypatch.setattr(exact, "_eval_local", eval_local_by_unique)
     assert got == values()
 
@@ -201,6 +314,12 @@ def test_ensemble_cap_admits_8x6_torus():
 def test_reflection_positivity_constant_function():
     val = reflection_positivity_value(4, 4, 2.0, (0, 0), 2, 4, lambda p: 1.0)
     assert val == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e300])
+def test_reflection_positivity_constant_function_at_extreme_fugacity(lam):
+    # each weight is taken relative to the largest, so none overflows
+    assert reflection_positivity_value(4, 4, lam, (0, 0), 2, 4, lambda p: 1.0) == 1.0
 
 
 def test_reflection_positivity_occupancy_indicator():

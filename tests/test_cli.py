@@ -92,6 +92,28 @@ def test_chessboard_bound(capsys):
     assert payload["zeta"] <= 16 ** -0.25 + 1e-12
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("lam", ["1e100", "1e300"])
+def test_chessboard_huge_fugacity_prints_strict_json(lam, capsys):
+    # lam^tiles overflows here; zeta comes from logs and stays finite
+    code, out, _ = run_cli(["chessboard", "--width", "4", "--height", "4", "--lambda", lam], capsys)
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert 0 < payload["zeta"] <= float(lam) ** -0.25
+    assert payload["bound_holds"] is True
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "0"])
+def test_chessboard_rejects_fugacity_not_positive_and_finite(lam, capsys):
+    code, out, err = run_cli(["chessboard", "--width", "4", "--height", "4", "--lambda", lam], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "NonpositiveFugacity"
+
+
 def test_chessboard_beyond_64_sites_rejected_before_enumeration():
     # 72 sites pass the raised area cap but not the 64-bit masks; the
     # error must come before the enumeration, which takes minutes here
