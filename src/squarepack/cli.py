@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
 
 from . import exact, graphs, lattice, render, sticks
 from .coupling import radius_tail_experiment
-from .errors import IoError, SpecError, SquarepackError
+from .errors import IoError, SpecError, SquarepackError, check_fugacity
 from .sampler import OBSERVABLES, ChainParams, run_chain
 
 
@@ -28,8 +29,20 @@ def _threads_default() -> int:
         return 1
 
 
+def _finite(value):
+    """The payload with each non-finite float, an undefined statistic
+    such as the stderr of a single batch, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, default=str)
+    text = json.dumps(_finite(payload), indent=2, default=str, allow_nan=False)
     if out:
         try:
             with open(out, "w") as fh:
@@ -171,6 +184,8 @@ def _cmd_exact1d(args) -> int:
 
 
 def _cmd_exact2d(args) -> int:
+    for lam in args.lambdas:
+        check_fugacity(lam)
     poly = exact.partition_polynomial(
         args.width,
         args.height,

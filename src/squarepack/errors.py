@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import math
+
 
 class SquarepackError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -31,7 +33,13 @@ class ParseError(SquarepackError):
 
 
 class NonpositiveFugacity(SquarepackError):
-    """Fugacity must be strictly positive."""
+    """Fugacity must be strictly positive and finite."""
+
+
+def check_fugacity(lam: float) -> None:
+    """NonpositiveFugacity unless 0 < lam < inf; nan fails too."""
+    if not 0 < lam < math.inf:
+        raise NonpositiveFugacity(f"fugacity must be positive and finite, got {lam}")
 
 
 class OddLength(SquarepackError):

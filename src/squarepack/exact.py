@@ -35,9 +35,9 @@ import numpy as np
 from .errors import (
     BlockConditionViolated,
     GeometryMismatch,
-    NonpositiveFugacity,
     OddLength,
     TooLarge,
+    check_fugacity,
 )
 from .lattice import (
     Point,
@@ -64,8 +64,7 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 def one_dim_transfer(lam: float) -> Tuple[float, float]:
     """Eigenvalues (gamma_plus, gamma_minus) of [[lam^-1/2, 1], [1, 0]]."""
-    if lam <= 0:
-        raise NonpositiveFugacity(f"fugacity must be positive, got {lam}")
+    check_fugacity(lam)
     t = lam ** -0.5
     root = math.sqrt(1.0 / lam + 4.0)
     return (t + root) / 2.0, (t - root) / 2.0
@@ -91,8 +90,7 @@ def z1d_free(length: int, lam: float) -> float:
     """
     if length % 2 or length < 0:
         raise OddLength(f"free 1D length must be even and >= 0, got {length}")
-    if lam <= 0:
-        raise NonpositiveFugacity(f"fugacity must be positive, got {lam}")
+    check_fugacity(lam)
     return sum(
         math.comb(length - n, n) * lam ** (n - length / 2.0)
         for n in range(length // 2 + 1)
@@ -160,14 +158,14 @@ class PartitionPolynomial:
 
     def evaluate_tile(self, lam: float) -> Optional[float]:
         """Sum a_n lam^n (tile-count weight convention); None beyond the float range."""
+        check_fugacity(lam)
         return _float_value(
             (a * lam**n for n, a in enumerate(self.coefficients)), lambda: self.log_tile(lam)
         )
 
     def evaluate_vacancy(self, lam: float) -> Optional[float]:
         """Sum a_n lam^(n - Area/4) (vacancy weight convention); None beyond the float range."""
-        if lam <= 0:
-            raise NonpositiveFugacity(f"fugacity must be positive, got {lam}")
+        check_fugacity(lam)
         return _float_value(
             (a * lam ** (n - self.area / 4.0) for n, a in enumerate(self.coefficients)),
             lambda: self.log_vacancy(lam),
@@ -176,8 +174,7 @@ class PartitionPolynomial:
     def log_tile(self, lam: float) -> float:
         """log of sum a_n lam^n, summed relative to the largest term so
         that it is finite for every positive lam."""
-        if lam <= 0:
-            raise NonpositiveFugacity(f"fugacity must be positive, got {lam}")
+        check_fugacity(lam)
         logs = [
             math.log(a) + n * math.log(lam) for n, a in enumerate(self.coefficients) if a
         ]
@@ -377,8 +374,7 @@ def event_weight(
     """
     from .lattice import mask_to_configuration
 
-    if lam <= 0:
-        raise NonpositiveFugacity(f"fugacity must be positive, got {lam}")
+    check_fugacity(lam)
     _check_enumerable(width, height, area_cap)
     area = width * height
     total = 0.0
@@ -490,11 +486,6 @@ def _torus_expectation(tiles: np.ndarray, values: np.ndarray, lam: float) -> flo
     return float((weights * values).sum() / weights.sum())
 
 
-def _check_fugacity(lam: float) -> None:
-    if not 0 < lam < math.inf:
-        raise NonpositiveFugacity(f"fugacity must be positive and finite, got {lam}")
-
-
 def _band_pairs(positions: int, rows: int) -> Tuple[np.ndarray, np.ndarray]:
     """Every run of rows + 1 cyclic row states, each next to the one
     before, as state indices (runs, rows + 1), and the tiles of the
@@ -589,7 +580,7 @@ def chessboard_seminorm(
     The expectation of the disseminated product is nonnegative by
     reflection positivity; tiny negative float residue is clamped to 0.
     """
-    _check_fugacity(lam)
+    check_fugacity(lam)
     _check_enumerable(query.width, query.height, area_cap)
     nx, ny = query.width // query.block_width, query.height // query.block_height
     sign, log_value = _log_disseminated(
@@ -621,7 +612,7 @@ def disseminated_expectation(
     0 <= j < H/l, to block-local events; missing cells contribute no
     constraint. This is the left-hand side of the chessboard estimate.
     """
-    _check_fugacity(lam)
+    check_fugacity(lam)
     _check_enumerable(width, height, area_cap)
     SeminormQuery(width, height, corner, block_width, block_height, lambda _: True)
     nx, ny = width // block_width, height // block_height
@@ -677,7 +668,7 @@ def reflection_positivity_value(
     reflection through the shared block edge. Nonnegative up to float
     rounding for every local f.
     """
-    _check_fugacity(lam)
+    check_fugacity(lam)
     _check_enumerable(width, height, area_cap)
     points, p0, p1, tiles = reflection_pair_patterns(
         width, height, corner, block_width, block_height

@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
-from .errors import NonpositiveFugacity, SpecError, TooLarge
+from .errors import SpecError, TooLarge, check_fugacity
 from .lattice import (
     FACE_MARGIN,
     Configuration,
@@ -557,8 +557,7 @@ def check_bound_grid(m_values: Sequence[int], lambda_grid: Sequence[float]) -> N
         if m < 1:
             raise SpecError(f"stick cap M must be at least 1, got {m}")
     for lam in lambda_grid:
-        if not 0 < lam < math.inf:
-            raise NonpositiveFugacity(f"fugacity must be positive and finite, got {lam}")
+        check_fugacity(lam)
 
 
 def verify_counting_bounds(

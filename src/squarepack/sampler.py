@@ -17,28 +17,43 @@ to a constant on tori). One sweep is
 
 Both move families leave the target measure invariant; every
 intermediate configuration is valid. Chains are deterministic functions
-of their parameters: the RNG draw schedule is fixed per sweep. Two
-engines hold the occupancy as one int, one bit per site, consume
-identical streams and produce identical chains: the scalar engine
-updates site by site from per-site tables and runs grids of at most
-SCALAR_ENGINE_MAX_SITES (36) sites, where it is the faster; the
-bitboard engine updates a whole sublattice with a few shift and mask
-operations and runs every larger grid.
+of their parameters. Each sweep draws, from one PCG64 stream seeded
+with the chain's seed, n_sites uniforms (site i is offered a tile when
+uniform i < lambda / (1 + lambda)) and then n_trans proposals in
+[0, 4 n_sites) (site q // 4, direction q % 4): exactly what
+``Generator.random(n_sites)`` and ``Generator.integers(0, 4 * n_sites,
+size=n_trans)`` of numpy's Generator over that stream return, in that
+order. ``SweepDraws`` decodes those values for a block of sweeps from
+one ``random_raw`` call, by the rules numpy uses (53-bit doubles,
+Lemire's bounded integers on buffered 32-bit halves). Chains therefore
+equal those of the installed numpy's Generator; a numpy release that
+changed that stream would fail the oracle test in tests/test_sampler.py
+rather than drift silently. Two engines hold the occupancy as one int,
+one bit per site, take the same draws and produce identical chains: the
+scalar engine updates site by site from per-site tables and runs grids
+of at most SCALAR_ENGINE_MAX_SITES (36) sites, where it is the faster;
+the bitboard engine updates a whole sublattice with a few shift and
+mask operations and runs every larger grid.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, check_fugacity
 from .lattice import Configuration, _unchecked, create_configuration
 from .observables import ObservableReport, summarize_series
 from .sticks import classify_phase, stick_census
 
 SCALAR_ENGINE_MAX_SITES = 36
+# 64-bit words of one random_raw block: about 220 sweeps of a 4x4 torus
+BLOCK_WORDS = 4096
+_LOW32 = np.uint64(0xFFFFFFFF)
 PHASE_SEEDS = ("ver0", "ver1", "hor0", "hor1")
 # translation directions, indexed by proposal % 4
 DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -96,8 +111,7 @@ class ChainParams:
     initial: Union[str, Configuration, None] = None  # "empty", a phase seed, or explicit
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"fugacity must be positive, got {self.lam}")
+        check_fugacity(self.lam)
         if self.sweeps < 0 or self.burn_in < 0:
             raise ValueError("sweeps and burn_in must be nonnegative")
         if not 0 <= self.translation_move_fraction <= 1:
@@ -167,11 +181,10 @@ class _Geometry:
             return tx, ty
         return None
 
-    def to_centers(self, flat_indices: Iterable[int]) -> frozenset:
+    def to_centers(self, flat_indices: np.ndarray) -> frozenset:
         ox, oy = self.origin
-        return frozenset(
-            (i % self.nx + ox, i // self.nx + oy) for i in flat_indices
-        )
+        y, x = np.divmod(flat_indices, self.nx)
+        return frozenset(zip((x + ox).tolist(), (y + oy).tolist()))
 
     def from_configuration(self, cfg: Configuration) -> List[int]:
         ox, oy = self.origin
@@ -190,18 +203,138 @@ def _mask(indices: Sequence[int], n_sites: int) -> int:
     """Occupancy mask with the bits of the given site indices set."""
     bits = np.zeros(n_sites, dtype=bool)
     bits[indices] = True
-    return _pack(bits)
+    return _pack_rows(bits[None])[0]
 
 
-def _pack(bits: np.ndarray) -> int:
-    """Occupancy mask of a boolean site array, bit i from element i."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+def _pack_rows(bits: np.ndarray) -> List[int]:
+    """Occupancy masks of the rows of a boolean array, bit i from column i."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
 def _unpack(mask: int, n_sites: int) -> np.ndarray:
     """One uint8 per site, 1 where the occupancy mask has the bit set."""
     raw = np.frombuffer(mask.to_bytes((n_sites + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=n_sites, bitorder="little")
+
+
+class SweepDraws:
+    """The random draws of successive sweeps, decoded a block at a time.
+
+    Iterating yields, per sweep, the acceptance mask (bit i set when
+    uniform i is below ``p_accept``) and the list of ``n_integers``
+    values in [0, bound), equal to ``Generator.random(n_uniform) <
+    p_accept`` and ``Generator.integers(0, bound, size=n_integers)`` of a
+    Generator over ``PCG64(seed)``, called in that order once per sweep.
+
+    A refill takes one ``random_raw`` block of as many whole sweeps as fit
+    BLOCK_WORDS 64-bit words, at least one. A numpy double is
+    (raw >> 11) * 2^-53, so it is below p exactly when raw >> 11 is below
+    ceil(p * 2^53). A bounded integer reads a 32-bit word: the low half
+    of a fresh raw, whose high half is kept for the next word (doubles
+    never touch that buffer, so it carries across sweeps), and maps word
+    w to w * bound >> 32, rejecting w, and reading another, when
+    w * bound mod 2^32 is below (2^32 - bound) mod bound (Lemire, ACM
+    TOMACS 29(1), 2019). A block is laid out as if nothing were rejected;
+    from the first sweep with a rejection on, the block is decoded word
+    by word, reading further raws as needed.
+    """
+
+    def __init__(self, seed: int, n_uniform: int, n_integers: int, bound: int, p_accept: float):
+        if not 2 <= bound < 1 << 32:
+            raise ValueError(f"integer bound must lie in [2, 2^32), got {bound}")
+        self.bitgen = np.random.PCG64(seed)
+        self.n_uniform, self.n_integers, self.bound = n_uniform, n_integers, bound
+        # raw >> 11 < ceil(p * 2^53) as one comparison of the raw; at
+        # p = 1 the bound is 2^64 - 1, which every raw meets
+        self.accept_max = np.uint64((math.ceil(p_accept * 2.0**53) << 11) - 1)
+        self.reject_below = ((1 << 32) - bound) % bound
+        self.sweeps_per_block = max(1, BLOCK_WORDS // (n_uniform + (n_integers + 1) // 2))
+        self.half: Optional[int] = None  # buffered high half of the last raw
+        self._layouts: Dict[bool, tuple] = {}
+
+    def __iter__(self) -> Iterator[Tuple[int, List[int]]]:
+        while True:
+            yield from self._block()
+
+    def _layout(self, carry: bool) -> tuple:
+        """Raw positions of a block's draws when no word is rejected:
+        the block's length, whether a half word is left over, the raw of
+        each uniform (sweeps, n_uniform), the raw and shift of each word
+        (sweeps, n_integers), and each sweep's first raw and carry-in."""
+        n, k = self.n_uniform, self.n_integers
+        starts, carries = [], []
+        pos, c = 0, int(carry)
+        for _ in range(self.sweeps_per_block):
+            starts.append(pos)
+            carries.append(c)
+            pos += n
+            if k:
+                fresh = k - c
+                pos += (fresh + 1) // 2
+                c = fresh % 2
+        first = np.array(starts)[:, None]
+        # word t of a sweep's fresh raws: raw t // 2, half t % 2; t = -1
+        # is the carried high half of the raw before the sweep, which for
+        # the block's first sweep is self.half, set in _block
+        t = np.arange(k) - np.array(carries)[:, None]
+        word_raw = np.where(t >= 0, first + n + t // 2, np.maximum(first - 1, 0))
+        word_shift = np.where(t >= 0, 32 * (t % 2), 32).astype(np.uint64)
+        return pos, bool(c), first + np.arange(n), word_raw, word_shift, starts, carries
+
+    def _block(self) -> List[Tuple[int, List[int]]]:
+        carry = self.half is not None
+        if carry not in self._layouts:
+            self._layouts[carry] = self._layout(carry)
+        total, carry_out, uniform, word_raw, word_shift, starts, carries = self._layouts[carry]
+        raw = self.bitgen.random_raw(total)
+        if self.n_integers and len(starts) > 1:
+            uniforms = raw[uniform]
+        else:  # one sweep, or no integers: the uniforms are a prefix of the block
+            uniforms = raw[: len(starts) * self.n_uniform].reshape(len(starts), -1)
+        masks = _pack_rows(uniforms <= self.accept_max)
+        if not self.n_integers:
+            return [(mask, []) for mask in masks]
+        words = raw[word_raw] >> word_shift & _LOW32
+        if carry:
+            words[0, 0] = self.half
+        scaled = words * np.uint64(self.bound)
+        if self.reject_below:
+            rejected = (scaled & _LOW32 < self.reject_below).any(axis=1)
+            if rejected.any():
+                s = int(rejected.argmax())
+                if s:
+                    self.half = int(raw[starts[s] - 1] >> 32) if carries[s] else None
+                head = list(zip(masks[:s], (scaled[:s] >> 32).tolist()))
+                return head + self._decode_words(raw[starts[s]:].tolist(), len(masks) - s)
+        self.half = int(raw[-1] >> 32) if carry_out else None
+        return list(zip(masks, (scaled >> 32).tolist()))
+
+    def _decode_words(self, raws: List[int], sweeps: int) -> List[Tuple[int, List[int]]]:
+        """Decode sweeps one word at a time, from the given raws and then
+        from fresh ones."""
+        stream = itertools.chain(raws, iter(self.bitgen.random_raw, None))
+        accept_max, bound, reject_below = int(self.accept_max), self.bound, self.reject_below
+        out = []
+        for _ in range(sweeps):
+            mask = 0
+            for i in range(self.n_uniform):
+                if next(stream) <= accept_max:
+                    mask |= 1 << i
+            values = []
+            while len(values) < self.n_integers:
+                if self.half is None:
+                    raw = next(stream)
+                    word, self.half = raw & 0xFFFFFFFF, raw >> 32
+                else:
+                    word, self.half = self.half, None
+                scaled = word * bound
+                if scaled & 0xFFFFFFFF >= reject_below:
+                    values.append(scaled >> 32)
+            out.append((mask, values))
+        return out
 
 
 class _ScalarEngine:
@@ -242,26 +375,27 @@ class _ScalarEngine:
             )
         self.occ = _mask(initial, geom.n_sites)
 
-    def heat_bath(self, uniforms: np.ndarray, p_occ: float) -> None:
+    def heat_bath(self, accept: int) -> None:
+        """Resample every site; an unblocked site i takes a tile when bit
+        i of ``accept`` is set."""
         occ = self.occ
-        u = uniforms.tolist()
         for idx_arr in self.geom.class_indices:
             masks = self.nbr_masks
             for i in idx_arr.tolist():
                 bit = 1 << i
                 if occ & masks[i]:
                     occ &= ~bit
-                elif u[i] < p_occ:
+                elif accept & bit:
                     occ |= bit
                 else:
                     occ &= ~bit
         self.occ = occ
 
-    def translations(self, proposals: np.ndarray) -> None:
+    def translations(self, proposals: List[int]) -> None:
         occ = self.occ
         targets = self.move_target
         blocks = self.block_masks
-        for q in proposals.tolist():
+        for q in proposals:
             i, d = divmod(q, 4)
             bit = 1 << i
             if not occ & bit:
@@ -314,8 +448,7 @@ class _BitboardEngine:
             for cx in (0, 1, nx - 1)
         ]
 
-    def heat_bath(self, uniforms: np.ndarray, p_occ: float) -> None:
-        u = _pack(uniforms < p_occ)
+    def heat_bath(self, accept: int) -> None:
         nx, n = self.geom.nx, self.geom.n_sites
         (east, east_wrap), (west, west_wrap) = self.east, self.west
         wrap = self.geom.periodic
@@ -331,7 +464,7 @@ class _BitboardEngine:
             d = h | h << nx | h >> nx
             if wrap:
                 d |= h >> (n - nx) | h << (n - nx)
-            free = members & u
+            free = members & accept
             occ = a | free ^ (free & d)
         self.occ = occ
 
@@ -353,14 +486,14 @@ class _BitboardEngine:
             return base << shift | base >> (self.geom.n_sites - shift)
         return base << shift if shift >= 0 else base >> -shift
 
-    def translations(self, proposals: np.ndarray) -> None:
+    def translations(self, proposals: List[int]) -> None:
         occ = self.occ
         nx = self.geom.nx
         target = self.geom.target
         # a bit test on the mask costs O(n_sites); most proposals stop
         # at an empty source, so test those on a byte per site
         occupied = bytearray(_unpack(occ, self.geom.n_sites))
-        for q in proposals.tolist():
+        for q in proposals:
             i, d = divmod(q, 4)
             if not occupied[i]:
                 continue
@@ -381,7 +514,7 @@ ENGINES = {"scalar": _ScalarEngine, "bitboard": _BitboardEngine}
 
 
 class Chain:
-    """Mutable chain state: current configuration, step counter, RNG."""
+    """Mutable chain state: current configuration, step counter, draws."""
 
     def __init__(self, params: ChainParams, engine: Optional[str] = None):
         self.params = params
@@ -395,21 +528,20 @@ class Chain:
         initial = self.geom.from_configuration(params.initial_configuration())
         self.engine_name = engine
         self.engine = ENGINES[engine](self.geom, initial)
-        self.rng = np.random.default_rng(np.random.PCG64(params.seed))
         self.step = 0
         self.p_occ = params.lam / (1.0 + params.lam)
         self.n_trans = int(round(params.translation_move_fraction * self.geom.n_sites))
+        n = self.geom.n_sites
+        self._draws = iter(SweepDraws(params.seed, n, self.n_trans, 4 * n, self.p_occ))
 
     def sweep(self, count: int = 1) -> "Chain":
-        for _ in range(count):
-            uniforms = self.rng.random(self.geom.n_sites)
-            self.engine.heat_bath(uniforms, self.p_occ)
-            if self.n_trans:
-                proposals = self.rng.integers(
-                    0, self.geom.n_sites * 4, size=self.n_trans
-                )
-                self.engine.translations(proposals)
-            self.step += 1
+        count = max(count, 0)
+        heat_bath, translations = self.engine.heat_bath, self.engine.translations
+        for accept, proposals in itertools.islice(self._draws, count):
+            heat_bath(accept)
+            if proposals:
+                translations(proposals)
+        self.step += count
         return self
 
     def configuration(self) -> Configuration:

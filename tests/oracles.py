@@ -572,3 +572,18 @@ def divided_directions_by_sticks(config, rect, sticks):
         any(s.orientation == o and stick_divides(s, rect, config) for s in sticks)
         for o in ("vertical", "horizontal")
     )
+
+
+def sweep_by_generator(chain, rng, count=1):
+    """Advance a chain by sweeps drawn from a numpy Generator the way the
+    sampler drew them before its draws were decoded in blocks:
+    ``rng.random(n_sites)`` for the heat bath, then
+    ``rng.integers(0, 4 * n_sites, size=n_trans)`` for the translations."""
+    n = chain.geom.n_sites
+    for _ in range(count):
+        accept = rng.random(n) < chain.p_occ
+        chain.engine.heat_bath(int.from_bytes(np.packbits(accept, bitorder="little").tobytes(), "little"))
+        if chain.n_trans:
+            chain.engine.translations(rng.integers(0, 4 * n, size=chain.n_trans).tolist())
+        chain.step += 1
+    return chain

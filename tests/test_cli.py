@@ -474,3 +474,35 @@ def test_closed_stdout_exits_without_traceback():
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
     assert json.loads(err)["error"]["type"] == "BrokenPipeError"
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["exact1d", "--L", "4"],
+        ["exact1d", "--L", "4", "--free"],
+        ["exact2d", "--width", "4", "--height", "4"],
+        ["sample", "--width", "4", "--height", "4", "--sweeps", "2"],
+        ["coupling", "--width", "8", "--height", "8", "--sweeps", "4"],
+    ],
+)
+def test_fugacity_not_finite_rejected(command, lam, capsys):
+    code, out, err = run_cli([*command, "--lambda", lam], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "NonpositiveFugacity"
+
+
+def test_sample_zero_fugacity_rejected(capsys):
+    code, _, err = run_cli(["sample", "--width", "4", "--height", "4", "--lambda", "0"], capsys)
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "NonpositiveFugacity"
+
+
+def test_single_measurement_prints_strict_json(capsys):
+    # one batch has no stderr; it is written as null, not NaN
+    code, out, _ = run_cli(["sample", "--width", "4", "--height", "4", "--sweeps", "1"], capsys)
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["estimators"]["tile_density"]["stderr"] is None

@@ -1,18 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from squarepack.errors import DimensionError
+from squarepack import sampler
+from squarepack.errors import DimensionError, NonpositiveFugacity
 from squarepack.lattice import BOUNDARIES, create_configuration
 from squarepack.sampler import (
     Chain,
     ChainParams,
+    SweepDraws,
     mcmc_sweep,
     run_chain,
     seed_phase_configuration,
 )
 
-from oracles import pairwise_valid, translation_by_cells
+from oracles import pairwise_valid, sweep_by_generator, translation_by_cells
 from strategies import random_valid_config
 
 
@@ -55,7 +59,8 @@ def test_seed_offsets_and_errors():
 
 def test_heat_bath_inserts_when_uniform_low():
     chain = Chain(params(lam=1.0, initial="empty"))
-    chain.engine.heat_bath(np.zeros(16), chain.p_occ)
+    # every uniform below the occupation probability
+    chain.engine.heat_bath((1 << 16) - 1)
     # the first sublattice fills, blocking the rest of its neighbors;
     # feasibility is evaluated class by class
     cfg = chain.configuration()
@@ -66,16 +71,115 @@ def test_heat_bath_inserts_when_uniform_low():
 def test_heat_bath_removes_when_uniform_high():
     packed = create_configuration(4, 4, "periodic", [(1, 1), (1, 3), (3, 1), (3, 3)])
     chain = Chain(params(initial=packed))
-    chain.engine.heat_bath(np.ones(16), chain.p_occ)
+    # no uniform below the occupation probability
+    chain.engine.heat_bath(0)
     assert chain.configuration().tile_count == 0
 
 
 def test_translation_moves_preserve_tile_count():
     chain = Chain(params(lam=8.0, initial="ver0", width=8, height=8, seed=3))
     n0 = chain.configuration().tile_count
-    proposals = np.arange(0, 64 * 4, 7) % (64 * 4)
+    proposals = (np.arange(0, 64 * 4, 7) % (64 * 4)).tolist()
     chain.engine.translations(proposals)
     assert chain.configuration().tile_count == n0
+
+
+# -- the draw decoder against numpy's Generator ------------------------------------
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.1, 0.25])
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+# 6x6 torus: n_trans = 9 is odd, so a half word carries between sweeps;
+# 32x256: one sweep per block
+@pytest.mark.parametrize("width,height", [(4, 4), (4, 6), (6, 6), (10, 14), (32, 256)])
+def test_sweeps_match_generator_oracle(width, height, boundary, fraction):
+    p = params(width=width, height=height, boundary=boundary, translation_move_fraction=fraction, seed=31)
+    chain, oracle = Chain(p), Chain(p)
+    rng = np.random.default_rng(31)
+    # at least two blocks on every grid
+    sweeps = max(4, 2 * sampler.BLOCK_WORDS // chain.geom.n_sites + 2)
+    for _ in range(sweeps):
+        chain.sweep()
+        sweep_by_generator(oracle, rng)
+        assert chain.state_key() == oracle.state_key()
+    assert chain.step == oracle.step == sweeps
+
+
+@pytest.mark.parametrize("width,height,boundary", [(4, 4, "periodic"), (6, 6, "periodic"), (4, 6, "free")])
+def test_sweep_counts_split_across_blocks(width, height, boundary):
+    p = params(width=width, height=height, boundary=boundary, seed=5)
+    whole, split, oracle = Chain(p), Chain(p), Chain(p)
+    whole.sweep(700)
+    # 4x4: 227 sweeps per block, so both calls end inside a block
+    split.sweep(150)
+    split.sweep(550)
+    sweep_by_generator(oracle, np.random.default_rng(5), 700)
+    assert whole.state_key() == split.state_key() == oracle.state_key()
+    assert whole.step == split.step == 700
+
+
+def _generator_sweeps(seed, n_uniform, n_integers, bound, p_accept, sweeps):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(sweeps):
+        bits = rng.random(n_uniform) < p_accept
+        mask = sum(1 << i for i in np.flatnonzero(bits).tolist())
+        out.append((mask, rng.integers(0, bound, size=n_integers).tolist() if n_integers else []))
+    return out
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        3 * 2**30,  # a quarter of the words are rejected
+        2**31 + 1,  # almost half
+        1000,
+        60,
+        2**2,  # powers of two reject nothing
+        2**20,
+        2**31,
+    ],
+)
+@pytest.mark.parametrize("n_uniform,n_integers", [(5, 3), (9, 4), (16, 0), (3, 1), (1, 8)])
+@pytest.mark.parametrize("block_words", [1, 7, 64, 4096])
+def test_sweep_draws_match_generator(bound, n_uniform, n_integers, block_words, monkeypatch):
+    monkeypatch.setattr(sampler, "BLOCK_WORDS", block_words)
+    for seed, p_accept in ((0, 0.5), (17, 2.0 / 3.0), (2024, 1.0)):
+        draws = SweepDraws(seed, n_uniform, n_integers, bound, p_accept)
+        got = list(itertools.islice(draws, 60))
+        assert got == _generator_sweeps(seed, n_uniform, n_integers, bound, p_accept, 60)
+
+
+def test_sweep_draws_reject_as_numpy_does(monkeypatch):
+    # at 3 * 2^30, a word is rejected when w * R mod 2^32 < 2^30; blocks
+    # of five sweeps run both paths, vectorised and word by word
+    monkeypatch.setattr(sampler, "BLOCK_WORDS", 40)
+    draws = SweepDraws(3, 4, 5, 3 * 2**30, 0.5)
+    assert draws.reject_below == 2**30
+    assert list(itertools.islice(draws, 200)) == _generator_sweeps(3, 4, 5, 3 * 2**30, 0.5, 200)
+    assert SweepDraws(3, 4, 5, 2**12, 0.5).reject_below == 0
+
+
+def test_sweep_draws_reject_bad_bounds():
+    for bound in (0, 1, 2**32):
+        with pytest.raises(ValueError, match="integer bound"):
+            SweepDraws(0, 4, 1, bound, 0.5)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+def test_fugacity_not_positive_and_finite_rejected(lam):
+    with pytest.raises(NonpositiveFugacity):
+        params(lam=lam)
+
+
+def test_configuration_matches_state_key():
+    for boundary in BOUNDARIES:
+        chain = Chain(params(width=10, height=14, boundary=boundary, seed=4)).sweep(30)
+        geom = chain.geom
+        key = chain.state_key()
+        ox, oy = geom.origin
+        expected = {(i % geom.nx + ox, i // geom.nx + oy) for i in range(geom.n_sites) if key >> i & 1}
+        assert chain.configuration().occupied == frozenset(expected)
 
 
 # -- chain behavior ----------------------------------------------------------------
@@ -144,7 +248,7 @@ def test_translation_matches_cell_reference(engine, cfg):
     start = chain.state_key()
     for q in range(4 * geom.n_sites):
         chain.engine.occ = start
-        chain.engine.translations(np.array([q]))
+        chain.engine.translations([q])
         moved = translation_by_cells(sites, geom.nx, geom.ny, geom.periodic, *divmod(q, 4))
         assert chain.state_key() == sum(1 << i for i in moved)
 
