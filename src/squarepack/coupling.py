@@ -29,12 +29,14 @@ from .sticks import classify_phase
 
 
 def disagreement_set(a: Configuration, b: Configuration) -> FrozenSet[Point]:
-    """Sites where the two configurations differ (symmetric difference)."""
+    """Sites where the two configurations differ (symmetric difference),
+    read off the XOR of their occupancy grids."""
     if (a.width, a.height, a.boundary) != (b.width, b.height, b.boundary):
         raise ShapeMismatch(
             f"{a.width}x{a.height}/{a.boundary} vs {b.width}x{b.height}/{b.boundary}"
         )
-    return a.occupied ^ b.occupied
+    ys, xs = np.nonzero(a.occupancy_grid() ^ b.occupancy_grid())
+    return frozenset(zip(xs.tolist(), ys.tolist()))
 
 
 def king_clusters(

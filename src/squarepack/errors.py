@@ -74,5 +74,10 @@ class SpecError(SquarepackError):
     """An experiment spec file is malformed or references missing inputs."""
 
 
+class ParameterError(SquarepackError, ValueError):
+    """A chain parameter or phase name is out of range; also a ValueError,
+    which these errors were before."""
+
+
 class IoError(SquarepackError):
     """Failed to read or write an artifact file."""

@@ -33,7 +33,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from .errors import SpecError, TooLarge, check_fugacity
+from .exact import _transfer_coefficients
 from .lattice import (
+    _row_layout,
     FACE_MARGIN,
     Configuration,
     Point,
@@ -48,6 +50,8 @@ from .lattice import (
 Edge = Tuple[Point, Point, str]  # (start, end, "stick" | "vacancy")
 
 DEFAULT_WINDOW_CAP = 64  # window area; 8x8 interior
+# configurations of a window: 8x6 has 159,651, 10x6 4,005,785, 8x8 12,727,570
+WINDOW_CONFIGURATION_CAP = 1 << 18
 
 
 def edge_orientation(edge: Edge) -> str:
@@ -537,6 +541,15 @@ def enumerate_components(
     """
     if width * height > window_cap:
         raise TooLarge(f"window area {width * height} exceeds cap {window_cap}")
+    # count before listing: the row transfer along the narrow side (the
+    # transposed window has as many configurations)
+    _row_layout(width, height, "fully_packed")
+    count = sum(_transfer_coefficients(min(width, height), max(width, height), "fully_packed"))
+    if count > WINDOW_CONFIGURATION_CAP:
+        raise TooLarge(
+            f"{width}x{height} fully-packed window has {count} configurations, "
+            f"more than the {WINDOW_CONFIGURATION_CAP} that the harvest lists"
+        )
     if threads <= 1:
         return _harvest(width, height, max_stick)
     harvest = partial(_harvest, width, height, max_stick)

@@ -93,7 +93,12 @@ def _exterior_conflict(center: Point, width: int, height: int) -> bool:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Immutable, validated hard-square configuration."""
+    """Immutable, validated hard-square configuration.
+
+    A configuration built by ``_from_grid`` holds its occupancy grid and
+    fills ``occupied`` only when it is first read; comparison, hashing,
+    repr and copying read it like any other field.
+    """
 
     width: int
     height: int
@@ -139,6 +144,23 @@ class Configuration:
                 if nb in occ:
                     raise OverlapError(f"tiles at {(x, y)} and {nb} overlap")
 
+    def __getattr__(self, name):
+        # called only for attributes not found: the center set of a
+        # grid-backed configuration before its first read
+        grid = self.__dict__.get("_grid") if name == "occupied" else None
+        if grid is None:
+            raise AttributeError(name)
+        ys, xs = np.nonzero(grid)
+        occupied = frozenset(zip(xs.tolist(), ys.tolist()))
+        object.__setattr__(self, "occupied", occupied)
+        return occupied
+
+    def __setstate__(self, state) -> None:
+        # pickle and deepcopy hand over a writable copy of the grid
+        self.__dict__.update(state)
+        if "_grid" in state:
+            state["_grid"].flags.writeable = False
+
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -148,7 +170,8 @@ class Configuration:
 
     @property
     def tile_count(self) -> int:
-        return len(self.occupied)
+        grid = self.__dict__.get("_grid")
+        return len(self.occupied) if grid is None else int(np.count_nonzero(grid))
 
     def is_occupied(self, center: Point) -> bool:
         if self.boundary == "periodic":
@@ -194,13 +217,19 @@ class Configuration:
         """Boolean grid indexed [y, x] over the center lattice.
 
         Shape is (height, width) for periodic and
-        (height + 1, width + 1) for the rectangle modes.
+        (height + 1, width + 1) for the rectangle modes. A fresh copy of
+        the grid the configuration keeps from its first call (or holds
+        from the start, when grid-backed).
         """
-        extra = 0 if self.boundary == "periodic" else 1
-        grid = np.zeros((self.height + extra, self.width + extra), dtype=bool)
-        xy = np.fromiter(chain.from_iterable(self.occupied), dtype=np.int64)
-        grid[xy[1::2], xy[::2]] = True
-        return grid
+        grid = self.__dict__.get("_grid")
+        if grid is None:
+            extra = 0 if self.boundary == "periodic" else 1
+            grid = np.zeros((self.height + extra, self.width + extra), dtype=bool)
+            xy = np.fromiter(chain.from_iterable(self.occupied), dtype=np.int64)
+            grid[xy[1::2], xy[::2]] = True
+            grid.flags.writeable = False
+            object.__setattr__(self, "_grid", grid)
+        return grid.copy()
 
     def translate(self, dx: int, dy: int) -> "Configuration":
         """Translate all centers; periodic only (rectangles lose validity)."""
@@ -238,6 +267,22 @@ def _unchecked(width: int, height: int, boundary: str, occupied) -> Configuratio
     object.__setattr__(cfg, "height", height)
     object.__setattr__(cfg, "boundary", boundary)
     object.__setattr__(cfg, "occupied", frozenset(occupied))
+    return cfg
+
+
+def _from_grid(width: int, height: int, boundary: str, grid: np.ndarray) -> Configuration:
+    """Internal fast path: a Configuration holding a valid occupancy grid,
+    laid out as ``occupancy_grid`` lays it out, without validation.
+
+    Takes the grid over and makes it read-only; the center set is built
+    only when ``occupied`` is first read.
+    """
+    cfg = object.__new__(Configuration)
+    object.__setattr__(cfg, "width", width)
+    object.__setattr__(cfg, "height", height)
+    object.__setattr__(cfg, "boundary", boundary)
+    grid.flags.writeable = False
+    object.__setattr__(cfg, "_grid", grid)
     return cfg
 
 

@@ -49,19 +49,18 @@ def parity_density(samples: Sequence[Configuration]) -> Dict[str, float]:
 
     Averages over the model sites of each sample; classes are keyed
     "xy" by the two residues. Also reports the even/odd x marginals.
+    Counts are sums over the four residue-class slices of each sample's
+    occupancy grid.
     """
     if not samples:
         raise InsufficientData("no samples")
     totals = {(i, j): 0.0 for i in (0, 1) for j in (0, 1)}
     sizes = {(i, j): 0 for i in (0, 1) for j in (0, 1)}
     for cfg in samples:
-        counts = {(i, j): 0 for i in (0, 1) for j in (0, 1)}
-        for x, y in cfg.occupied:
-            counts[(x % 2, y % 2)] += 1
-        for key, size in _residue_class_sizes(cfg.width, cfg.height, cfg.boundary).items():
-            sizes[key] += size
-        for key, c in counts.items():
-            totals[key] += c
+        grid = cfg.occupancy_grid()  # indexed [y, x]
+        for (i, j), size in _residue_class_sizes(cfg.width, cfg.height, cfg.boundary).items():
+            sizes[i, j] += size
+            totals[i, j] += int(np.count_nonzero(grid[j::2, i::2]))
     out = {}
     for (i, j), c in totals.items():
         out[f"{i}{j}"] = c / sizes[(i, j)] if sizes[(i, j)] else 0.0

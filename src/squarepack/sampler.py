@@ -45,8 +45,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from .errors import DimensionError, check_fugacity
-from .lattice import Configuration, _unchecked, create_configuration
+from .errors import DimensionError, ParameterError, check_fugacity
+from .lattice import Configuration, _check_dims, _from_grid, create_configuration
 from .observables import ObservableReport, summarize_series
 from .sticks import classify_phase, stick_census
 
@@ -73,7 +73,7 @@ def seed_phase_configuration(
     (1, 0); the hor phases exchange the axes.
     """
     if phase not in PHASE_SEEDS:
-        raise ValueError(f"unknown phase {phase!r}")
+        raise ParameterError(f"unknown phase {phase!r}")
     if width % 2 or height % 2:
         raise DimensionError("phase seeds need even dimensions")
     transpose = phase.startswith("hor")
@@ -111,13 +111,14 @@ class ChainParams:
     initial: Union[str, Configuration, None] = None  # "empty", a phase seed, or explicit
 
     def __post_init__(self):
+        _check_dims(self.width, self.height, self.boundary)
         check_fugacity(self.lam)
         if self.sweeps < 0 or self.burn_in < 0:
-            raise ValueError("sweeps and burn_in must be nonnegative")
+            raise ParameterError("sweeps and burn_in must be nonnegative")
         if not 0 <= self.translation_move_fraction <= 1:
-            raise ValueError("translation_move_fraction must be in [0, 1]")
+            raise ParameterError("translation_move_fraction must be in [0, 1]")
         if self.thinning < 1:
-            raise ValueError("thinning must be at least 1")
+            raise ParameterError("thinning must be at least 1")
 
     def initial_configuration(self) -> Configuration:
         if isinstance(self.initial, Configuration):
@@ -180,11 +181,6 @@ class _Geometry:
         if 0 <= tx < self.nx and 0 <= ty < self.ny:
             return tx, ty
         return None
-
-    def to_centers(self, flat_indices: np.ndarray) -> frozenset:
-        ox, oy = self.origin
-        y, x = np.divmod(flat_indices, self.nx)
-        return frozenset(zip((x + ox).tolist(), (y + oy).tolist()))
 
     def from_configuration(self, cfg: Configuration) -> List[int]:
         ox, oy = self.origin
@@ -545,14 +541,14 @@ class Chain:
         return self
 
     def configuration(self) -> Configuration:
-        return _unchecked(
-            self.params.width,
-            self.params.height,
-            self.params.boundary,
-            self.geom.to_centers(
-                np.flatnonzero(_unpack(self.engine.occ, self.geom.n_sites)).tolist()
-            ),
-        )
+        """The current state, grid-backed: its center set is built only
+        when ``occupied`` is first read."""
+        geom = self.geom
+        grid = _unpack(self.engine.occ, geom.n_sites).view(bool).reshape(geom.ny, geom.nx)
+        if not geom.periodic:
+            # the interior sites, inside the closed rectangle's center grid
+            grid = np.pad(grid, 1)
+        return _from_grid(self.params.width, self.params.height, self.params.boundary, grid)
 
     def state_key(self) -> int:
         """Occupancy bitmask; cheap identity of the current state."""

@@ -587,3 +587,34 @@ def sweep_by_generator(chain, rng, count=1):
             chain.engine.translations(rng.integers(0, 4 * n, size=chain.n_trans).tolist())
         chain.step += 1
     return chain
+
+
+def parity_density_by_centers(samples):
+    """``observables.parity_density`` by one pass over each sample's
+    center set, as it was computed before it read occupancy grids."""
+    from squarepack.observables import _residue_class_sizes
+
+    totals = {(i, j): 0.0 for i in (0, 1) for j in (0, 1)}
+    sizes = {(i, j): 0 for i in (0, 1) for j in (0, 1)}
+    for cfg in samples:
+        counts = {(i, j): 0 for i in (0, 1) for j in (0, 1)}
+        for x, y in cfg.occupied:
+            counts[(x % 2, y % 2)] += 1
+        for key, size in _residue_class_sizes(cfg.width, cfg.height, cfg.boundary).items():
+            sizes[key] += size
+        for key, c in counts.items():
+            totals[key] += c
+    out = {}
+    for (i, j), c in totals.items():
+        out[f"{i}{j}"] = c / sizes[(i, j)] if sizes[(i, j)] else 0.0
+    even_sites = sizes[(0, 0)] + sizes[(0, 1)]
+    odd_sites = sizes[(1, 0)] + sizes[(1, 1)]
+    out["even_x"] = (totals[(0, 0)] + totals[(0, 1)]) / even_sites if even_sites else 0.0
+    out["odd_x"] = (totals[(1, 0)] + totals[(1, 1)]) / odd_sites if odd_sites else 0.0
+    return out
+
+
+def disagreement_set_by_centers(a, b):
+    """``coupling.disagreement_set`` as the symmetric difference of the
+    two center sets."""
+    return a.occupied ^ b.occupied

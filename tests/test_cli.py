@@ -1,15 +1,21 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from squarepack import errors
 from squarepack.cli import build_parser, main
 from squarepack.lattice import create_configuration, encode
-from squarepack.sampler import seed_phase_configuration
+from squarepack.sampler import OBSERVABLES, seed_phase_configuration
 
 
 def run_cli(args, capsys):
@@ -418,6 +424,16 @@ def test_components_cli_checks_bounds_before_the_harvest():
     assert json.loads(proc.stderr)["error"]["type"] == "SpecError"
 
 
+def test_components_window_refused_by_configuration_count(capsys):
+    # within the 64-site area cap, but 12,727,570 configurations
+    code, out, err = run_cli(["components", "--width", "8", "--height", "8"], capsys)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "TooLarge"
+    assert "12727570" in error["message"]
+
+
 def test_coupling_cli(tmp_path, capsys):
     csv_path = tmp_path / "tails.csv"
     code, out, _ = run_cli(
@@ -506,3 +522,79 @@ def test_single_measurement_prints_strict_json(capsys):
     assert code == 0
     payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["estimators"]["tile_density"]["stderr"] is None
+
+
+SQUAREPACK_ERRORS = {
+    name
+    for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.SquarepackError)
+}
+
+
+@st.composite
+def sample_runs(draw):
+    """A ``sample`` run: its options, and whether they go in a spec file
+    (the only way to set the translation fraction) or on the command line."""
+    spec = {
+        "width": draw(st.integers(-2, 12)),
+        "height": draw(st.integers(-2, 12)),
+        "lambda": draw(
+            st.floats(1e-3, 1e3)
+            | st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e-300, 1e300])
+        ),
+        "seed": draw(st.integers(0, 2**31 - 1)),
+        "sweeps": draw(st.integers(-2, 24)),
+        "boundary": draw(st.sampled_from(["periodic", "free", "fully_packed"])),
+        "burn_in": draw(st.integers(-1, 8)),
+        "thinning": draw(st.integers(-1, 5)),
+        "initial": draw(st.sampled_from([None, "empty", "ver0", "hor1", "diagonal"])),
+        "observables": draw(st.lists(st.sampled_from(sorted(OBSERVABLES)), unique=True)),
+        "keep_samples": draw(st.booleans()),
+    }
+    if draw(st.booleans()):
+        spec["translation_move_fraction"] = draw(
+            st.floats(0, 1) | st.sampled_from([-0.5, 1.5, math.nan])
+        )
+        return spec, None
+    argv = ["sample"]
+    for key, value in spec.items():
+        if key == "keep_samples":
+            argv += ["--keep-samples"] if value else []
+        elif key == "observables":
+            argv += ["--observables", *value]
+        elif value is not None:
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    return spec, argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(sample_runs())
+def test_sample_fuzz_prints_json_or_a_json_error(run):
+    spec, argv = run
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if argv is None:
+            folder = stack.enter_context(tempfile.TemporaryDirectory())
+            path = os.path.join(folder, "spec.json")
+            with open(path, "w") as fh:
+                json.dump(spec, fh)
+            argv = ["sample", "--spec", path]
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert err == ""
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["measurements"] >= 1
+        if spec["keep_samples"]:
+            assert len(payload["samples"]) == payload["measurements"]
+            for sample in payload["samples"]:
+                assert sample["occupied"] == sorted(sample["occupied"])
+        else:
+            assert "samples" not in payload
+    else:
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] in SQUAREPACK_ERRORS
