@@ -50,6 +50,10 @@ class TooLarge(SquarepackError):
     """Requested exact computation exceeds the configured enumeration cap."""
 
 
+class OutOfFloatRange(SquarepackError):
+    """A requested value lies beyond the float range."""
+
+
 class BlockConditionViolated(SquarepackError):
     """The block rectangle does not tile the torus as required."""
 

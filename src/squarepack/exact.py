@@ -36,6 +36,7 @@ from .errors import (
     BlockConditionViolated,
     GeometryMismatch,
     OddLength,
+    OutOfFloatRange,
     TooLarge,
     check_fugacity,
 )
@@ -79,7 +80,13 @@ def z1d_periodic(length: int, lam: float) -> float:
     if length % 2 or length < 0:
         raise OddLength(f"periodic 1D length must be even and >= 0, got {length}")
     gp, gm = one_dim_transfer(lam)
-    return gp**length + gm**length
+    value = _float_value(
+        (g**length for g in (gp, gm)),
+        lambda: length * math.log(gp) + math.log1p((gm / gp) ** length),
+    )
+    if value is None:
+        raise OutOfFloatRange(f"periodic 1D value at L={length}, lambda={lam} exceeds the float range")
+    return value
 
 
 def z1d_free(length: int, lam: float) -> float:
@@ -91,10 +98,16 @@ def z1d_free(length: int, lam: float) -> float:
     if length % 2 or length < 0:
         raise OddLength(f"free 1D length must be even and >= 0, got {length}")
     check_fugacity(lam)
-    return sum(
-        math.comb(length - n, n) * lam ** (n - length / 2.0)
-        for n in range(length // 2 + 1)
+    coefficients = [math.comb(length - n, n) for n in range(length // 2 + 1)]
+    value = _float_value(
+        (a * lam ** (n - length / 2.0) for n, a in enumerate(coefficients)),
+        lambda: _log_sum(
+            [math.log(a) + (n - length / 2.0) * math.log(lam) for n, a in enumerate(coefficients)]
+        ),
     )
+    if value is None:
+        raise OutOfFloatRange(f"free 1D value at L={length}, lambda={lam} exceeds the float range")
+    return value
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -175,11 +188,9 @@ class PartitionPolynomial:
         """log of sum a_n lam^n, summed relative to the largest term so
         that it is finite for every positive lam."""
         check_fugacity(lam)
-        logs = [
-            math.log(a) + n * math.log(lam) for n, a in enumerate(self.coefficients) if a
-        ]
-        top = max(logs)
-        return top + math.log(sum(math.exp(v - top) for v in logs))
+        return _log_sum(
+            [math.log(a) + n * math.log(lam) for n, a in enumerate(self.coefficients) if a]
+        )
 
     def log_vacancy(self, lam: float) -> float:
         """log of sum a_n lam^(n - Area/4)."""
@@ -205,6 +216,12 @@ class PartitionPolynomial:
                 for lam in lambdas
             ],
         }
+
+
+def _log_sum(logs: Sequence[float]) -> float:
+    """log of sum exp(v), summed relative to the largest v."""
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
 def _float_value(terms: Iterable[float], log_value: Callable[[], float]) -> Optional[float]:

@@ -30,10 +30,16 @@ equal those of the installed numpy's Generator; a numpy release that
 changed that stream would fail the oracle test in tests/test_sampler.py
 rather than drift silently. Two engines hold the occupancy as one int,
 one bit per site, take the same draws and produce identical chains: the
-scalar engine updates site by site from per-site tables and runs grids
-of at most SCALAR_ENGINE_MAX_SITES (36) sites, where it is the faster;
-the bitboard engine updates a whole sublattice with a few shift and
-mask operations and runs every larger grid.
+scalar engine walks one precomputed site list and one move table
+indexed by the proposal, and runs grids of at most
+SCALAR_ENGINE_MAX_SITES (36) sites; the bitboard engine updates a whole
+sublattice with a few shift and mask operations and runs every larger
+grid. On a 2-vCPU VM (python 3.11.7) a scalar sweep() + state_key()
+step takes about 3.0 us on the 4x4 torus and 3.2 us on the 4x6 free
+rectangle, of which the heat bath is 1.25 us. Per sweep the scalar
+engine stays the faster well past the limit (6x8 torus: 6.7 against
+10.0 us; 8x8: 9.2 against 11.4 us) and the two meet at about 100
+sites (10x10: 15 us each); at 12x12 the bitboard engine is the faster.
 """
 
 from __future__ import annotations
@@ -70,7 +76,11 @@ def seed_phase_configuration(
 
     ver0 fills columns at odd x, column i shifted vertically by
     offsets[i] (alternating 0, 1 by default); ver1 is its translate by
-    (1, 0); the hor phases exchange the axes.
+    (1, 0); the hor phases exchange the axes. On a torus the shifted
+    columns and the translate wrap round; in the rectangle modes nothing
+    wraps, and the tiles that would leave the interior grid [1, width -
+    1] x [1, height - 1] are left out (a shifted column loses its last
+    tile, ver1 and hor1 their last column or row).
     """
     if phase not in PHASE_SEEDS:
         raise ParameterError(f"unknown phase {phase!r}")
@@ -84,13 +94,18 @@ def seed_phase_configuration(
     if len(offsets) != ncols:
         raise DimensionError(f"need {ncols} column offsets, got {len(offsets)}")
     occ = []
-    for i, x in enumerate(range(1, w, 2)):
-        t = offsets[i] % 2
-        occ.extend((x, (1 + t + 2 * k) % h) for k in range(h // 2))
+    if boundary == "periodic":
+        for i, x in enumerate(range(1, w, 2)):
+            t = offsets[i] % 2
+            occ.extend((x, (1 + t + 2 * k) % h) for k in range(h // 2))
+    else:
+        shift = int(phase.endswith("1"))
+        for i, x in enumerate(range(1 + shift, w, 2)):
+            occ.extend((x, y) for y in range(1 + offsets[i] % 2, h, 2))
     cfg = create_configuration(w, h, boundary, occ)
     if transpose:
         cfg = cfg.transpose()
-    if phase in ("ver1", "hor1"):
+    if boundary == "periodic" and phase in ("ver1", "hor1"):
         cfg = cfg.translate(1, 0) if phase == "ver1" else cfg.translate(0, 1)
     return cfg
 
@@ -336,14 +351,18 @@ class SweepDraws:
 class _ScalarEngine:
     """Site-by-site updates of a bit-packed occupancy, for small grids.
 
-    Holds, for every site, the mask of its king neighbours and, for
-    every (site, direction), the target and the mask of cells that must
-    be empty; tables of O(n_sites^2) bits, so only for small grids.
+    A sweep walks two flat tables: ``sites``, one (bit, king neighbours,
+    complement of bit) per site in sublattice order, and ``moves``, one
+    (source bit, source | target bit, mask of cells that must be empty)
+    per proposal q = 4 * site + direction. An off-grid move's mask is
+    its source bit, so it never fires. Tables of O(n_sites^2) bits, so
+    only for small grids.
     """
 
     def __init__(self, geom: _Geometry, initial: List[int]):
         self.geom = geom
         nx, ny = geom.nx, geom.ny
+        full = (1 << geom.n_sites) - 1
 
         def block(x: int, y: int) -> int:
             mask = 0
@@ -355,53 +374,39 @@ class _ScalarEngine:
                         mask |= 1 << (qy * nx + qx)
             return mask
 
-        self.nbr_masks: List[int] = []
-        self.move_target: List[List[Optional[int]]] = []
-        self.block_masks: List[List[Optional[int]]] = []
+        self.sites: List[Tuple[int, int, int]] = []
+        for i in np.concatenate(geom.class_indices).tolist():
+            bit = 1 << i
+            self.sites.append((bit, block(i % nx, i // nx) & ~bit, full ^ bit))
+        self.moves: List[Tuple[int, int, int]] = []
         for i in range(geom.n_sites):
-            y, x = divmod(i, nx)
-            src = 1 << i
-            self.nbr_masks.append(block(x, y) & ~src)
-            targets = [geom.target(i, d) for d in range(4)]
-            self.move_target.append(
-                [None if t is None else t[1] * nx + t[0] for t in targets]
-            )
-            self.block_masks.append(
-                [None if t is None else block(*t) & ~src for t in targets]
-            )
+            bit = 1 << i
+            for d in range(4):
+                t = geom.target(i, d)
+                if t is None:
+                    self.moves.append((bit, bit, bit))
+                else:
+                    self.moves.append((bit, bit | 1 << (t[1] * nx + t[0]), block(*t) & ~bit))
         self.occ = _mask(initial, geom.n_sites)
 
     def heat_bath(self, accept: int) -> None:
         """Resample every site; an unblocked site i takes a tile when bit
         i of ``accept`` is set."""
         occ = self.occ
-        for idx_arr in self.geom.class_indices:
-            masks = self.nbr_masks
-            for i in idx_arr.tolist():
-                bit = 1 << i
-                if occ & masks[i]:
-                    occ &= ~bit
-                elif accept & bit:
-                    occ |= bit
-                else:
-                    occ &= ~bit
+        for bit, nbrs, clear in self.sites:
+            if occ & nbrs or not accept & bit:
+                occ &= clear
+            else:
+                occ |= bit
         self.occ = occ
 
     def translations(self, proposals: List[int]) -> None:
         occ = self.occ
-        targets = self.move_target
-        blocks = self.block_masks
+        moves = self.moves
         for q in proposals:
-            i, d = divmod(q, 4)
-            bit = 1 << i
-            if not occ & bit:
-                continue
-            t = targets[i][d]
-            if t is None:
-                continue
-            if occ & blocks[i][d]:
-                continue
-            occ = (occ & ~bit) | (1 << t)
+            bit, flip, blocked = moves[q]
+            if occ & bit and not occ & blocked:
+                occ ^= flip
         self.occ = occ
 
 
@@ -533,7 +538,9 @@ class Chain:
     def sweep(self, count: int = 1) -> "Chain":
         count = max(count, 0)
         heat_bath, translations = self.engine.heat_bath, self.engine.translations
-        for accept, proposals in itertools.islice(self._draws, count):
+        draws = self._draws
+        for _ in range(count):
+            accept, proposals = next(draws)
             heat_bath(accept)
             if proposals:
                 translations(proposals)

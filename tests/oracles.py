@@ -618,3 +618,63 @@ def disagreement_set_by_centers(a, b):
     """``coupling.disagreement_set`` as the symmetric difference of the
     two center sets."""
     return a.occupied ^ b.occupied
+
+
+class ScalarEngineBySites:
+    """The scalar sweep engine as it was before it walked flat tables:
+    per-site king-neighbour masks, per-(site, direction) targets and
+    block masks with None off the grid, the heat bath over each
+    sublattice's index array and translations by ``divmod``. Holds the
+    occupancy mask ``occ`` of the sampler's site grid ``geom``."""
+
+    def __init__(self, geom, occ):
+        self.geom = geom
+        self.occ = occ
+        nx, ny = geom.nx, geom.ny
+
+        def block(x, y):
+            mask = 0
+            for qx in (x - 1, x, x + 1):
+                for qy in (y - 1, y, y + 1):
+                    if geom.periodic:
+                        mask |= 1 << ((qy % ny) * nx + qx % nx)
+                    elif 0 <= qx < nx and 0 <= qy < ny:
+                        mask |= 1 << (qy * nx + qx)
+            return mask
+
+        self.nbr_masks, self.move_target, self.block_masks = [], [], []
+        for i in range(geom.n_sites):
+            y, x = divmod(i, nx)
+            src = 1 << i
+            self.nbr_masks.append(block(x, y) & ~src)
+            targets = [geom.target(i, d) for d in range(4)]
+            self.move_target.append([None if t is None else t[1] * nx + t[0] for t in targets])
+            self.block_masks.append([None if t is None else block(*t) & ~src for t in targets])
+
+    def heat_bath(self, accept):
+        occ = self.occ
+        for idx_arr in self.geom.class_indices:
+            for i in idx_arr.tolist():
+                bit = 1 << i
+                if occ & self.nbr_masks[i]:
+                    occ &= ~bit
+                elif accept & bit:
+                    occ |= bit
+                else:
+                    occ &= ~bit
+        self.occ = occ
+
+    def translations(self, proposals):
+        occ = self.occ
+        for q in proposals:
+            i, d = divmod(q, 4)
+            bit = 1 << i
+            if not occ & bit:
+                continue
+            t = self.move_target[i][d]
+            if t is None:
+                continue
+            if occ & self.block_masks[i][d]:
+                continue
+            occ = (occ & ~bit) | (1 << t)
+        self.occ = occ

@@ -598,3 +598,70 @@ def test_sample_fuzz_prints_json_or_a_json_error(run):
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"]["type"] in SQUAREPACK_ERRORS
+
+
+FUZZ_FUGACITIES = st.floats(1e-3, 1e3) | st.sampled_from(
+    [0.0, -1.0, math.nan, math.inf, -math.inf, 1e-300, 1e300]
+)
+
+
+@st.composite
+def exact_runs(draw):
+    """An ``exact1d`` or ``exact2d`` argument vector on small sizes; no
+    process pools (threads at most 1) and brute force within small caps.
+    Values are joined to their option by ``=``, since argparse reads a
+    separate ``-inf`` as an option."""
+    if draw(st.booleans()):
+        argv = ["exact1d", f"--L={draw(st.integers(-3, 40))}", f"--lambda={draw(FUZZ_FUGACITIES)}"]
+        return argv + (["--free"] if draw(st.booleans()) else [])
+    argv = [
+        "exact2d",
+        f"--width={draw(st.integers(-2, 10))}",
+        f"--height={draw(st.integers(-2, 10))}",
+        f"--boundary={draw(st.sampled_from(['periodic', 'free', 'fully_packed']))}",
+        f"--method={draw(st.sampled_from(['auto', 'brute', 'transfer']))}",
+        f"--area-cap={draw(st.sampled_from([-1, 0, 16, 36, 48]))}",
+        f"--threads={draw(st.integers(-1, 1))}",
+    ]
+    return argv + [f"--lambda={lam}" for lam in draw(st.lists(FUZZ_FUGACITIES, max_size=3))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(exact_runs())
+def test_exact_fuzz_prints_json_or_a_json_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert err == ""
+        payload = json.loads(out, parse_constant=_reject_constant)
+        if argv[0] == "exact1d":
+            assert math.isfinite(payload) and payload > 0
+        else:
+            assert payload["coefficients"][0] == 1
+            lambdas = [a for a in argv if a.startswith("--lambda=")]
+            assert len(payload["evaluations"]) == max(1, len(lambdas))
+    else:
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] in SQUAREPACK_ERRORS
+
+
+def test_exact1d_overflow_is_a_json_error(capsys):
+    for args in (["--L", "20", "--lambda", "1e-300"], ["--L", "20", "--lambda", "1e-300", "--free"]):
+        code, out, err = run_cli(["exact1d", *args], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["type"] == "OutOfFloatRange"
+
+
+@pytest.mark.parametrize("boundary", ["free", "fully_packed"])
+@pytest.mark.parametrize("phase", ["ver0", "ver1", "hor0", "hor1"])
+def test_sample_phase_seed_in_rectangle_modes(boundary, phase, capsys):
+    code, out, err = run_cli(
+        ["sample", "--width", "8", "--height", "8", "--boundary", boundary, "--initial", phase, "--sweeps", "2"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["params"]["initial"] == phase

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from squarepack import exact
-from squarepack.errors import NonpositiveFugacity, OddLength, TooLarge
+from squarepack.errors import NonpositiveFugacity, OddLength, OutOfFloatRange, TooLarge
 
 from oracles import (
     cyclic_independent_set_counts,
@@ -59,6 +59,15 @@ def test_z1d_periodic_rejects_odd():
 def test_z1d_periodic_matches_sequence_enumeration(length, lam):
     oracle = z1d_periodic_enumeration(length, lam)
     assert exact.z1d_periodic(length, lam) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_z1d_values_beyond_the_float_range():
+    # a coefficient beyond the float range in a value within it: the
+    # sum is taken from its log
+    assert exact.z1d_free(2000, 1e300) == pytest.approx(1.0, rel=1e-12)
+    for z1d in (exact.z1d_periodic, exact.z1d_free):
+        with pytest.raises(OutOfFloatRange, match="exceeds the float range"):
+            z1d(20, 1e-300)
 
 
 @pytest.mark.parametrize("length", [2, 4, 8, 12])

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squarepack import sampler
 from squarepack.errors import DimensionError, NonpositiveFugacity
@@ -16,7 +17,7 @@ from squarepack.sampler import (
     seed_phase_configuration,
 )
 
-from oracles import pairwise_valid, sweep_by_generator, translation_by_cells
+from oracles import ScalarEngineBySites, pairwise_valid, sweep_by_generator, translation_by_cells
 from strategies import random_valid_config
 
 
@@ -54,6 +55,23 @@ def test_seed_offsets_and_errors():
         seed_phase_configuration(8, 8, "diagonal")
 
 
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("phase", sampler.PHASE_SEEDS)
+@pytest.mark.parametrize("width,height", [(8, 8), (10, 6)])
+def test_phase_seeds_in_every_boundary_mode(width, height, phase, boundary):
+    cfg = seed_phase_configuration(width, height, phase, boundary=boundary)
+    torus = seed_phase_configuration(width, height, phase)
+    assert torus.area == 4 * torus.tile_count
+    if boundary != "periodic":
+        # nothing wraps: the torus seed's tiles on the interior grid
+        inside = {(x, y) for x, y in torus.occupied if 0 < x < width and 0 < y < height}
+        assert cfg.occupied == inside
+    chain = Chain(params(width=width, height=height, boundary=boundary, initial=phase))
+    assert chain.configuration().occupied == cfg.occupied
+    chain.sweep(3)
+    assert pairwise_valid(sorted(chain.configuration().occupied), width, height, boundary == "periodic")
+
+
 # -- kernel-level heat bath ------------------------------------------------------
 
 
@@ -82,6 +100,45 @@ def test_translation_moves_preserve_tile_count():
     proposals = (np.arange(0, 64 * 4, 7) % (64 * 4)).tolist()
     chain.engine.translations(proposals)
     assert chain.configuration().tile_count == n0
+
+
+ORACLE_GRIDS = [(4, 4, "periodic"), (6, 6, "periodic"), (4, 6, "free"), (6, 6, "fully_packed")]
+
+
+@st.composite
+def engine_calls(draw):
+    """A grid, the sites a valid start state is grown from, and a list of
+    heat-bath and translation calls; proposals off the grid are drawn
+    on their own as well, since uniform ones rarely hit an occupied edge."""
+    width, height, boundary = draw(st.sampled_from(ORACLE_GRIDS))
+    geom = sampler._Geometry(width, height, boundary)
+    n = geom.n_sites
+    off_grid = [4 * i + d for i in range(n) for d in range(4) if geom.target(i, d) is None]
+    proposal = st.integers(0, 4 * n - 1)
+    if off_grid:
+        proposal |= st.sampled_from(off_grid)
+    start = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    call = st.tuples(st.just("heat_bath"), st.integers(0, (1 << n) - 1)) | st.tuples(
+        st.just("translations"), st.lists(proposal, max_size=2 * n)
+    )
+    return (width, height, boundary), start, draw(st.lists(call, min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(engine_calls())
+def test_scalar_engine_matches_site_oracle(case):
+    (width, height, boundary), start, calls = case
+    chain = Chain(params(width=width, height=height, boundary=boundary), engine="scalar")
+    oracle = ScalarEngineBySites(chain.geom, 0)
+    occ = 0
+    for i in start:  # grow a valid state from the drawn sites
+        if not occ & oracle.nbr_masks[i]:
+            occ |= 1 << i
+    chain.engine.occ = oracle.occ = occ
+    for name, arg in calls:
+        getattr(chain.engine, name)(arg)
+        getattr(oracle, name)(arg)
+        assert chain.engine.occ == oracle.occ
 
 
 # -- the draw decoder against numpy's Generator ------------------------------------
@@ -116,6 +173,35 @@ def test_sweep_counts_split_across_blocks(width, height, boundary):
     sweep_by_generator(oracle, np.random.default_rng(5), 700)
     assert whole.state_key() == split.state_key() == oracle.state_key()
     assert whole.step == split.step == 700
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_nonpositive_sweep_count_draws_nothing(count):
+    chain, fresh = Chain(params(seed=13)), Chain(params(seed=13))
+    start = chain.state_key()
+    assert chain.sweep(count) is chain
+    assert (chain.step, chain.state_key()) == (0, start)
+    for _ in range(5):
+        assert chain.sweep().state_key() == fresh.sweep().state_key()
+    key = chain.state_key()
+    chain.sweep(count)
+    assert (chain.step, chain.state_key()) == (5, key)
+    assert chain.sweep().state_key() == fresh.sweep().state_key()
+
+
+@pytest.mark.parametrize("width,height,boundary", [(4, 4, "periodic"), (4, 6, "free")])
+def test_sweep_count_equals_single_sweeps(width, height, boundary):
+    p = params(width=width, height=height, boundary=boundary, seed=21)
+    bulk, single = Chain(p, engine="scalar"), Chain(p, engine="scalar")
+    trail = set()
+    for _ in range(40):
+        bulk.sweep(3)
+        for _ in range(3):
+            single.sweep()
+        assert bulk.state_key() == single.state_key()
+        trail.add(bulk.state_key())
+    assert bulk.step == single.step == 120
+    assert len(trail) > 20
 
 
 def _generator_sweeps(seed, n_uniform, n_integers, bound, p_accept, sweeps):
