@@ -188,9 +188,11 @@ class PartitionPolynomial:
         """log of sum a_n lam^n, summed relative to the largest term so
         that it is finite for every positive lam."""
         check_fugacity(lam)
-        return _log_sum(
-            [math.log(a) + n * math.log(lam) for n, a in enumerate(self.coefficients) if a]
-        )
+        logs = [
+            math.log(a) + n * math.log(lam) for n, a in enumerate(self.coefficients) if a
+        ]
+        top = max(logs)
+        return top + math.log(sum(math.exp(v - top) for v in logs))
 
     def log_vacancy(self, lam: float) -> float:
         """log of sum a_n lam^(n - Area/4)."""

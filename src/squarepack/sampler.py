@@ -76,11 +76,10 @@ def seed_phase_configuration(
 
     ver0 fills columns at odd x, column i shifted vertically by
     offsets[i] (alternating 0, 1 by default); ver1 is its translate by
-    (1, 0); the hor phases exchange the axes. On a torus the shifted
-    columns and the translate wrap round; in the rectangle modes nothing
-    wraps, and the tiles that would leave the interior grid [1, width -
-    1] x [1, height - 1] are left out (a shifted column loses its last
-    tile, ver1 and hor1 their last column or row).
+    (1, 0); the hor phases exchange the axes. In the rectangle modes
+    the seed is the torus seed's tiles on the interior grid [1, width -
+    1] x [1, height - 1]: a shifted column loses the tile that wraps
+    round, ver1 and hor1 their last column or row.
     """
     if phase not in PHASE_SEEDS:
         raise ParameterError(f"unknown phase {phase!r}")
@@ -94,19 +93,17 @@ def seed_phase_configuration(
     if len(offsets) != ncols:
         raise DimensionError(f"need {ncols} column offsets, got {len(offsets)}")
     occ = []
-    if boundary == "periodic":
-        for i, x in enumerate(range(1, w, 2)):
-            t = offsets[i] % 2
-            occ.extend((x, (1 + t + 2 * k) % h) for k in range(h // 2))
-    else:
-        shift = int(phase.endswith("1"))
-        for i, x in enumerate(range(1 + shift, w, 2)):
-            occ.extend((x, y) for y in range(1 + offsets[i] % 2, h, 2))
-    cfg = create_configuration(w, h, boundary, occ)
+    for i, x in enumerate(range(1, w, 2)):
+        t = offsets[i] % 2
+        occ.extend((x, (1 + t + 2 * k) % h) for k in range(h // 2))
+    cfg = create_configuration(w, h, "periodic", occ)
     if transpose:
         cfg = cfg.transpose()
-    if boundary == "periodic" and phase in ("ver1", "hor1"):
+    if phase in ("ver1", "hor1"):
         cfg = cfg.translate(1, 0) if phase == "ver1" else cfg.translate(0, 1)
+    if boundary != "periodic":
+        inside = [p for p in cfg.occupied if 0 < p[0] < width and 0 < p[1] < height]
+        cfg = create_configuration(width, height, boundary, inside)
     return cfg
 
 

@@ -167,9 +167,11 @@ def test_sweep_counts_split_across_blocks(width, height, boundary):
     p = params(width=width, height=height, boundary=boundary, seed=5)
     whole, split, oracle = Chain(p), Chain(p), Chain(p)
     whole.sweep(700)
-    # 4x4: 227 sweeps per block, so both calls end inside a block
+    # 4x4: 227 sweeps per block, so the calls end inside a block
     split.sweep(150)
-    split.sweep(550)
+    split.sweep(547)
+    for _ in range(3):
+        split.sweep()
     sweep_by_generator(oracle, np.random.default_rng(5), 700)
     assert whole.state_key() == split.state_key() == oracle.state_key()
     assert whole.step == split.step == 700
@@ -187,21 +189,6 @@ def test_nonpositive_sweep_count_draws_nothing(count):
     chain.sweep(count)
     assert (chain.step, chain.state_key()) == (5, key)
     assert chain.sweep().state_key() == fresh.sweep().state_key()
-
-
-@pytest.mark.parametrize("width,height,boundary", [(4, 4, "periodic"), (4, 6, "free")])
-def test_sweep_count_equals_single_sweeps(width, height, boundary):
-    p = params(width=width, height=height, boundary=boundary, seed=21)
-    bulk, single = Chain(p, engine="scalar"), Chain(p, engine="scalar")
-    trail = set()
-    for _ in range(40):
-        bulk.sweep(3)
-        for _ in range(3):
-            single.sweep()
-        assert bulk.state_key() == single.state_key()
-        trail.add(bulk.state_key())
-    assert bulk.step == single.step == 120
-    assert len(trail) > 20
 
 
 def _generator_sweeps(seed, n_uniform, n_integers, bound, p_accept, sweeps):
