@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import exact, graphs, lattice, render, sticks
 from .coupling import radius_tail_experiment
-from .errors import IoError, SpecError, SquarepackError, check_fugacity
+from .errors import IoError, SpecError, SquarepackError, UsageError, check_fugacity
 from .sampler import OBSERVABLES, ChainParams, run_chain
 
 
@@ -64,6 +64,15 @@ def _read_config(path: str) -> lattice.Configuration:
     return lattice.decode(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and so every subcommand's, whose parse errors
+    raise UsageError, reported as JSON like every other error, instead of
+    printing the usage and exiting 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _add_common(p: argparse.ArgumentParser, *names) -> None:
     if "lambda" in names:
         p.add_argument("--lambda", dest="lam", type=float, default=1.0)
@@ -85,7 +94,7 @@ def _add_common(p: argparse.ArgumentParser, *names) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="squarepack",
         description="2x2 hard-square model: exact computation and Monte Carlo",
     )
@@ -98,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("exact2d", help="exact partition polynomial of a region")
-    _add_common(p, "dims", "boundary", "out", "threads")
+    _add_common(p, "dims", "boundary", "out")
     p.add_argument("--lambda", dest="lambdas", type=float, action="append", default=[])
     p.add_argument("--method", choices=("auto", "brute", "transfer"), default="auto")
     p.add_argument("--area-cap", type=int, default=exact.DEFAULT_AREA_CAP)
@@ -107,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "dims", "lambda", "out")
     p.add_argument("--face-x", type=int, default=0)
     p.add_argument("--face-y", type=int, default=0)
-    p.add_argument("--area-cap", type=int, default=exact.DEFAULT_AREA_CAP)
 
     p = sub.add_parser("sample", help="run a Monte Carlo chain")
     p.add_argument("--spec", default=None, help="JSON experiment spec file")
@@ -192,7 +200,6 @@ def _cmd_exact2d(args) -> int:
         args.boundary,
         method=args.method,
         area_cap=args.area_cap,
-        threads=args.threads,
     )
     report = poly.report(args.lambdas or [1.0])
     report["spec"] = {
@@ -208,7 +215,7 @@ def _cmd_exact2d(args) -> int:
 def _cmd_chessboard(args) -> int:
     corner, k, l, event = exact.face_vacant_event((args.face_x, args.face_y))
     query = exact.SeminormQuery(args.width, args.height, corner, k, l, event)
-    zeta = exact.chessboard_seminorm(query, args.lam, area_cap=args.area_cap)
+    zeta = exact.chessboard_seminorm(query, args.lam)
     _emit(
         {
             "spec": {
@@ -408,9 +415,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except BrokenPipeError as exc:
         # the reader closed stdout early (e.g. `| head`); point stdout at

@@ -83,5 +83,10 @@ class ParameterError(SquarepackError, ValueError):
     which these errors were before."""
 
 
+class UsageError(SquarepackError):
+    """The command line does not parse: an unknown subcommand or option,
+    or a missing or malformed value."""
+
+
 class IoError(SquarepackError):
     """Failed to read or write an artifact file."""

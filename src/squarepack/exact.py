@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,21 +41,21 @@ from .errors import (
 )
 from .lattice import (
     Point,
-    _row_layout,
+    _check_dims,
     _row_neighbours,
     _row_states,
     _row_tables,
     iter_mask_blocks,
     iter_valid_masks,
-    map_start_rows,
     model_sites,
 )
 
 DEFAULT_AREA_CAP = 36
 TRANSFER_WIDTH_CAP = 14
 TRANSFER_AREA_CAP = 4096
-# 6x8 and 4x12 tori fit (1,455,509 and 1,816,021); 4x14 does not (20,053,757)
-ENSEMBLE_CAP = 1 << 22
+# entries of the band transfer's largest array, 8 bytes each; the 12x24
+# torus fits (7,568,932 floats), 14x14 does not (35,532,450)
+BAND_SIZE_CAP = 1 << 23
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -245,11 +244,10 @@ def _trim(coeffs: List[int]) -> Tuple[int, ...]:
     return tuple(coeffs[: last + 1])
 
 
-def _brute_coefficients(width: int, height: int, boundary: str, starts=None) -> List[int]:
-    """Configurations per tile count, from the given first-row states (all
-    by default)."""
+def _brute_coefficients(width: int, height: int, boundary: str) -> List[int]:
+    """Configurations per tile count."""
     counts = np.zeros(width * height // 4 + 1, dtype=np.int64)
-    for _, tiles in iter_mask_blocks(width, height, boundary, starts):
+    for _, tiles in iter_mask_blocks(width, height, boundary):
         counts += np.bincount(tiles, minlength=len(counts))
     return counts.tolist()
 
@@ -308,7 +306,6 @@ def partition_polynomial(
     *,
     method: str = "auto",
     area_cap: int = DEFAULT_AREA_CAP,
-    threads: int = 1,
 ) -> PartitionPolynomial:
     """Exact partition polynomial by brute force or row transfer.
 
@@ -322,12 +319,7 @@ def partition_polynomial(
     if method == "brute":
         if area > area_cap:
             raise TooLarge(f"area {area} exceeds brute-force cap {area_cap}")
-        if threads > 1:
-            count = partial(_brute_coefficients, width, height, boundary)
-            parts = map_start_rows(count, width, height, boundary, threads)
-            coeffs = [sum(part) for part in zip(*parts)]
-        else:
-            coeffs = _brute_coefficients(width, height, boundary)
+        coeffs = _brute_coefficients(width, height, boundary)
     elif method == "transfer":
         if width > TRANSFER_WIDTH_CAP:
             raise TooLarge(
@@ -342,39 +334,6 @@ def partition_polynomial(
 
 
 # -- event weights -----------------------------------------------------------
-
-
-def _admitted_coefficients(width: int, height: int, boundary: str) -> Tuple[int, ...]:
-    """Tile-count coefficients by the row transfer along the narrow side
-    (the transposed region has the same ones); TooLarge beyond 64 sites,
-    or beyond ENSEMBLE_CAP configurations, before any is listed."""
-    # the 64-bit masks bound the sites, and so the transfer's narrow side
-    _row_layout(width, height, boundary)
-    coefficients = _trim(_transfer_coefficients(min(width, height), max(width, height), boundary))
-    count = sum(coefficients)
-    if count > ENSEMBLE_CAP:
-        raise TooLarge(
-            f"{width}x{height} {boundary} has {count} configurations, "
-            f"more than the {ENSEMBLE_CAP} that exact evaluation lists"
-        )
-    return coefficients
-
-
-@lru_cache(maxsize=16)
-def _ensemble(width: int, height: int, boundary: str):
-    """All valid configurations as (masks uint64, tile counts int16), in
-    the order of iter_valid_masks. TooLarge beyond ENSEMBLE_CAP of them,
-    counted by the row transfer before any is listed."""
-    _admitted_coefficients(width, height, boundary)
-    masks, tiles = zip(*iter_mask_blocks(width, height, boundary))
-    return np.concatenate(masks), np.concatenate(tiles)
-
-
-def _check_enumerable(width, height, area_cap):
-    if width * height > area_cap:
-        raise TooLarge(
-            f"area {width * height} exceeds enumeration cap {area_cap}"
-        )
 
 
 def event_weight(
@@ -394,8 +353,9 @@ def event_weight(
     from .lattice import mask_to_configuration
 
     check_fugacity(lam)
-    _check_enumerable(width, height, area_cap)
     area = width * height
+    if area > area_cap:
+        raise TooLarge(f"area {area} exceeds enumeration cap {area_cap}")
     total = 0.0
     for mask, cnt in iter_valid_masks(width, height, boundary):
         if predicate(mask_to_configuration(width, height, boundary, int(mask))):
@@ -451,31 +411,6 @@ def _reflected_point(q: Point, i: int, j: int, corner: Point, k: int, l: int) ->
     return rx, ry
 
 
-def _pattern_table(width, height, corner, k, l) -> np.ndarray:
-    """Site indices of each block point under every reflection (i, j).
-
-    Returns an int array of shape (nx, ny, npoints) with flat torus site
-    indices; nx = width // k, ny = height // l.
-    """
-    points = _block_points(corner, k, l)
-    nx, ny = width // k, height // l
-    table = np.empty((nx, ny, len(points)), dtype=np.int64)
-    for i in range(nx):
-        for j in range(ny):
-            for p, q in enumerate(points):
-                rx, ry = _reflected_point(q, i, j, corner, k, l)
-                table[i, j, p] = (ry % height) * width + (rx % width)
-    return table
-
-
-def _patterns_for(masks: np.ndarray, site_idx: np.ndarray) -> np.ndarray:
-    """Pattern ids of every configuration for one reflection."""
-    out = np.zeros(len(masks), dtype=np.uint64)
-    for bit, s in enumerate(site_idx):
-        out |= (masks >> np.uint64(s) & np.uint64(1)) << np.uint64(bit)
-    return out.astype(np.int64)
-
-
 def _eval_local(
     fn: LocalFunction, points: List[Point], pattern_ids: np.ndarray
 ) -> np.ndarray:
@@ -497,14 +432,6 @@ def _eval_local(
     return values[inverse]
 
 
-def _torus_expectation(tiles: np.ndarray, values: np.ndarray, lam: float) -> float:
-    """mu^per of a per-configuration value array, each weight taken
-    relative to the largest, lam^(tiles - most tiles) for lam > 1."""
-    top = tiles.max() if lam > 1 else tiles.min()
-    weights = np.power(float(lam), tiles.astype(np.float64) - top)
-    return float((weights * values).sum() / weights.sum())
-
-
 def _band_pairs(positions: int, rows: int) -> Tuple[np.ndarray, np.ndarray]:
     """Every run of rows + 1 cyclic row states, each next to the one
     before, as state indices (runs, rows + 1), and the tiles of the
@@ -518,6 +445,44 @@ def _band_pairs(positions: int, rows: int) -> Tuple[np.ndarray, np.ndarray]:
         nxt = flat[np.arange(ends[-1]) + np.repeat(first[last] - ends + deg, deg)]
         runs = np.column_stack([np.repeat(runs, deg, axis=0), nxt])
     return runs, counts[runs[:, :-1]].sum(axis=1)
+
+
+def _check_band_size(width: int, height: int, k: int, l: int, cells: int) -> None:
+    """TooLarge unless the band transfer of ``cells`` reflected k x l
+    blocks on the torus stays within BAND_SIZE_CAP, before it builds any
+    of its arrays.
+
+    The two largest are the bits the run table gathers, runs x cells x
+    points, and the kernel product, (area/4 + 1) x S^2 floats for the S
+    cyclic row states along the narrow side. S is a Lucas number, and
+    the runs of l + 1 rows are walks counted on the degree vector of the
+    row tables. Each is counted only while it stays within the cap, so a
+    refused size may be a lower bound.
+    """
+    _check_dims(width, height, "periodic")
+    torus = f"{width}x{height}"
+    if height < width:
+        width, height, k, l = height, width, l, k
+    rows, step = 2, 1  # Lucas numbers L_0 and L_1
+    for _ in range(width):
+        if rows > BAND_SIZE_CAP:
+            break
+        rows, step = step, rows + step
+    size = (width * height // 4 + 1) * rows * rows
+    if size <= BAND_SIZE_CAP:
+        _, _, _, degree, first, flat = _row_tables(width, True)
+        per_run = cells * (k + 1) * (l + 1)
+        runs = degree.astype(np.float64)
+        for _ in range(l - 1):
+            if runs.sum() * per_run > BAND_SIZE_CAP:
+                break
+            runs = np.add.reduceat(runs[flat], first)
+        size = max(size, int(runs.sum()) * per_run)
+    if size > BAND_SIZE_CAP:
+        raise TooLarge(
+            f"the band transfer on the {torus} torus needs at least {size} "
+            f"array entries, more than the {BAND_SIZE_CAP} it admits"
+        )
 
 
 def _log_disseminated(
@@ -541,11 +506,15 @@ def _log_disseminated(
     only at the end, summed relative to the largest term as in log_tile,
     so no weight overflows or underflows at any fugacity.
     """
-    coefficients = _admitted_coefficients(width, height, "periodic")
+    _check_band_size(width, height, k, l, len(events))
     points = _block_points(corner, k, l)
     cells = list(events)
+    # the block at the corner taken on the torus reflects onto the same
+    # sites, and its coordinates fit int64 whatever the corner
+    home = (corner[0] % width, corner[1] % height)
+    home_points = _block_points(home, k, l)
     sites = np.array(
-        [[_reflected_point(q, i, j, corner, k, l) for q in points] for i, j in cells],
+        [[_reflected_point(q, i, j, home, k, l) for q in home_points] for i, j in cells],
         dtype=np.int64,
     ).reshape(len(cells), len(points), 2) % (width, height)
     axis = 1
@@ -558,7 +527,7 @@ def _log_disseminated(
     size = len(row_values)
     states = row_values[runs]
     # each point's row within its run, and its bit in that row's state
-    row = (sites[..., 1] - corner[axis] - band[:, None] * l) % height
+    row = (sites[..., 1] - home[axis] - band[:, None] * l) % height
     bits = states[:, row] >> sites[..., 0].astype(np.uint64) & np.uint64(1)
     ids = (bits << np.arange(len(points), dtype=np.uint64)).sum(axis=2).astype(np.int64)
     # one evaluation per local function, over all of its cells
@@ -587,21 +556,21 @@ def _log_disseminated(
     total = float(np.sign(trace[n]) @ np.exp(logs - top))
     if total == 0.0:
         return 0, -math.inf
+    coefficients = _trim(_transfer_coefficients(width, height, "periodic"))
     log_z = PartitionPolynomial(width, height, "periodic", coefficients).log_tile(lam)
     return (1 if total > 0 else -1), log_scale + top + math.log(abs(total)) - log_z
 
 
-def chessboard_seminorm(
-    query: SeminormQuery, lam: float, *, area_cap: int = DEFAULT_AREA_CAP
-) -> float:
+def chessboard_seminorm(query: SeminormQuery, lam: float) -> float:
     """Chessboard seminorm: mu^per(prod over all reflections)^(1/#reflections).
 
     The expectation of the disseminated product is nonnegative by
     reflection positivity; tiny negative float residue is clamped to 0.
     """
     check_fugacity(lam)
-    _check_enumerable(query.width, query.height, area_cap)
     nx, ny = query.width // query.block_width, query.height // query.block_height
+    # admitted before its nx * ny cells are listed
+    _check_band_size(query.width, query.height, query.block_width, query.block_height, nx * ny)
     sign, log_value = _log_disseminated(
         query.width,
         query.height,
@@ -622,8 +591,6 @@ def disseminated_expectation(
     block_width: int,
     block_height: int,
     events: Mapping[Tuple[int, int], Event],
-    *,
-    area_cap: int = DEFAULT_AREA_CAP,
 ) -> float:
     """mu^per of a product of reflected block events, one per grid cell.
 
@@ -632,7 +599,6 @@ def disseminated_expectation(
     constraint. This is the left-hand side of the chessboard estimate.
     """
     check_fugacity(lam)
-    _check_enumerable(width, height, area_cap)
     SeminormQuery(width, height, corner, block_width, block_height, lambda _: True)
     nx, ny = width // block_width, height // block_height
     for i, j in events:
@@ -644,32 +610,6 @@ def disseminated_expectation(
     return sign * math.exp(log_value)
 
 
-def reflection_pair_patterns(
-    width: int, height: int, corner: Point, block_width: int, block_height: int
-):
-    """Identity and mirror pattern ids per configuration, plus weights data.
-
-    The torus must be the block doubled along exactly one axis. Returns
-    (points, p0, p1, tiles) where p0/p1 are pattern-id arrays aligned with
-    the cached ensemble and tiles are the configuration tile counts.
-    """
-    if width == 2 * block_width and height == block_height:
-        refl = (1, 0)
-    elif height == 2 * block_height and width == block_width:
-        refl = (0, 1)
-    else:
-        raise GeometryMismatch(
-            f"torus {width}x{height} is not the block {block_width}x{block_height} "
-            "doubled along one axis"
-        )
-    masks, tiles = _ensemble(width, height, "periodic")
-    points = _block_points(corner, block_width, block_height)
-    table = _pattern_table(width, height, corner, block_width, block_height)
-    p0 = _patterns_for(masks, table[0, 0])
-    p1 = _patterns_for(masks, table[refl])
-    return points, p0, p1, tiles
-
-
 def reflection_positivity_value(
     width: int,
     height: int,
@@ -678,22 +618,28 @@ def reflection_positivity_value(
     block_width: int,
     block_height: int,
     f: LocalFunction,
-    *,
-    area_cap: int = DEFAULT_AREA_CAP,
 ) -> float:
     """mu^per(f * (f o reflection)) for a block-local function f.
 
     The torus must be the block doubled along one axis, with the
-    reflection through the shared block edge. Nonnegative up to float
+    reflection through the shared block edge: the disseminated product
+    of f at the block and at its mirror image. Nonnegative up to float
     rounding for every local f.
     """
     check_fugacity(lam)
-    _check_enumerable(width, height, area_cap)
-    points, p0, p1, tiles = reflection_pair_patterns(
-        width, height, corner, block_width, block_height
+    if width == 2 * block_width and height == block_height:
+        mirror = (1, 0)
+    elif height == 2 * block_height and width == block_width:
+        mirror = (0, 1)
+    else:
+        raise GeometryMismatch(
+            f"torus {width}x{height} is not the block {block_width}x{block_height} "
+            "doubled along one axis"
+        )
+    sign, log_value = _log_disseminated(
+        width, height, lam, corner, block_width, block_height, {(0, 0): f, mirror: f}
     )
-    values = _eval_local(f, points, p0) * _eval_local(f, points, p1)
-    return _torus_expectation(tiles, values, lam)
+    return sign * math.exp(log_value)
 
 
 def face_vacant_event(corner: Point) -> Tuple[Point, int, int, Event]:

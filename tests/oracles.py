@@ -6,6 +6,7 @@ enumeration over raw occupancy masks or sequences.
 """
 
 from collections import defaultdict
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -19,7 +20,8 @@ from squarepack.graphs import (
     compress,
     max_stick_run,
 )
-from squarepack.lattice import mask_to_configuration, model_sites
+from squarepack.errors import GeometryMismatch
+from squarepack.lattice import iter_mask_blocks, mask_to_configuration, model_sites
 from squarepack.sticks import PHASES, Rect, Stick, properly_divides, stick_divides
 
 
@@ -273,9 +275,59 @@ def eval_local_by_unique(fn, points, pattern_ids):
     return values[inverse]
 
 
+@lru_cache(maxsize=16)
+def ensemble(width, height, boundary):
+    """All valid configurations as (masks uint64, tile counts int16), in
+    the order of iter_valid_masks."""
+    masks, tiles = zip(*iter_mask_blocks(width, height, boundary))
+    return np.concatenate(masks), np.concatenate(tiles)
+
+
+def pattern_table(width, height, corner, k, l):
+    """Site indices of each block point under every reflection (i, j):
+    an int array (W/k, H/l, points) of flat torus site indices."""
+    points = exact._block_points(corner, k, l)
+    nx, ny = width // k, height // l
+    table = np.empty((nx, ny, len(points)), dtype=np.int64)
+    for i in range(nx):
+        for j in range(ny):
+            for p, q in enumerate(points):
+                rx, ry = exact._reflected_point(q, i, j, corner, k, l)
+                table[i, j, p] = (ry % height) * width + (rx % width)
+    return table
+
+
+def patterns_for(masks, site_idx):
+    """Pattern ids of every configuration for one reflection."""
+    out = np.zeros(len(masks), dtype=np.uint64)
+    for bit, s in enumerate(site_idx):
+        out |= (masks >> np.uint64(s) & np.uint64(1)) << np.uint64(bit)
+    return out.astype(np.int64)
+
+
+def reflection_pair_patterns(width, height, corner, block_width, block_height):
+    """(points, p0, p1, tiles): the block points, the identity and mirror
+    pattern ids of every listed torus configuration, and its tile count.
+    The torus must be the block doubled along exactly one axis."""
+    if width == 2 * block_width and height == block_height:
+        refl = (1, 0)
+    elif height == 2 * block_height and width == block_width:
+        refl = (0, 1)
+    else:
+        raise GeometryMismatch(
+            f"torus {width}x{height} is not the block {block_width}x{block_height} "
+            "doubled along one axis"
+        )
+    masks, tiles = ensemble(width, height, "periodic")
+    points = exact._block_points(corner, block_width, block_height)
+    table = pattern_table(width, height, corner, block_width, block_height)
+    return points, patterns_for(masks, table[0, 0]), patterns_for(masks, table[refl]), tiles
+
+
 def reflection_positivity_by_configurations(f, points, p0, p1, tiles, lam):
-    """mu^per(f * (f o reflection)) from the identity and mirror pattern
-    ids, one configuration at a time, with f memoized per pattern id."""
+    """(mu^per(f * (f o reflection)), mu^per of its absolute value) from
+    the identity and mirror pattern ids, one configuration at a time,
+    with f memoized per pattern id."""
     cache = {}
 
     def fval(pid):
@@ -285,19 +337,20 @@ def reflection_positivity_by_configurations(f, points, p0, p1, tiles, lam):
 
     weights = np.power(float(lam), tiles.astype(np.float64))
     vals = np.array([fval(int(a)) * fval(int(b)) for a, b in zip(p0, p1)])
-    return float((weights * vals).sum() / weights.sum())
+    z = weights.sum()
+    return float((weights * vals).sum() / z), float((weights * np.abs(vals)).sum() / z)
 
 
 def disseminated_by_configurations(width, height, lam, corner, k, l, events):
     """(mu^per of the product of reflected block functions, mu^per of its
     absolute value) over every listed torus configuration: one bit gather
     and one local function pass per reflection (i, j) in ``events``."""
-    masks, tiles = exact._ensemble(width, height, "periodic")
-    table = exact._pattern_table(width, height, corner, k, l)
+    masks, tiles = ensemble(width, height, "periodic")
+    table = pattern_table(width, height, corner, k, l)
     points = exact._block_points(corner, k, l)
     values = np.ones(len(masks), dtype=np.float64)
     for (i, j), fn in events.items():
-        values *= eval_local_by_unique(fn, points, exact._patterns_for(masks, table[i, j]))
+        values *= eval_local_by_unique(fn, points, patterns_for(masks, table[i, j]))
     weights = np.power(float(lam), tiles.astype(np.float64))
     z = weights.sum()
     return float((weights * values).sum() / z), float((weights * np.abs(values)).sum() / z)

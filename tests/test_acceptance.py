@@ -18,7 +18,6 @@ from squarepack.exact import (
     disseminated_expectation,
     face_vacant_event,
     partition_polynomial,
-    reflection_pair_patterns,
     z1d_free,
     z1d_periodic,
 )
@@ -37,7 +36,12 @@ from squarepack.sticks import (
     psi_set,
 )
 
-from oracles import torus_partition_counts, z1d_periodic_enumeration
+from oracles import (
+    ensemble,
+    reflection_pair_patterns,
+    torus_partition_counts,
+    z1d_periodic_enumeration,
+)
 
 LENGTH_GRID = list(range(2, 21, 2))
 LAMBDA_GRID = [1.0, 4.0, 100.0]
@@ -164,11 +168,9 @@ def test_criterion_06_seminorm_face_bound():
 
 
 def test_criterion_07_mcmc_stationarity():
-    from squarepack.exact import _ensemble
-
     results = []
     for lam in (0.5, 2.0, 8.0):
-        masks, tiles = _ensemble(4, 4, "periodic")
+        masks, tiles = ensemble(4, 4, "periodic")
         weights = lam ** tiles.astype(np.float64)
         probs = {int(m): w / weights.sum() for m, w in zip(masks, weights)}
         chain = Chain(ChainParams(width=4, height=4, lam=lam, seed=1107, sweeps=0))

@@ -16,13 +16,14 @@ from squarepack.exact import (
     disseminated_expectation,
     face_vacant_event,
     partition_polynomial,
-    reflection_pair_patterns,
     reflection_positivity_value,
 )
 
 from oracles import (
     disseminated_by_configurations,
+    ensemble,
     eval_local_by_unique,
+    reflection_pair_patterns,
     reflection_positivity_by_configurations,
 )
 
@@ -159,11 +160,11 @@ def test_disseminated_transfer_matches_configuration_loops(dims):
                 events = {cell: rng.choice(functions) for cell in chosen}
                 lam = TRANSFER_LAMBDAS[draws % len(TRANSFER_LAMBDAS)]
                 draws += 1
-                got = disseminated_expectation(w, h, lam, corner, k, l, events, area_cap=64)
+                got = disseminated_expectation(w, h, lam, corner, k, l, events)
                 want, scale = disseminated_by_configurations(w, h, lam, corner, k, l, events)
                 assert abs(got - want) <= 1e-12 * scale, (k, l, corner, lam)
     finally:
-        exact._ensemble.cache_clear()
+        ensemble.cache_clear()
 
 
 @pytest.mark.parametrize("dims", [(4, 4), (6, 4), (4, 6), (8, 4), (4, 8), (6, 6)])
@@ -292,23 +293,51 @@ def test_pattern_values_match_unique_reference(dims, k, l, seed, monkeypatch):
     assert got == values()
 
 
+# -- admission by the band transfer's size -------------------------------------
+
+
+def test_band_size_cap_counts_before_building(monkeypatch):
+    # 4x4, 1x1 blocks: 17 runs of two rows x 16 cells x 4 points gathered,
+    # against (16/4 + 1) x 7^2 = 245 kernel floats
+    corner, k, l, event = face_vacant_event((0, 0))
+    query = SeminormQuery(4, 4, corner, k, l, event)
+    monkeypatch.setattr(exact, "BAND_SIZE_CAP", 1087)
+    with pytest.raises(TooLarge, match="at least 1088 array entries"):
+        chessboard_seminorm(query, 2.0)
+    monkeypatch.setattr(exact, "BAND_SIZE_CAP", 1088)
+    assert 0 < chessboard_seminorm(query, 2.0) < 1
+
+
+def test_band_size_cap_admits_12x24_torus():
+    # 7,568,932 kernel floats and 4,719,744 gathered bits for every face
+    # of the 12x24 torus, and the largest queries of the test suite
+    exact._check_band_size(12, 24, 1, 1, 12 * 24)
+    exact._check_band_size(24, 12, 1, 1, 12 * 24)
+    exact._check_band_size(8, 6, 4, 1, 12)
+    exact._check_band_size(12, 4, 6, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "dims,k,l,size",
+    [((16, 16), 2, 2, 316_605_185), ((20, 20), 1, 1, 23_111_439_029), ((10, 10), 5, 5, None)],
+)
+def test_band_size_cap_refuses_before_building(dims, k, l, size, monkeypatch):
+    # 16x16 with 2x2 blocks would gather 8.9e9 bits (66 GiB), and 10x10
+    # with 5x5 blocks 2.6e10; the refusal comes before any run is listed
+    def unreachable(*args):
+        raise AssertionError("the band was built")
+
+    monkeypatch.setattr(exact, "_band_pairs", unreachable)
+    w, h = dims
+    corner, _, _, event = face_vacant_event((0, 0))
+    message = f"{w}x{h} torus needs at least {size or ''}"
+    with pytest.raises(TooLarge, match=message):
+        chessboard_seminorm(SeminormQuery(w, h, corner, k, l, event), 1.0)
+    with pytest.raises(TooLarge, match=message):
+        disseminated_expectation(w, h, 1.0, corner, k, l, {(0, 0): event})
+
+
 # -- reflection positivity -----------------------------------------------------
-
-
-def test_ensemble_cap_counts_before_listing(monkeypatch):
-    exact._ensemble.cache_clear()
-    monkeypatch.setattr(exact, "ENSEMBLE_CAP", 1372)
-    with pytest.raises(TooLarge, match="1373 configurations"):
-        exact._ensemble(6, 4, "periodic")
-    monkeypatch.setattr(exact, "ENSEMBLE_CAP", 1373)
-    assert len(exact._ensemble(6, 4, "periodic")[0]) == 1373
-    exact._ensemble.cache_clear()
-
-
-def test_ensemble_cap_admits_8x6_torus():
-    masks, tiles = exact._ensemble(8, 6, "periodic")
-    assert len(masks) == len(tiles) == 1_455_509
-    exact._ensemble.cache_clear()
 
 
 def test_reflection_positivity_constant_function():
@@ -351,18 +380,37 @@ def test_reflection_positivity_random_pm_one(seed):
     assert val >= -1e-12
 
 
-@pytest.mark.parametrize("seed", range(4))
+# torus and block, doubled along x or y; 6x4 and 8x4 run transposed, and a
+# block as tall as the torus (8x2 on 8x4, transposed) is one band
+REFLECTION_BLOCKS = (
+    (4, 4, 2, 4),
+    (4, 4, 4, 2),
+    (4, 6, 2, 6),
+    (4, 6, 4, 3),
+    (6, 4, 3, 4),
+    (6, 4, 6, 2),
+    (8, 4, 4, 4),
+    (8, 4, 8, 2),
+    (4, 8, 2, 8),
+    (6, 6, 6, 3),
+)
+
+
+@pytest.mark.parametrize("seed", range(len(REFLECTION_BLOCKS)))
 def test_reflection_positivity_matches_per_configuration_reference(seed):
     rng = random.Random(seed)
-    w, h = rng.choice([(4, 4), (4, 6), (8, 4)])
-    k, l = (w // 2, h) if rng.random() < 0.5 else (w, h // 2)
-    corner = (rng.randrange(w), rng.randrange(h))
+    w, h, k, l = REFLECTION_BLOCKS[seed]
+    corner = (rng.randrange(-w, 2 * w), rng.randrange(-h, 2 * h))
     f = _random_local(block_points(corner, k, l), rng)
-    lam = rng.choice([0.5, 4.0, 32.0])
-    reference = reflection_positivity_by_configurations(
-        f, *reflection_pair_patterns(w, h, corner, k, l), lam
-    )
-    assert reflection_positivity_value(w, h, lam, corner, k, l, f) == reference
+    lam = TRANSFER_LAMBDAS[seed % len(TRANSFER_LAMBDAS)]
+    try:
+        want, scale = reflection_positivity_by_configurations(
+            f, *reflection_pair_patterns(w, h, corner, k, l), lam
+        )
+    finally:
+        ensemble.cache_clear()
+    got = reflection_positivity_value(w, h, lam, corner, k, l, f)
+    assert abs(got - want) <= 1e-12 * scale, (corner, lam)
 
 
 def test_reflection_positivity_geometry_mismatch():

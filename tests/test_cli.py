@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from squarepack import errors
 from squarepack.cli import build_parser, main
+from squarepack.exact import partition_polynomial
 from squarepack.lattice import create_configuration, encode
 from squarepack.sampler import OBSERVABLES, seed_phase_configuration
 
@@ -42,10 +43,30 @@ def test_exact1d_odd_length_error(capsys):
     assert json.loads(err)["error"]["type"] == "OddLength"
 
 
-def test_unknown_subcommand_exits_2(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobnicate"],
+        ["exact1d", "--L", "4", "--lambda", "-inf"],
+        ["exact2d", "--width", "abc", "--height", "4"],
+        ["chessboard", "--width", "8", "--height", "8", "--area-cap", "64"],
+        ["exact2d", "--width", "4", "--height", "4", "--threads", "2"],
+        ["exact1d", "--lambda", "1"],
+    ],
+)
+def test_parse_errors_are_json_errors(argv, capsys):
+    # an unknown subcommand, a value argparse reads as an option, a
+    # malformed value, removed options and a missing one
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "UsageError"
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+        main(["chessboard", "--help"])
+    assert exc.value.code == 0
+    assert "--face-x" in capsys.readouterr().out
 
 
 def test_exact2d_report(tmp_path, capsys):
@@ -120,27 +141,27 @@ def test_chessboard_rejects_fugacity_not_positive_and_finite(lam, capsys):
     assert json.loads(err)["error"]["type"] == "NonpositiveFugacity"
 
 
-def test_chessboard_beyond_64_sites_rejected_before_enumeration():
-    # 72 sites pass the raised area cap but not the 64-bit masks; the
-    # error must come before the enumeration, which takes minutes here
-    proc = subprocess.run(
-        [sys.executable, "-m", "squarepack.cli", "chessboard"]
-        + ["--width", "4", "--height", "18", "--lambda", "1", "--area-cap", "80"],
-        capture_output=True,
-        text=True,
-        timeout=60,
+@pytest.mark.parametrize("dims", [(8, 8), (4, 18)])
+def test_chessboard_face_vacant_is_root_of_transfer_partition(dims, capsys):
+    # only the empty configuration leaves every face vacant, so zeta is
+    # Z_tile^(-1/WH); 8x8 has 157,763,829 configurations and 4x18 has 72
+    # sites, both beyond what a listing of configurations can hold
+    w, h = dims
+    code, out, err = run_cli(
+        ["chessboard", "--width", str(w), "--height", str(h), "--lambda", "30"], capsys
     )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert json.loads(proc.stderr)["error"]["type"] == "TooLarge"
+    assert (code, err) == (0, "")
+    z = partition_polynomial(w, h, "periodic", method="transfer").evaluate_tile(30.0)
+    assert json.loads(out)["zeta"] == pytest.approx(z ** (-1.0 / (w * h)), rel=1e-12)
 
 
 def test_chessboard_wide_torus_rejected_before_counting():
-    # 400 sites fail the 64-bit masks; counting first would walk 15,127
-    # row states of a 20-site row
+    # the 20x20 torus's kernels would hold 101 x 15,127^2 floats; the
+    # refusal comes from the row count, before the 15,127 row states of a
+    # 20-site row are listed
     proc = subprocess.run(
         [sys.executable, "-m", "squarepack.cli", "chessboard"]
-        + ["--width", "20", "--height", "20", "--lambda", "1", "--area-cap", "400"],
+        + ["--width", "20", "--height", "20", "--lambda", "1"],
         capture_output=True,
         text=True,
         timeout=60,
@@ -149,24 +170,7 @@ def test_chessboard_wide_torus_rejected_before_counting():
     assert proc.stdout == ""
     error = json.loads(proc.stderr)["error"]
     assert error["type"] == "TooLarge"
-    assert "64-bit" in error["message"]
-
-
-def test_chessboard_beyond_ensemble_cap_rejected_before_enumeration():
-    # 64 sites fit the masks, but the 8x8 torus has 157,763,829
-    # configurations: listing them all runs out of memory
-    proc = subprocess.run(
-        [sys.executable, "-m", "squarepack.cli", "chessboard"]
-        + ["--width", "8", "--height", "8", "--lambda", "1", "--area-cap", "64"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    error = json.loads(proc.stderr)["error"]
-    assert error["type"] == "TooLarge"
-    assert "157763829" in error["message"]
+    assert "23111439029" in error["message"]
 
 
 def test_brute_beyond_64_sites_rejected_before_enumeration():
@@ -237,7 +241,7 @@ def test_threads_option_only_where_used():
         for name, sub in commands.choices.items()
         if any(a.dest == "threads" for a in sub._actions)
     }
-    assert with_threads == {"exact2d", "components"}
+    assert with_threads == {"components"}
 
 
 def test_sample_unknown_observable(tmp_path, capsys):
@@ -607,10 +611,9 @@ FUZZ_FUGACITIES = st.floats(1e-3, 1e3) | st.sampled_from(
 
 @st.composite
 def exact_runs(draw):
-    """An ``exact1d`` or ``exact2d`` argument vector on small sizes; no
-    process pools (threads at most 1) and brute force within small caps.
-    Values are joined to their option by ``=``, since argparse reads a
-    separate ``-inf`` as an option."""
+    """An ``exact1d`` or ``exact2d`` argument vector on small sizes, brute
+    force within small caps. Values are joined to their option by ``=``,
+    since argparse reads a separate ``-inf`` as an option."""
     if draw(st.booleans()):
         argv = ["exact1d", f"--L={draw(st.integers(-3, 40))}", f"--lambda={draw(FUZZ_FUGACITIES)}"]
         return argv + (["--free"] if draw(st.booleans()) else [])
@@ -621,7 +624,6 @@ def exact_runs(draw):
         f"--boundary={draw(st.sampled_from(['periodic', 'free', 'fully_packed']))}",
         f"--method={draw(st.sampled_from(['auto', 'brute', 'transfer']))}",
         f"--area-cap={draw(st.sampled_from([-1, 0, 16, 36, 48]))}",
-        f"--threads={draw(st.integers(-1, 1))}",
     ]
     return argv + [f"--lambda={lam}" for lam in draw(st.lists(FUZZ_FUGACITIES, max_size=3))]
 
@@ -665,3 +667,39 @@ def test_sample_phase_seed_in_rectangle_modes(boundary, phase, capsys):
     )
     assert (code, err) == (0, "")
     assert json.loads(out)["params"]["initial"] == phase
+
+
+@st.composite
+def chessboard_runs(draw):
+    """A ``chessboard`` argument vector: dimensions the band transfer
+    admits are at most 8, the rest lie beyond its size cap or are not
+    tori; faces anywhere, fugacities of every kind."""
+    side = st.sampled_from([4, 6, 8]) | st.integers(-2, 9) | st.sampled_from([16, 20, 64, 10**6])
+    face = st.integers(-20, 20) | st.sampled_from([-(2**70), 2**70])
+    return [
+        "chessboard",
+        f"--width={draw(side)}",
+        f"--height={draw(side)}",
+        f"--face-x={draw(face)}",
+        f"--face-y={draw(face)}",
+        f"--lambda={draw(FUZZ_FUGACITIES)}",
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(chessboard_runs())
+def test_chessboard_fuzz_prints_json_or_a_json_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert err == ""
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert 0 <= payload["zeta"] <= 1
+        assert payload["bound_holds"] is True
+    else:
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] in SQUAREPACK_ERRORS

@@ -17,7 +17,13 @@ from squarepack.sampler import (
     seed_phase_configuration,
 )
 
-from oracles import ScalarEngineBySites, pairwise_valid, sweep_by_generator, translation_by_cells
+from oracles import (
+    ScalarEngineBySites,
+    ensemble,
+    pairwise_valid,
+    sweep_by_generator,
+    translation_by_cells,
+)
 from strategies import random_valid_config
 
 
@@ -379,9 +385,7 @@ def test_keep_samples():
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
 def test_stationarity_4x4(lam):
-    from squarepack.exact import _ensemble
-
-    masks, tiles = _ensemble(4, 4, "periodic")
+    masks, tiles = ensemble(4, 4, "periodic")
     weights = lam ** tiles.astype(float)
     probs = {int(m): w / weights.sum() for m, w in zip(masks, weights)}
 
