@@ -21,7 +21,7 @@ import numpy as np
 
 from squarepack.coupling import radius_tail_experiment
 from squarepack.observables import autocorrelation_curve, fit_decay_length
-from squarepack.sampler import Chain, ChainParams
+from squarepack.sampler import Chain, ChainParams, iter_samples
 
 
 def measure_xi_y(lam, width, height, seed, sweeps, thinning, burn_in, lag_max):
@@ -30,16 +30,13 @@ def measure_xi_y(lam, width, height, seed, sweeps, thinning, burn_in, lag_max):
         height=height,
         lam=lam,
         seed=seed,
-        sweeps=0,
+        sweeps=sweeps,
+        burn_in=burn_in,
+        thinning=thinning,
         translation_move_fraction=0.1,
         initial="ver0",
     )
-    chain = Chain(params)
-    chain.sweep(burn_in)
-    samples = []
-    for _ in range(sweeps // thinning):
-        chain.sweep(thinning)
-        samples.append(chain.configuration())
+    samples = list(iter_samples(Chain(params)))
     curve = autocorrelation_curve(samples, "y", list(range(2, lag_max, 2)))
     xi, err = fit_decay_length(curve, floor=5e-3)
     return xi, err, curve

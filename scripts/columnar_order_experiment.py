@@ -12,6 +12,7 @@ Example:
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -20,8 +21,14 @@ from squarepack.observables import (
     offset_row_vacancy_check,
     parity_density,
 )
-from squarepack.sampler import Chain, ChainParams
+from squarepack.sampler import Chain, ChainParams, iter_samples
 from squarepack.sticks import classify_phase
+
+
+def _estimate(series):
+    mean, err = batch_mean_stderr(series)
+    # one measurement has no stderr: null, not NaN
+    return {"mean": mean, "stderr": err if math.isfinite(err) else None}
 
 
 def main(argv=None):
@@ -51,15 +58,10 @@ def main(argv=None):
         initial=args.phase,
     )
     t0 = time.time()
-    chain = Chain(params)
-    chain.sweep(params.burn_in)
     even_series, odd_series = [], []
     labels = {}
     vacancy_checks = {"checked": 0, "violations": 0}
-    n_meas = params.sweeps // params.thinning
-    for i in range(n_meas):
-        chain.sweep(params.thinning)
-        cfg = chain.configuration()
+    for i, cfg in enumerate(iter_samples(Chain(params))):
         dens = parity_density([cfg])
         even_series.append(dens["even_x"])
         odd_series.append(dens["odd_x"])
@@ -71,13 +73,12 @@ def main(argv=None):
                     vacancy_checks["checked"] += 1
                     if row["vacancies"] < 4:
                         vacancy_checks["violations"] += 1
-    even_mean, even_err = batch_mean_stderr(even_series)
-    odd_mean, odd_err = batch_mean_stderr(odd_series)
+    n_meas = len(even_series)
     report = {
         "spec": params.describe(),
         "elapsed_seconds": round(time.time() - t0, 1),
-        "even_x": {"mean": even_mean, "stderr": even_err},
-        "odd_x": {"mean": odd_mean, "stderr": odd_err},
+        "even_x": _estimate(even_series),
+        "odd_x": _estimate(odd_series),
         "phase_fractions": {k: v / n_meas for k, v in labels.items()},
         "offset_row_vacancy_check": vacancy_checks,
         "note": "Theta constants are fitted, not asserted; see report fields",

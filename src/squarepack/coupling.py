@@ -24,7 +24,7 @@ import numpy as np
 from .errors import RegionOutOfBounds, ShapeMismatch
 from .lattice import Configuration, Point, _unchecked, component_labels
 from .observables import fit_decay_length
-from .sampler import Chain, ChainParams
+from .sampler import Chain, ChainParams, iter_samples
 from .sticks import classify_phase
 
 
@@ -179,19 +179,23 @@ class TailReport:
     pairs_skipped: int
     fits: Dict[str, dict] = field(default_factory=dict)
 
+    def tail_counts(self, direction: str) -> List[int]:
+        """Number of reaches at least d, for d = 0 .. the largest reach."""
+        hist = self.counts[direction]
+        per_d = [hist.get(r, 0) for r in range(max(hist, default=-1) + 1)]
+        return np.cumsum(per_d[::-1])[::-1].tolist()
+
     def probability(self, direction: str, d: int) -> float:
         if self.totals == 0:
             return 0.0
-        c = sum(v for r, v in self.counts[direction].items() if r >= d)
+        tail = self.tail_counts(direction)
+        c = tail[max(d, 0)] if d < len(tail) else 0
         return c / self.totals
 
     def tail_rows(self) -> List[dict]:
         rows = []
-        for direction, hist in self.counts.items():
-            if not hist:
-                continue
-            for d in range(0, max(hist) + 1):
-                c = sum(v for r, v in hist.items() if r >= d)
+        for direction in self.counts:
+            for d, c in enumerate(self.tail_counts(direction)):
                 rows.append(
                     {
                         "direction": direction,
@@ -217,39 +221,30 @@ def radius_tail_experiment(
     *,
     phase: Optional[str] = "ver0",
     min_count: int = 50,
-    engine: Optional[str] = None,
 ) -> TailReport:
     """Empirical reach tails of disagreement clusters for a chain pair.
 
-    Two chains with independent seeds run from the same phase seed;
-    thinned sample pairs whose classified phase does not match are
-    excluded and counted. For every site in the disagreement set, the
-    cluster through it contributes its horizontal and vertical reach;
-    tails are fitted by least squares on log-probabilities over the
-    distances with at least ``min_count`` observations.
+    Two chains with independent seeds run from the same phase seed, and
+    their ``iter_samples`` are taken in pairs; pairs whose classified
+    phase does not match are excluded and counted. For every site in the
+    disagreement set, the cluster through it contributes its horizontal
+    and vertical reach; tails are fitted by least squares on
+    log-probabilities over the distances with at least ``min_count``
+    observations.
     """
     from dataclasses import replace
 
     init = phase if phase is not None else template.initial
-    pa = replace(template, seed=seeds[0], initial=init)
-    pb = replace(template, seed=seeds[1], initial=init)
-    chain_a, chain_b = Chain(pa, engine=engine), Chain(pb, engine=engine)
-    chain_a.sweep(pa.burn_in)
-    chain_b.sweep(pb.burn_in)
+    chain_a = Chain(replace(template, seed=seeds[0], initial=init))
+    chain_b = Chain(replace(template, seed=seeds[1], initial=init))
     periodic = template.boundary == "periodic"
     counts = {"horizontal": defaultdict(int), "vertical": defaultdict(int)}
     totals = 0
     used = skipped = 0
-    n_measure = max(template.sweeps // template.thinning, 1)
-    sites = (
-        template.width * template.height
-        if periodic
-        else (template.width - 1) * (template.height - 1)
-    )
-    for _ in range(n_measure):
-        chain_a.sweep(template.thinning)
-        chain_b.sweep(template.thinning)
-        cfg_a, cfg_b = chain_a.configuration(), chain_b.configuration()
+    sites = chain_a.geom.n_sites
+    # the chains' PCG64 streams are independent, so interleaving their
+    # sweeps leaves each chain as it would be alone
+    for cfg_a, cfg_b in zip(iter_samples(chain_a), iter_samples(chain_b)):
         if phase is not None:
             if (
                 classify_phase(cfg_a, lam=template.lam) != phase
@@ -276,14 +271,9 @@ def radius_tail_experiment(
         pairs_skipped=skipped,
     )
     for direction in ("horizontal", "vertical"):
-        hist = report.counts[direction]
-        if not hist or totals == 0:
-            continue
-        curve = {}
-        for d in range(1, max(hist) + 1):
-            c = sum(v for r, v in hist.items() if r >= d)
-            if c >= min_count:
-                curve[d] = c / totals
+        # no pair used leaves every tail empty
+        tail = report.tail_counts(direction)
+        curve = {d: c / totals for d, c in enumerate(tail) if d >= 1 and c >= min_count}
         if len(curve) >= 2:
             xi, err = fit_decay_length(curve, floor=0.0)
             report.fits[direction] = {

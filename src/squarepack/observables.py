@@ -170,15 +170,6 @@ def correlation_length_fit(
     return fit_decay_length(curve, floor)
 
 
-def correlation_curve_csv(curves: Mapping[str, Mapping[int, float]]) -> str:
-    """Correlation curves as CSV rows (axis, lag, value)."""
-    lines = ["axis,lag,value"]
-    for axis, curve in curves.items():
-        for d in sorted(curve):
-            lines.append(f"{axis},{d},{curve[d]:.8g}")
-    return "\n".join(lines) + "\n"
-
-
 def offset_row_vacancy_check(cfg: Configuration) -> List[dict]:
     """Structural check on offset tiles of a columnar sample.
 

@@ -559,9 +559,22 @@ class Chain:
         return self.engine.occ
 
 
-def mcmc_sweep(state: Chain, count: int = 1) -> Chain:
-    """Advance the chain by full sweeps; returns the same (mutated) state."""
-    return state.sweep(count)
+def iter_samples(chain: Chain) -> Iterator[Configuration]:
+    """The measured configurations of a chain run by its own parameters.
+
+    Burns in, then yields the configuration after each full block of
+    ``thinning`` sweeps: ``sweeps // thinning`` measurements. When that
+    is 0, it runs the ``sweeps`` sweeps (none when 0) and yields once. A
+    trailing partial block is not run, since nothing measures it.
+    """
+    p = chain.params
+    chain.sweep(p.burn_in)
+    blocks, block = p.sweeps // p.thinning, p.thinning
+    if not blocks:
+        blocks, block = 1, p.sweeps
+    for _ in range(blocks):
+        chain.sweep(block)
+        yield chain.configuration()
 
 
 # -- observable registry -------------------------------------------------------
@@ -611,31 +624,24 @@ OBSERVABLES: Dict[str, Callable] = {
 
 def run_chain(
     params: ChainParams,
-    observables: Union[Sequence[str], Dict[str, Callable]] = ("tile_density",),
+    observables: Sequence[str] = ("tile_density",),
     *,
     keep_samples: bool = False,
-    engine: Optional[str] = None,
 ) -> ObservableReport:
-    """Run a chain and aggregate the requested observables.
-
-    Measurements are taken every ``thinning`` sweeps after burn-in; with
-    zero sweeps the initial configuration is measured once. Reports are
-    deterministic functions of the parameters.
+    """Run a chain and aggregate the named observables over the
+    configurations of ``iter_samples``: ``sweeps // thinning``
+    measurements after burn-in, or one after all ``sweeps`` sweeps when
+    there are fewer than ``thinning`` (the initial configuration when
+    ``sweeps`` is 0). Reports are deterministic functions of the
+    parameters.
     """
-    if isinstance(observables, dict):
-        funcs = dict(observables)
-    else:
-        funcs = {name: OBSERVABLES[name] for name in observables}
-    chain = Chain(params, engine=engine)
-    chain.sweep(params.burn_in)
+    funcs = {name: OBSERVABLES[name] for name in observables}
+    chain = Chain(params)
     series: Dict[str, List[float]] = {}
     labels: Dict[str, int] = {}
     samples: List[dict] = []
     measured = 0
-
-    def measure():
-        nonlocal measured
-        cfg = chain.configuration()
+    for cfg in iter_samples(chain):
         measured += 1
         for name, fn in funcs.items():
             value = fn(cfg, params)
@@ -649,20 +655,7 @@ def run_chain(
         if keep_samples:
             samples.append({"step": chain.step, "occupied": sorted(cfg.occupied)})
 
-    if params.sweeps == 0:
-        measure()
-    else:
-        remaining = params.sweeps
-        while remaining > 0:
-            block = min(params.thinning, remaining)
-            chain.sweep(block)
-            remaining -= block
-            if block == params.thinning:
-                measure()
-        if measured == 0:
-            measure()
-
-    report = ObservableReport(
+    return ObservableReport(
         params={**params.describe(), "engine": chain.engine_name},
         estimators=summarize_series(series) if series else {},
         phase_fractions={k: v / measured for k, v in labels.items()},
@@ -674,23 +667,3 @@ def run_chain(
         samples=samples if keep_samples else None,
         measurements=measured,
     )
-    return report
-
-
-def collect_samples(
-    params: ChainParams, engine: Optional[str] = None
-) -> List[Configuration]:
-    """Thinned post-burn-in configurations of one chain."""
-    chain = Chain(params, engine=engine)
-    chain.sweep(params.burn_in)
-    out = []
-    remaining = params.sweeps
-    while remaining > 0:
-        block = min(params.thinning, remaining)
-        chain.sweep(block)
-        remaining -= block
-        if block == params.thinning:
-            out.append(chain.configuration())
-    if not out:
-        out.append(chain.configuration())
-    return out

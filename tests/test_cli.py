@@ -703,3 +703,47 @@ def test_chessboard_fuzz_prints_json_or_a_json_error(argv):
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"]["type"] in SQUAREPACK_ERRORS
+
+
+@st.composite
+def coupling_runs(draw):
+    """A ``coupling`` run on small tori: dimensions, fugacity, sweeps,
+    burn-in and thinning of every kind, a phase seed, an unknown phase or
+    the empty start. Even sides, which phase seeds need, come often."""
+    side = st.sampled_from([4, 6, 8, 12]) | st.integers(-2, 12)
+    lam = st.floats(1e-3, 1e3) | st.sampled_from([0.0, math.nan, math.inf, 1e-300, 1e300])
+    phase = st.sampled_from(["ver0", "ver1", "hor0", "hor1", "diagonal", "empty"])
+    return {
+        "width": draw(side),
+        "height": draw(side),
+        "lambda": draw(lam),
+        "seed": draw(st.integers(0, 2**31 - 1)),
+        "sweeps": draw(st.integers(-1, 12)),
+        "burn-in": draw(st.integers(-1, 4)),
+        "thinning": draw(st.integers(-1, 4)),
+        "phase": draw(phase),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(coupling_runs())
+def test_coupling_fuzz_prints_json_or_a_json_error(run):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as folder:
+        csv_path = os.path.join(folder, "tails.csv")
+        argv = ["coupling", *(f"--{k}={v}" for k, v in run.items()), f"--csv={csv_path}"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err
+        if code == 0:
+            assert err == ""
+            payload = json.loads(out, parse_constant=_reject_constant)
+            measured = max(run["sweeps"] // run["thinning"], 1)
+            assert payload["pairs_used"] + payload["pairs_skipped"] == measured
+            with open(csv_path) as fh:
+                assert fh.readline() == "direction,d,count,probability\n"
+        else:
+            assert code == 1
+            assert out == ""
+            assert json.loads(err)["error"]["type"] in SQUAREPACK_ERRORS

@@ -211,6 +211,18 @@ def test_tail_anisotropy_deep_in_ordered_phase():
     assert xi_y / xi_x > 3
 
 
+def test_radius_tail_experiment_without_sweeps_measures_the_seeds():
+    # fewer sweeps than one block: the pair is measured once, after the
+    # asked-for zero sweeps, so two equal seeds give no disagreement
+    template = ChainParams(
+        width=8, height=8, lam=10.0, seed=0, sweeps=0, thinning=10, initial="ver0"
+    )
+    report = radius_tail_experiment(template, (1, 2), phase=None)
+    assert (report.pairs_used, report.pairs_skipped) == (1, 0)
+    assert report.counts == {"horizontal": {}, "vertical": {}}
+    assert report.tail_rows() == []
+
+
 def test_radius_tail_experiment_smoke():
     template = ChainParams(
         width=16,

@@ -12,7 +12,7 @@ from squarepack.sampler import (
     Chain,
     ChainParams,
     SweepDraws,
-    mcmc_sweep,
+    iter_samples,
     run_chain,
     seed_phase_configuration,
 )
@@ -360,10 +360,28 @@ def test_zero_sweeps_reports_initial():
     assert report.phase_fractions == {"ver0": 1.0}
 
 
-def test_mcmc_sweep_wrapper():
-    chain = Chain(params())
-    assert mcmc_sweep(chain, 3) is chain
-    assert chain.step == 3
+@pytest.mark.parametrize("burn_in", [0, 3])
+@pytest.mark.parametrize(
+    "sweeps, thinning, steps",
+    [
+        (0, 1, [0]),
+        (0, 4, [0]),
+        (3, 4, [3]),  # fewer sweeps than one block
+        (4, 4, [4]),
+        (5, 1, [1, 2, 3, 4, 5]),
+        (11, 4, [4, 8]),  # a trailing partial block, not run
+        (12, 3, [3, 6, 9, 12]),
+    ],
+)
+def test_iter_samples_contract(burn_in, sweeps, thinning, steps):
+    chain = Chain(params(sweeps=sweeps, burn_in=burn_in, thinning=thinning))
+    seen = []
+    for cfg in iter_samples(chain):
+        seen.append(chain.step)
+        fresh = Chain(params(sweeps=0)).sweep(chain.step)
+        assert cfg == fresh.configuration()
+    assert seen == [burn_in + s for s in steps]
+    assert chain.step == seen[-1]
 
 
 def test_report_carries_provenance():
