@@ -21,10 +21,10 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
-from .errors import RegionOutOfBounds, ShapeMismatch
+from .errors import ParameterError, RegionOutOfBounds, ShapeMismatch
 from .lattice import Configuration, Point, _unchecked, component_labels
 from .observables import fit_decay_length
-from .sampler import Chain, ChainParams, iter_samples
+from .sampler import PHASE_SEEDS, Chain, ChainParams, iter_samples
 from .sticks import classify_phase
 
 
@@ -230,10 +230,16 @@ def radius_tail_experiment(
     disagreement set, the cluster through it contributes its horizontal
     and vertical reach; tails are fitted by least squares on
     log-probabilities over the distances with at least ``min_count``
-    observations.
+    observations. ``phase`` is None (no phase filter; the chains start
+    from the template's initial state) or one of the four phase seeds,
+    since the classifier labels no state "empty".
     """
     from dataclasses import replace
 
+    if phase is not None and phase not in PHASE_SEEDS:
+        raise ParameterError(
+            f"phase must be one of {', '.join(PHASE_SEEDS)} or None, got {phase!r}"
+        )
     init = phase if phase is not None else template.initial
     chain_a = Chain(replace(template, seed=seeds[0], initial=init))
     chain_b = Chain(replace(template, seed=seeds[1], initial=init))

@@ -17,9 +17,10 @@ rotation and mirroring, weighted by the orbit size.
 Chessboard seminorms and disseminated products are a band transfer: a
 float row transfer along the torus's narrow side whose steps span one
 row of reflected blocks each, with the tile count kept as a polynomial
-degree and the fugacity applied in logs at the end. The listed ensemble
-of configurations is kept for reflection positivity, and the tests keep
-its per-configuration loops as the seminorms' reference.
+degree and the fugacity applied in logs at the end. Reflection
+positivity is the same transfer over a block and its mirror image.
+Nothing here lists configurations; the tests keep per-configuration
+loops over the listed ensemble as the reference for both.
 """
 
 from __future__ import annotations

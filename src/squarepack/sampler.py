@@ -29,17 +29,16 @@ Lemire's bounded integers on buffered 32-bit halves). Chains therefore
 equal those of the installed numpy's Generator; a numpy release that
 changed that stream would fail the oracle test in tests/test_sampler.py
 rather than drift silently. Two engines hold the occupancy as one int,
-one bit per site, take the same draws and produce identical chains: the
-scalar engine walks one precomputed site list and one move table
-indexed by the proposal, and runs grids of at most
-SCALAR_ENGINE_MAX_SITES (36) sites; the bitboard engine updates a whole
-sublattice with a few shift and mask operations and runs every larger
-grid. On a 2-vCPU VM (python 3.11.7) a scalar sweep() + state_key()
-step takes about 3.0 us on the 4x4 torus and 3.2 us on the 4x6 free
-rectangle, of which the heat bath is 1.25 us. Per sweep the scalar
-engine stays the faster well past the limit (6x8 torus: 6.7 against
-10.0 us; 8x8: 9.2 against 11.4 us) and the two meet at about 100
-sites (10x10: 15 us each); at 12x12 the bitboard engine is the faster.
+one bit per site, take the same draws and produce identical chains. The
+scalar engine runs grids of at most SCALAR_ENGINE_MAX_SITES (36) sites:
+its heat bath is one dict lookup per sublattice, keyed by the occupancy
+outside it, and its translations walk one move table indexed by the
+proposal. The bitboard engine updates a whole sublattice with a few
+shift and mask operations and runs every larger grid. On a 2-vCPU VM
+(python 3.11.7) a scalar sweep() + state_key() step takes about 1.6 us
+on the 4x4 torus and on the 4x6 free rectangle (heat bath 0.6 us,
+translations and draws 0.3 us each) and 3.0 us on the 6x6 torus; the
+bitboard engine takes 5.6 to 9 us on these grids.
 """
 
 from __future__ import annotations
@@ -131,6 +130,16 @@ class ChainParams:
             raise ParameterError("translation_move_fraction must be in [0, 1]")
         if self.thinning < 1:
             raise ParameterError("thinning must be at least 1")
+        init = self.initial
+        if not (
+            init is None
+            or isinstance(init, Configuration)
+            or isinstance(init, str) and init in ("empty", *PHASE_SEEDS)
+        ):
+            raise ParameterError(
+                f"unknown initial state {init!r}; choose empty, "
+                f"{', '.join(PHASE_SEEDS)} or a Configuration"
+            )
 
     def initial_configuration(self) -> Configuration:
         if isinstance(self.initial, Configuration):
@@ -216,6 +225,8 @@ def _mask(indices: Sequence[int], n_sites: int) -> int:
 
 def _pack_rows(bits: np.ndarray) -> List[int]:
     """Occupancy masks of the rows of a boolean array, bit i from column i."""
+    if bits.shape[1] < 63:  # the masks fit an int64: one matrix product
+        return (bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))).tolist()
     packed = np.packbits(bits, axis=1, bitorder="little")
     width = packed.shape[1]
     data = packed.tobytes()
@@ -264,8 +275,7 @@ class SweepDraws:
         self._layouts: Dict[bool, tuple] = {}
 
     def __iter__(self) -> Iterator[Tuple[int, List[int]]]:
-        while True:
-            yield from self._block()
+        return itertools.chain.from_iterable(iter(self._block, None))
 
     def _layout(self, carry: bool) -> tuple:
         """Raw positions of a block's draws when no word is rejected:
@@ -346,14 +356,22 @@ class SweepDraws:
 
 
 class _ScalarEngine:
-    """Site-by-site updates of a bit-packed occupancy, for small grids.
+    """Table-driven updates of a bit-packed occupancy, for small grids.
 
-    A sweep walks two flat tables: ``sites``, one (bit, king neighbours,
-    complement of bit) per site in sublattice order, and ``moves``, one
-    (source bit, source | target bit, mask of cells that must be empty)
-    per proposal q = 4 * site + direction. An off-grid move's mask is
-    its source bit, so it never fires. Tables of O(n_sites^2) bits, so
-    only for small grids.
+    Sites of one parity sublattice are at king distance >= 2, so which
+    of them are free depends only on a = occ & others, the occupancy
+    outside the sublattice. The heat bath looks a class's free sites up
+    in its dict ``free_of`` by a, computes them on a miss from the
+    class's (bit, king neighbours) pairs in ``sites``, and sets occ = a
+    | free & accept. A key is a valid configuration with one class
+    emptied, so a dict holds at most the grid's number of valid
+    configurations: 133 on the 4x4 torus, 42,938 on the 6x6 torus and
+    159,651 on the 6x8 rectangles, the most of any grid the engine
+    runs (about 15 MB a dict, were a chain to meet them all).
+    Translations walk ``moves``, one (source bit, source | target bit,
+    mask of cells that must be empty) per proposal q = 4 * site +
+    direction; an off-grid move's mask is its source bit, so it never
+    fires. Both kinds of table grow too fast for large grids.
     """
 
     def __init__(self, geom: _Geometry, initial: List[int]):
@@ -371,10 +389,13 @@ class _ScalarEngine:
                         mask |= 1 << (qy * nx + qx)
             return mask
 
-        self.sites: List[Tuple[int, int, int]] = []
-        for i in np.concatenate(geom.class_indices).tolist():
-            bit = 1 << i
-            self.sites.append((bit, block(i % nx, i // nx) & ~bit, full ^ bit))
+        self.sites: List[List[Tuple[int, int]]] = [
+            [(1 << i, block(i % nx, i // nx) & ~(1 << i)) for i in idx.tolist()]
+            for idx in geom.class_indices
+        ]
+        self.free_of: List[Dict[int, int]] = [{} for _ in self.sites]
+        others = [full ^ _mask(idx, geom.n_sites) for idx in geom.class_indices]
+        self.classes = list(zip(others, self.free_of, self.sites))
         self.moves: List[Tuple[int, int, int]] = []
         for i in range(geom.n_sites):
             bit = 1 << i
@@ -390,11 +411,12 @@ class _ScalarEngine:
         """Resample every site; an unblocked site i takes a tile when bit
         i of ``accept`` is set."""
         occ = self.occ
-        for bit, nbrs, clear in self.sites:
-            if occ & nbrs or not accept & bit:
-                occ &= clear
-            else:
-                occ |= bit
+        for others, free_of, sites in self.classes:
+            a = occ & others
+            free = free_of.get(a)
+            if free is None:
+                free = free_of[a] = sum(bit for bit, nbrs in sites if not a & nbrs)
+            occ = a | free & accept
         self.occ = occ
 
     def translations(self, proposals: List[int]) -> None:
@@ -533,15 +555,14 @@ class Chain:
         self._draws = iter(SweepDraws(params.seed, n, self.n_trans, 4 * n, self.p_occ))
 
     def sweep(self, count: int = 1) -> "Chain":
-        count = max(count, 0)
-        heat_bath, translations = self.engine.heat_bath, self.engine.translations
-        draws = self._draws
+        engine, draws = self.engine, self._draws
         for _ in range(count):
             accept, proposals = next(draws)
-            heat_bath(accept)
+            engine.heat_bath(accept)
             if proposals:
-                translations(proposals)
-        self.step += count
+                engine.translations(proposals)
+        if count > 0:
+            self.step += count
         return self
 
     def configuration(self) -> Configuration:

@@ -705,6 +705,15 @@ def test_chessboard_fuzz_prints_json_or_a_json_error(argv):
         assert json.loads(err)["error"]["type"] in SQUAREPACK_ERRORS
 
 
+def test_coupling_empty_phase_is_a_json_error(capsys):
+    argv = ["coupling", "--width", "8", "--height", "8", "--lambda", "200"]
+    code, out, err = run_cli([*argv, "--sweeps", "30", "--thinning", "1", "--phase", "empty"], capsys)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError"
+    assert "phase must be one of" in error["message"]
+
+
 @st.composite
 def coupling_runs(draw):
     """A ``coupling`` run on small tori: dimensions, fugacity, sweeps,

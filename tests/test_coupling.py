@@ -12,7 +12,7 @@ from squarepack.coupling import (
     radius_tail_experiment,
     swap_map,
 )
-from squarepack.errors import RegionOutOfBounds, ShapeMismatch
+from squarepack.errors import ParameterError, RegionOutOfBounds, ShapeMismatch
 from squarepack.lattice import create_configuration, mask_to_configuration
 from squarepack.sampler import ChainParams
 
@@ -221,6 +221,15 @@ def test_radius_tail_experiment_without_sweeps_measures_the_seeds():
     assert (report.pairs_used, report.pairs_skipped) == (1, 0)
     assert report.counts == {"horizontal": {}, "vertical": {}}
     assert report.tail_rows() == []
+
+
+@pytest.mark.parametrize("phase", ["empty", "diagonal", ""])
+def test_radius_tail_experiment_refuses_phases_it_cannot_match(phase):
+    # the classifier never labels a state "empty", so that filter would
+    # skip every pair and measure nothing
+    template = ChainParams(width=8, height=8, lam=200.0, seed=0, sweeps=30)
+    with pytest.raises(ParameterError, match="phase must be one of"):
+        radius_tail_experiment(template, (1, 2), phase=phase)
 
 
 def test_radius_tail_experiment_smoke():

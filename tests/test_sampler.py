@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squarepack import sampler
-from squarepack.errors import DimensionError, NonpositiveFugacity
+from squarepack.errors import DimensionError, NonpositiveFugacity, ParameterError
+from squarepack.exact import partition_polynomial
 from squarepack.lattice import BOUNDARIES, create_configuration
 from squarepack.sampler import (
     Chain,
@@ -145,6 +146,44 @@ def test_scalar_engine_matches_site_oracle(case):
         getattr(chain.engine, name)(arg)
         getattr(oracle, name)(arg)
         assert chain.engine.occ == oracle.occ
+
+
+@pytest.mark.parametrize("width,height,boundary", [(4, 4, "periodic"), (4, 6, "free"), (6, 6, "periodic")])
+def test_heat_bath_tables_hold_at_most_the_valid_configurations(width, height, boundary):
+    # a key is a valid configuration with the class emptied
+    bound = sum(partition_polynomial(width, height, boundary).coefficients)
+    for lam, seed in ((0.5, 1), (2.0, 2), (8.0, 3)):
+        chain = Chain(params(width=width, height=height, boundary=boundary, lam=lam, seed=seed))
+        chain.sweep(20_000)
+        engine = chain.engine
+        for idx, free_of in zip(chain.geom.class_indices, engine.free_of):
+            members = sum(1 << i for i in idx.tolist())
+            assert 1 < len(free_of) <= bound
+            for key, free in free_of.items():
+                assert not key & members and free & ~members == 0
+
+
+@pytest.mark.parametrize("width", [1, 62, 63, 64, 65, 576])
+def test_pack_rows_matches_bit_sums(width):
+    rows = np.random.default_rng(width).random((7, width)) < 0.5
+    rows[0], rows[1] = False, True
+    want = [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in rows]
+    got = sampler._pack_rows(rows)
+    assert got == want
+    assert all(type(mask) is int for mask in got)
+
+
+@pytest.mark.parametrize(
+    "initial", [None, "empty", *sampler.PHASE_SEEDS, seed_phase_configuration(8, 8, "hor1")]
+)
+def test_chain_params_accepts_known_initial_states(initial):
+    assert params(width=8, height=8, initial=initial).initial is initial
+
+
+@pytest.mark.parametrize("initial", ["diagonal", 5, "", "VER0", ("ver0",)])
+def test_chain_params_rejects_unknown_initial_state(initial):
+    with pytest.raises(ParameterError, match="unknown initial state"):
+        params(width=8, height=8, initial=initial)
 
 
 # -- the draw decoder against numpy's Generator ------------------------------------
