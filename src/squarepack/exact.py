@@ -11,8 +11,9 @@ grown row by row in numpy arrays (``lattice.iter_mask_blocks``), and a
 row-transfer recursion sums over row sequences. They share only the row
 states and their neighbour lists. The transfer packs each row's
 polynomial into one int, so a row step is one shifted sum per row
-state; on a torus it runs one start row per orbit of the rows under
-rotation and mirroring, weighted by the orbit size.
+state; on a torus one walk carries one start row per orbit of the rows
+under rotation and mirroring, each in its own bit field and weighted by
+the orbit size, and a rectangle walks one row of each mirror pair.
 
 Chessboard seminorms and disseminated products are a band transfer: a
 float row transfer along the torus's narrow side whose steps span one
@@ -43,9 +44,9 @@ from .errors import (
 from .lattice import (
     Point,
     _check_dims,
-    _row_neighbours,
-    _row_states,
+    _reversed_bits,
     _row_tables,
+    _split,
     iter_mask_blocks,
     iter_valid_masks,
     model_sites,
@@ -57,6 +58,10 @@ TRANSFER_AREA_CAP = 4096
 # entries of the band transfer's largest array, 8 bytes each; the 12x24
 # torus fits (7,568,932 floats), 14x14 does not (35,532,450)
 BAND_SIZE_CAP = 1 << 23
+# bits of one packed int in the torus row transfer, which walks as many
+# start orbits at once as fit: one start of the 14x40 torus takes 34,122,
+# and the 843 rows of 14 sites hold 3.9 MB
+PACK_BITS = 9 << 12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -257,11 +262,32 @@ def _dihedral_orbits(states: Sequence[int], positions: int) -> List[Tuple[int, i
     """(index of one row, orbit size) for each orbit of the cyclic rows
     under rotation and mirroring."""
     s = np.array(states, dtype=np.int64)
-    full = (1 << positions) - 1
-    mirror = sum((s >> i & 1) << (positions - 1 - i) for i in range(positions))
-    images = [(v << k | v >> (positions - k)) & full for v in (s, mirror) for k in range(positions)]
-    _, first, sizes = np.unique(np.min(images, axis=0), return_index=True, return_counts=True)
+    both = np.stack([s, _reversed_bits(s, positions)])[:, None]
+    k = np.arange(positions)[:, None]
+    images = (both << k | both >> positions - k) & (1 << positions) - 1
+    _, first, sizes = np.unique(images.min(axis=(0, 1)), return_index=True, return_counts=True)
     return list(zip(first.tolist(), sizes.tolist()))
+
+
+def _limb(degree: np.ndarray, first: np.ndarray, flat: np.ndarray, nrows: int) -> int:
+    """Bits that hold the number of all sequences of nrows rows, each
+    next to the one before: its bit length from a float count walk,
+    rescaled to its largest entry at every row with the scale kept as a
+    log, plus one bit against rounding."""
+    counts, log2 = np.ones(len(degree)), 0.0
+    for _ in range(nrows - 1):
+        counts = np.add.reduceat(counts[flat], first)
+        top = counts.max()
+        counts, log2 = counts / top, log2 + math.log2(top)
+    return int(log2 + math.log2(counts.sum())) + 2
+
+
+def _walk(vec: List[int], neighbours: List[List[int]], shifts: List[int], steps: int) -> List[int]:
+    """``steps`` row steps of packed polynomials: each row's entry
+    becomes the sum over its neighbours, shifted up by its tiles."""
+    for _ in range(steps):
+        vec = [sum(map(vec.__getitem__, nb)) << k for nb, k in zip(neighbours, shifts)]
+    return vec
 
 
 def _transfer_coefficients(width: int, height: int, boundary: str) -> List[int]:
@@ -270,34 +296,64 @@ def _transfer_coefficients(width: int, height: int, boundary: str) -> List[int]:
     Coefficient n of a packed polynomial sits in bits [n*limb, (n+1)*limb).
     Every limb of every partial sum counts row sequences (a shorter one
     extends by empty rows), so it is at most the number of all sequences
-    of nrows rows, which fixes limb and keeps carries inside their limb.
+    of nrows rows, which fixes limb (``_limb``) and keeps carries inside
+    their limb.
+
+    A torus walks its starts, one row per orbit of the rows under
+    rotation and mirroring, together: start j of a walk owns the field of
+    bits [j*field, (j+1)*field), field = (n_max + 1) * limb, and the walk
+    closes onto each start by reading its field of the sum over the
+    start's neighbours. Two adjacent rows hold at most width/2 tiles, so
+    a walk of at most height rows (an even number) holds at most n_max
+    tiles, and no polynomial of a field reaches the next field. The
+    starts go into as few walks as keep every packed int within
+    PACK_BITS, at least one start a walk, and the walks share them
+    evenly.
+
+    In the rectangle modes the start vector and the neighbour relation
+    are mirror symmetric, so every partial vector is, and the walk keeps
+    one row of each mirror pair.
     """
     periodic = boundary == "periodic"
     positions = width if periodic else width - 1
     nrows = height if periodic else height - 1
-    states = _row_states(positions, periodic)
-    neighbours = _row_neighbours(states, positions, periodic)
-
-    def walk(vec: List[int], shifts: List[int]) -> List[int]:
-        for _ in range(nrows - 1):
-            vec = [sum(map(vec.__getitem__, nb)) << k for nb, k in zip(neighbours, shifts)]
-        return vec
-
-    limb = sum(walk([1] * len(states), [0] * len(states))).bit_length()
-    shifts = [bin(s).count("1") * limb for s in states]
+    values, counts, neighbours, degree, first, flat = _row_tables(positions, periodic)
+    limb = _limb(degree, first, flat, nrows)
+    shifts = [c * limb for c in counts.tolist()]
+    n_max = width * height // 4
     if periodic:
         # rotating or mirroring every row of a closed walk gives a closed
         # walk with the same tiles, so all starts of an orbit sum alike
-        total = 0
-        for start, size in _dihedral_orbits(states, positions):
-            vec = [0] * len(states)
-            vec[start] = 1 << shifts[start]
-            vec = walk(vec, shifts)
-            total += size * sum(map(vec.__getitem__, neighbours[start]))
+        orbits = _dihedral_orbits(values, positions)
+        field = (n_max + 1) * limb
+        walks = -(-len(orbits) // max(1, PACK_BITS // field))
+        group, low, total = -(-len(orbits) // walks), (1 << field) - 1, 0
+        for lo in range(0, len(orbits), group):
+            starts = orbits[lo : lo + group]
+            vec = [0] * len(values)
+            for j, (start, _) in enumerate(starts):
+                vec[start] = 1 << shifts[start] + j * field
+            vec = _walk(vec, neighbours, shifts, nrows - 1)
+            for j, (start, size) in enumerate(starts):
+                total += size * (sum(map(vec.__getitem__, neighbours[start])) >> j * field & low)
     else:
-        total = sum(walk([1 << k for k in shifts], shifts))
+        # rows ascend in their reversed patterns, so the mirror image of
+        # row i is the row at the rank of its pattern among them
+        v = values.astype(np.int64)
+        mirror = np.searchsorted(_reversed_bits(v, positions), v)
+        keep = mirror >= np.arange(len(v))
+        rep = np.cumsum(keep) - 1
+        rep = np.minimum(rep, rep[mirror])  # the kept row of each pair
+        kept = np.flatnonzero(keep).tolist()
+        vec = _walk(
+            [1 << shifts[i] for i in kept],
+            _split(degree[keep], rep[flat[np.repeat(keep, degree)]]),
+            [shifts[i] for i in kept],
+            nrows - 1,
+        )
+        total = sum(vec) + sum(x for x, i in zip(vec, kept) if mirror[i] != i)
     low = (1 << limb) - 1
-    return [total >> n * limb & low for n in range(width * height // 4 + 1)]
+    return [total >> n * limb & low for n in range(n_max + 1)]
 
 
 def partition_polynomial(

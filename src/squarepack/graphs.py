@@ -274,29 +274,37 @@ def _slot_table(edges: Iterable[Tuple[object, object, int, int]]) -> Dict:
     return slots
 
 
-def _head(slots: list) -> str:
-    """The first four tokens of an encoding: those of the root's slots,
-    with a back-reference where two slots reach one neighbour, as the
-    full traversal would write it."""
+# a slot's code in a head rank: 0 empty, then Xs+, Xs>1..3, Xv+, Xv>1..3
+_TOKEN_CODE = {token: 1 + 4 * vacancy for pair in _SLOT_TOKENS for vacancy, token in enumerate(pair)}
+
+
+def _head_rank(slots: list) -> int:
+    """The first four tokens of an encoding, those of the root's slots,
+    as one base-9 number of slot codes; a back-reference, where two slots
+    reach one neighbour, codes as the full traversal would write it."""
     met: list = []
-    out = []
+    rank = 0
     for entry in slots:
+        rank *= 9
         if entry is None:
-            out.append(".")
-        elif entry[0] in met:
-            out.append(f"{entry[1]}>{met.index(entry[0]) + 1}")
+            continue
+        code = _TOKEN_CODE[entry[1]]
+        if entry[0] in met:
+            code += 1 + met.index(entry[0])
         else:
             met.append(entry[0])
-            out.append(entry[1] + "+")
-    return "|".join(out)
+        rank += code
+    return rank
 
 
 def _least_encoding(slots: Dict) -> str:
     """Least slot-order traversal encoding of a slot table over its roots.
 
-    The first four tokens of an encoding are the root's own slots, and
-    none of those is a prefix of another, so only roots with the least
-    head can give the least key; only those are encoded in full.
+    The first four tokens of an encoding are the root's own slots. Within
+    one slot they order as . < Xs+ < Xs>k < Xv+ < Xv>k, and none is a
+    prefix of another, so the first slot that differs decides between two
+    roots, as their head ranks do. Only roots of the least rank can give
+    the least key, and only those are encoded in full.
     """
 
     def encode_from(root) -> str:
@@ -318,9 +326,9 @@ def _least_encoding(slots: Dict) -> str:
                     out.append(f"{token}>{seen}")
         return "|".join(out)
 
-    heads = {v: _head(s) for v, s in slots.items()}
-    least = min(heads.values())
-    return min(encode_from(v) for v, head in heads.items() if head == least)
+    ranks = {v: _head_rank(s) for v, s in slots.items()}
+    least = min(ranks.values())
+    return min(encode_from(v) for v, rank in ranks.items() if rank == least)
 
 
 def canonicalize_compressed(graph: ComponentGraph) -> str:

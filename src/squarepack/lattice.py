@@ -480,29 +480,51 @@ def model_sites(width: int, height: int, boundary: str) -> Tuple[Point, ...]:
     return tuple((x, y) for y in range(1, height) for x in range(1, width))
 
 
+def _reversed_bits(s: np.ndarray, positions: int) -> np.ndarray:
+    """Each pattern read backwards: bit i moves to bit positions - 1 - i."""
+    bit = np.arange(positions)
+    return ((s[..., None] >> bit & 1) << positions - 1 - bit).sum(axis=-1)
+
+
 @lru_cache(maxsize=64)
 def _row_states(positions: int, cyclic: bool) -> Tuple[int, ...]:
     """Occupancy patterns of one row, no two tiles within distance 1,
     ascending in the bit-reversed value (position 0 most significant)."""
     s = np.arange(1 << positions, dtype=np.int64)
-    valid = (s & s << 1 | cyclic * (s & s >> (positions - 1) & 1)) == 0
-    return tuple(sorted(s[valid].tolist(), key=lambda v: f"{v:0{positions}b}"[::-1]))
+    s = s[(s & s << 1 | cyclic * (s & s >> (positions - 1) & 1)) == 0]
+    return tuple(s[np.argsort(_reversed_bits(s, positions))].tolist())
+
+
+def _row_adjacency(
+    states: Sequence[int], positions: int, cyclic: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The neighbour lists of ``_row_neighbours`` as arrays: each row's
+    neighbour count, and all lists end to end."""
+    s = np.array(states, dtype=np.int32)  # at most 21 positions, as below
+    spread = s | s << 1 | s >> 1
+    if cyclic:
+        spread |= s >> (positions - 1) | (s & 1) << (positions - 1)
+    step = max(1, (1 << 22) // len(s))  # 2^22 pairs a slice; 21 positions: 28,657 rows
+    degree, flat = [], []
+    for lo in range(0, len(s), step):
+        fits = (s[None, :] & spread[lo : lo + step, None]) == 0
+        degree.append(np.count_nonzero(fits, axis=1))
+        flat.append(np.flatnonzero(fits) % len(s))
+    return np.concatenate(degree), np.concatenate(flat)
+
+
+def _split(degree: np.ndarray, flat: np.ndarray) -> List[List[int]]:
+    """Lists of degree[i] entries each, cut from flat in order."""
+    items = flat.tolist()
+    ends = np.cumsum(degree).tolist()
+    return [items[end - d : end] for end, d in zip(ends, degree.tolist())]
 
 
 def _row_neighbours(states: Sequence[int], positions: int, cyclic: bool) -> List[List[int]]:
     """Indices of the rows that may lie next to each row, ascending: no
     tile of one within distance 1 of a tile of the other (a symmetric
     relation)."""
-    s = np.array(states, dtype=np.int64)
-    spread = s | s << 1 | s >> 1
-    if cyclic:
-        spread |= s >> (positions - 1) | (s & 1) << (positions - 1)
-    step = max(1, (1 << 22) // len(s))  # 2^22 pairs a slice; 21 positions: 28,657 rows
-    return [
-        np.flatnonzero(row).tolist()
-        for lo in range(0, len(s), step)
-        for row in (s[None, :] & spread[lo : lo + step, None]) == 0
-    ]
+    return _split(*_row_adjacency(states, positions, cyclic))
 
 
 @lru_cache(maxsize=16)
@@ -510,12 +532,10 @@ def _row_tables(positions: int, cyclic: bool):
     """Row states as uint64 patterns, their tile counts, their neighbour
     lists, and those flattened: flat[first[i] : first[i] + degree[i]]."""
     states = _row_states(positions, cyclic)
-    neighbours = _row_neighbours(states, positions, cyclic)
+    degree, flat = _row_adjacency(states, positions, cyclic)
     values = np.array(states, dtype=np.uint64)
     counts = np.array([bin(v).count("1") for v in states], dtype=np.int16)
-    degree = np.array([len(nb) for nb in neighbours])
-    flat = np.array([t for nb in neighbours for t in nb], dtype=np.int64)
-    return values, counts, neighbours, degree, np.cumsum(degree) - degree, flat
+    return values, counts, _split(degree, flat), degree, np.cumsum(degree) - degree, flat
 
 
 def _row_layout(width: int, height: int, boundary: str) -> Tuple[bool, int, int]:

@@ -140,6 +140,13 @@ class ChainParams:
                 f"unknown initial state {init!r}; choose empty, "
                 f"{', '.join(PHASE_SEEDS)} or a Configuration"
             )
+        if isinstance(init, Configuration):
+            shape = (self.width, self.height, self.boundary)
+            if (init.width, init.height, init.boundary) != shape:
+                raise DimensionError(
+                    f"initial configuration is {init.width}x{init.height} {init.boundary}, "
+                    f"the chain {self.width}x{self.height} {self.boundary}"
+                )
 
     def initial_configuration(self) -> Configuration:
         if isinstance(self.initial, Configuration):

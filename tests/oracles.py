@@ -158,6 +158,70 @@ def transfer_coefficients_by_rows(width, height, boundary):
     return coeffs
 
 
+def row_states_by_strings(positions, cyclic):
+    """Row states ascending in the bit-reversed value, sorted by a
+    reversed binary string per state."""
+    s = np.arange(1 << positions, dtype=np.int64)
+    valid = (s & s << 1 | cyclic * (s & s >> (positions - 1) & 1)) == 0
+    return tuple(sorted(s[valid].tolist(), key=lambda v: f"{v:0{positions}b}"[::-1]))
+
+
+def row_neighbours_by_rows(states, positions, cyclic):
+    """Neighbour lists of the row states, one flatnonzero per row of
+    the compatibility matrix."""
+    s = np.array(states, dtype=np.int64)
+    spread = s | s << 1 | s >> 1
+    if cyclic:
+        spread |= s >> (positions - 1) | (s & 1) << (positions - 1)
+    step = max(1, (1 << 22) // len(s))
+    return [
+        np.flatnonzero(row).tolist()
+        for lo in range(0, len(s), step)
+        for row in (s[None, :] & spread[lo : lo + step, None]) == 0
+    ]
+
+
+def transfer_coefficients_by_orbits(width, height, boundary):
+    """Packed-int row transfer with one walk per start orbit on a torus
+    and the limb taken from a second, exact count walk."""
+    periodic = boundary == "periodic"
+    positions = width if periodic else width - 1
+    nrows = height if periodic else height - 1
+    states = row_states_by_strings(positions, periodic)
+    neighbours = row_neighbours_by_rows(states, positions, periodic)
+
+    def walk(vec, shifts):
+        for _ in range(nrows - 1):
+            vec = [sum(map(vec.__getitem__, nb)) << k for nb, k in zip(neighbours, shifts)]
+        return vec
+
+    limb = sum(walk([1] * len(states), [0] * len(states))).bit_length()
+    shifts = [bin(s).count("1") * limb for s in states]
+    if periodic:
+        total = 0
+        for start, size in exact._dihedral_orbits(states, positions):
+            vec = [0] * len(states)
+            vec[start] = 1 << shifts[start]
+            vec = walk(vec, shifts)
+            total += size * sum(map(vec.__getitem__, neighbours[start]))
+    else:
+        total = sum(walk([1 << k for k in shifts], shifts))
+    low = (1 << limb) - 1
+    return [total >> n * limb & low for n in range(width * height // 4 + 1)]
+
+
+def row_sequence_counts(positions, cyclic, nrows):
+    """Number of sequences of 1, 2, ..., nrows row states, each next to
+    the one before, by an exact integer walk."""
+    states = row_states_by_strings(positions, cyclic)
+    neighbours = row_neighbours_by_rows(states, positions, cyclic)
+    vec, counts = [1] * len(states), [len(states)]
+    for _ in range(nrows - 1):
+        vec = [sum(map(vec.__getitem__, nb)) for nb in neighbours]
+        counts.append(sum(vec))
+    return counts
+
+
 def valid_masks_by_sites(width, height, boundary):
     """Yield (mask, tiles) for every valid configuration by a site-by-site
     depth-first search that tries the empty branch first.
@@ -225,6 +289,49 @@ def canonicalize_compressed_all_roots(graph):
         return "|".join(out)
 
     return min(encode_from(v) for v in sorted(slots))
+
+
+def _head_by_strings(slots):
+    met = []
+    out = []
+    for entry in slots:
+        if entry is None:
+            out.append(".")
+        elif entry[0] in met:
+            out.append(f"{entry[1]}>{met.index(entry[0]) + 1}")
+        else:
+            met.append(entry[0])
+            out.append(entry[1] + "+")
+    return "|".join(out)
+
+
+def least_encoding_by_head_strings(slots):
+    """Least slot-order traversal encoding of a graphs._slot_table over
+    its roots, encoding in full the roots whose head string, the tokens
+    of their four slots, is least."""
+
+    def encode_from(root):
+        ids = {root: 0}
+        out = []
+        stack = [root]
+        while stack:
+            for entry in slots[stack.pop()]:
+                if entry is None:
+                    out.append(".")
+                    continue
+                w, token = entry
+                seen = ids.get(w)
+                if seen is None:
+                    ids[w] = len(ids)
+                    out.append(token + "+")
+                    stack.append(w)
+                else:
+                    out.append(f"{token}>{seen}")
+        return "|".join(out)
+
+    heads = {v: _head_by_strings(s) for v, s in slots.items()}
+    least = min(heads.values())
+    return min(encode_from(v) for v, head in heads.items() if head == least)
 
 
 def harvest_mask(width, height, mask, max_stick, catalog, compressed_key=None):

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from squarepack import exact
+from squarepack import exact, lattice
 from squarepack.errors import NonpositiveFugacity, OddLength, OutOfFloatRange, TooLarge
 
 from oracles import (
     cyclic_independent_set_counts,
+    row_sequence_counts,
     torus_partition_counts,
+    transfer_coefficients_by_orbits,
     transfer_coefficients_by_rows,
     z1d_periodic_enumeration,
 )
@@ -159,6 +161,92 @@ def test_transfer_matches_row_by_row_reference(dims, boundary):
     assert poly.coefficients == exact._trim(transfer_coefficients_by_rows(w, h, boundary))
     if (w, h) == (14, 14):
         assert max(poly.coefficients) > 2**63
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "free", "fully_packed"])
+def test_transfer_matches_walk_per_orbit(boundary):
+    # one walk per start orbit and an exact count walk for the limb
+    for w in range(4, 11, 2):
+        for h in range(4, 11, 2):
+            want = transfer_coefficients_by_orbits(w, h, boundary)
+            assert exact._transfer_coefficients(w, h, boundary) == want, (w, h)
+
+
+@pytest.mark.parametrize("dims", [(12, 12), (14, 8)])
+def test_transfer_matches_walk_per_orbit_on_wide_tori(dims):
+    # 26 and 49 start orbits, in two and three walks of packed starts
+    w, h = dims
+    want = transfer_coefficients_by_orbits(w, h, "periodic")
+    assert exact._transfer_coefficients(w, h, "periodic") == want
+
+
+@pytest.mark.parametrize("dims", [(8, 8), (10, 6), (6, 10), (12, 4)])
+def test_transfer_with_one_start_a_walk(monkeypatch, dims):
+    w, h = dims
+    monkeypatch.setattr(exact, "PACK_BITS", 1 << 40)
+    together = exact._transfer_coefficients(w, h, "periodic")
+    monkeypatch.setattr(exact, "PACK_BITS", 1)
+    assert exact._transfer_coefficients(w, h, "periodic") == together
+
+
+def _record_walks(monkeypatch):
+    """Each torus walk's start count and its largest packed int."""
+    walks = []
+    walk = exact._walk
+
+    def recording(vec, neighbours, shifts, steps):
+        out = walk(vec, neighbours, shifts, steps)
+        walks.append((sum(1 for x in vec if x), max(x.bit_length() for x in out)))
+        return out
+
+    monkeypatch.setattr(exact, "_walk", recording)
+    return walks
+
+
+@pytest.mark.parametrize("dims,budget", [((10, 10), None), ((12, 4), 4096), ((8, 8), 1000)])
+def test_torus_walk_keeps_packed_ints_within_the_budget(monkeypatch, dims, budget):
+    w, h = dims
+    want = exact._transfer_coefficients(w, h, "periodic")
+    if budget is not None:
+        monkeypatch.setattr(exact, "PACK_BITS", budget)
+    walks = _record_walks(monkeypatch)
+    assert exact._transfer_coefficients(w, h, "periodic") == want
+    assert sum(starts for starts, _ in walks) == len(
+        exact._dihedral_orbits(lattice._row_states(w, True), w)
+    )
+    assert all(bits <= exact.PACK_BITS for _, bits in walks)
+    if budget is not None:
+        assert len(walks) > 1
+
+
+def test_torus_walk_14x40_groups_within_the_budget(monkeypatch):
+    # the walk itself is left out: only the starts it would be given
+    walks = []
+    monkeypatch.setattr(
+        exact, "_walk", lambda vec, *_: walks.append(sum(1 for x in vec if x)) or vec
+    )
+    exact._transfer_coefficients(14, 40, "periodic")
+    _, _, _, degree, first, flat = lattice._row_tables(14, True)
+    field = (14 * 40 // 4 + 1) * exact._limb(degree, first, flat, 40)
+    assert sum(walks) == 49
+    assert all(starts * field <= exact.PACK_BITS for starts in walks)
+
+
+@pytest.mark.parametrize("positions", range(1, 15))
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_limb_holds_every_row_sequence_count(positions, cyclic):
+    _, _, _, degree, first, flat = lattice._row_tables(positions, cyclic)
+    for nrows, count in enumerate(row_sequence_counts(positions, cyclic, 40), start=1):
+        limb = exact._limb(degree, first, flat, nrows)
+        assert count.bit_length() <= limb <= count.bit_length() + 2, nrows
+
+
+def test_limb_of_a_long_torus():
+    # 290 rows of 14 sites: counts far beyond the float range
+    _, _, _, degree, first, flat = lattice._row_tables(14, True)
+    count = row_sequence_counts(14, True, 290)[-1]
+    assert count.bit_length() > 1024
+    assert count.bit_length() <= exact._limb(degree, first, flat, 290) <= count.bit_length() + 2
 
 
 @pytest.mark.parametrize("dims", [(4, 10), (6, 8), (8, 10), (6, 12)])

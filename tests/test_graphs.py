@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from squarepack import graphs
 from squarepack.errors import NonpositiveFugacity, SpecError, TooLarge
@@ -15,9 +17,14 @@ from squarepack.graphs import (
     max_stick_run,
     verify_counting_bounds,
 )
-from squarepack.lattice import create_configuration, mask_to_configuration
+from squarepack.lattice import create_configuration, mask_to_configuration, model_sites
 
-from oracles import canonicalize_compressed_all_roots, harvest_mask, valid_masks_by_sites
+from oracles import (
+    canonicalize_compressed_all_roots,
+    harvest_mask,
+    least_encoding_by_head_strings,
+    valid_masks_by_sites,
+)
 from strategies import random_valid_config, striped_config
 
 
@@ -266,6 +273,66 @@ def test_compressed_key_matches_all_roots(cfg):
 def test_compressed_key_matches_all_roots_striped(cfg):
     for comp in _compressed(cfg):
         assert canonicalize_compressed(comp) == canonicalize_compressed_all_roots(comp)
+
+
+def _check_encodings(monkeypatch) -> list:
+    """Make graphs._least_encoding check every slot table it is given
+    against the head-string reference; the keys it gives, in order."""
+    keys = []
+    least = graphs._least_encoding
+
+    def checked(slots):
+        key = least(slots)
+        assert key == least_encoding_by_head_strings(slots)
+        keys.append(key)
+        return key
+
+    monkeypatch.setattr(graphs, "_least_encoding", checked)
+    return keys
+
+
+@pytest.mark.parametrize("dims", [(6, 4), (4, 6)])
+def test_least_encoding_matches_head_strings_over_a_harvest(monkeypatch, dims):
+    keys = _check_encodings(monkeypatch)
+    catalog = enumerate_components(*dims)
+    assert keys == [rec.compressed_key for rec in catalog.values()]
+
+
+@given(
+    st.one_of(
+        random_valid_config(boundaries=("fully_packed",)),
+        striped_config(boundaries=("fully_packed",)),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_least_encoding_matches_head_strings_on_harvested_windows(cfg):
+    w, h = cfg.width, cfg.height
+    sites = model_sites(w, h, "fully_packed")
+    mask = sum(1 << i for i, site in enumerate(sites) if site in cfg.occupied)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        keys = _check_encodings(monkeypatch)
+        seen = {}
+        graphs._harvest_pass(w, h, np.array([mask], dtype=np.uint64), None, seen)
+    assert len(keys) == len(seen)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1), st.integers(0, 1)),
+        max_size=16,
+    )
+)
+@example(
+    [(1, 2, 1, 1), (2, 0, 0, 0), (2, 1, 1, 1), (0, 1, 0, 1), (2, 1, 0, 0)]
+    + [(0, 2, 1, 1), (1, 2, 0, 0), (0, 1, 0, 1), (0, 1, 0, 0)]
+)
+@settings(max_examples=200, deadline=None)
+def test_least_encoding_matches_head_strings_with_back_references(edges):
+    # abstract vertices, few and densely joined: two slots of a root may
+    # reach one neighbour, and the least roots' heads differ there
+    slots = graphs._slot_table(edge for edge in edges if edge[0] != edge[1])
+    assume(slots)
+    assert graphs._least_encoding(slots) == least_encoding_by_head_strings(slots)
 
 
 def test_verify_counting_bounds_4x4():

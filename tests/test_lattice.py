@@ -29,7 +29,12 @@ from squarepack.lattice import (
     to_json,
 )
 
-from oracles import pairwise_valid, valid_masks_by_sites
+from oracles import (
+    pairwise_valid,
+    row_neighbours_by_rows,
+    row_states_by_strings,
+    valid_masks_by_sites,
+)
 from strategies import random_valid_config
 
 
@@ -229,6 +234,20 @@ def test_row_neighbours_on_wide_rows(positions, cyclic):
         blocked = sum(1 << x for x in near if 0 <= x < positions)
         expected = [j for j, t in enumerate(states) if not t & blocked]
         assert neighbours[i] == expected
+
+
+@pytest.mark.parametrize("positions", range(1, 18))
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_row_tables_match_per_row_reference(positions, cyclic):
+    states = lattice._row_states(positions, cyclic)
+    assert states == row_states_by_strings(positions, cyclic)
+    neighbours = lattice._row_neighbours(states, positions, cyclic)
+    assert neighbours == row_neighbours_by_rows(states, positions, cyclic)
+    values, counts, listed, degree, first, flat = lattice._row_tables(positions, cyclic)
+    assert values.tolist() == list(states) and listed == neighbours
+    assert counts.tolist() == [bin(v).count("1") for v in states]
+    assert degree.tolist() == [len(nb) for nb in neighbours]
+    assert [flat[f : f + d].tolist() for f, d in zip(first, degree)] == neighbours
 
 
 @settings(max_examples=200, deadline=None)

@@ -186,6 +186,33 @@ def test_chain_params_rejects_unknown_initial_state(initial):
         params(width=8, height=8, initial=initial)
 
 
+@pytest.mark.parametrize(
+    "width,height,boundary,initial",
+    [
+        (8, 8, "periodic", create_configuration(4, 4, "periodic", [(1, 1), (3, 3)])),
+        (8, 8, "periodic", create_configuration(8, 4, "periodic", [(1, 1)])),
+        (8, 8, "periodic", create_configuration(4, 8, "periodic", [(1, 1)])),
+        (8, 8, "free", create_configuration(8, 8, "periodic", [(1, 1), (3, 3)])),
+        (8, 8, "fully_packed", create_configuration(8, 8, "free", [(0, 0)])),
+    ],
+)
+def test_chain_params_rejects_initial_configuration_of_another_shape(
+    width, height, boundary, initial
+):
+    with pytest.raises(DimensionError) as err:
+        params(width=width, height=height, boundary=boundary, initial=initial)
+    shapes = str(err.value)
+    assert f"{initial.width}x{initial.height} {initial.boundary}" in shapes
+    assert f"{width}x{height} {boundary}" in shapes
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "free", "fully_packed"])
+def test_chain_params_accepts_initial_configuration_of_its_shape(boundary):
+    initial = create_configuration(8, 8, boundary, [(3, 3)])
+    chain = Chain(params(width=8, height=8, boundary=boundary, initial=initial, sweeps=0))
+    assert chain.configuration().occupied == initial.occupied
+
+
 # -- the draw decoder against numpy's Generator ------------------------------------
 
 
