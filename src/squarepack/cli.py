@@ -17,7 +17,8 @@ from typing import Optional
 
 from . import exact, graphs, lattice, render, sticks
 from .coupling import radius_tail_experiment
-from .errors import IoError, SpecError, SquarepackError, UsageError, check_fugacity
+from .errors import IoError, ParameterError, SpecError, SquarepackError, UsageError
+from .errors import check_fugacity
 from .sampler import OBSERVABLES, ChainParams, run_chain
 
 
@@ -306,7 +307,11 @@ def _cmd_sticks(args) -> int:
         "total_sticks": len(stick_list),
     }
     if args.psi:
-        k, l, stype = int(args.psi[0]), int(args.psi[1]), args.psi[2]
+        try:
+            k, l = int(args.psi[0]), int(args.psi[1])
+        except ValueError:
+            raise ParameterError(f"--psi K L TYPE needs integers K and L, got {args.psi[:2]}") from None
+        stype = args.psi[2]
         psi = sticks.psi_set(cfg, k, l, stype, args.n_div, stick_list)
         nx = (cfg.width - args.n_div * k) // k + 1
         ny = (cfg.height - args.n_div * l) // l + 1

@@ -298,34 +298,54 @@ def face_cover(config: Configuration) -> np.ndarray:
     fully_packed boundary the exterior tiles cover it. Agrees with
     ``Configuration.face_cover_center`` face by face.
     """
-    return grid_face_cover(config.width, config.height, config.boundary, config.occupancy_grid())
+    grid = config.__dict__.get("_grid")
+    if grid is None:
+        grid = config.occupancy_grid()
+    return grid_face_cover(config.width, config.height, config.boundary, grid)
+
+
+@lru_cache(maxsize=32)
+def _cover_tables(width: int, height: int, boundary: str):
+    """Tables of ``grid_face_cover`` over the centers -m .. size + m, one
+    more than the faces, since the tile at (cx, cy) covers the faces with
+    corners cx - 1 .. cx, cy - 1 .. cy: each center's parity code, the
+    code of the center with nothing of the grid on it (-1, or the
+    exterior tile's code under fully_packed boundary) and, on a torus,
+    the grid cell each center reads in a flattened grid."""
+    w, h, m = width, height, FACE_MARGIN
+    cx = np.arange(-m, w + m + 1)
+    cy = np.arange(-m, h + m + 1)[:, None]
+    code = (2 * ((cx - 1) % 2) + (cy - 1) % 2).astype(np.int8)
+    empty = np.full(code.shape, -1, dtype=np.int8)
+    if boundary == "fully_packed":
+        interior = (cx >= 1) & (cx <= w - 1) & (cy >= 1) & (cy <= h - 1)
+        exterior = (cx % 2 == 1) & (cy % 2 == 1) & ~interior
+        empty[exterior] = code[exterior]
+    cells = cy % h * w + cx % w if boundary == "periodic" else None
+    for table in (code, empty, cells):
+        if table is not None:
+            table.flags.writeable = False
+    return code, empty, cells
 
 
 def grid_face_cover(width: int, height: int, boundary: str, grids: np.ndarray) -> np.ndarray:
     """``face_cover`` of occupancy grids laid out as ``occupancy_grid``'s,
     under any leading axes: a stack of configurations gives a stack of
     covers."""
-    w, h, m = width, height, FACE_MARGIN
-    # centers -m .. size + m, one more than the faces, since the tile at
-    # (cx, cy) covers the faces with corners cx - 1 .. cx, cy - 1 .. cy
-    cx = np.arange(-m, w + m + 1)
-    cy = np.arange(-m, h + m + 1)[:, None]
-    if boundary == "periodic":
-        occupied = grids[..., cy % h, cx % w]
+    m = FACE_MARGIN
+    code, empty, cells = _cover_tables(width, height, boundary)
+    if cells is not None:
+        centers = np.where(grids.reshape(grids.shape[:-2] + (-1,))[..., cells], code, empty)
     else:
-        occupied = np.zeros(grids.shape[:-2] + (h + 2 * m + 1, w + 2 * m + 1), dtype=bool)
-        occupied[..., m:-m, m:-m] = grids
-    if boundary == "fully_packed":
-        interior = (cx >= 1) & (cx <= w - 1) & (cy >= 1) & (cy <= h - 1)
-        occupied |= (cx % 2 == 1) & (cy % 2 == 1) & ~interior
-    # code + 1 per occupied center, 0 elsewhere; open tiles are disjoint,
-    # so at most one of the four centers around a face is occupied
-    code = np.where(occupied, 2 * ((cx - 1) % 2) + (cy - 1) % 2 + 1, 0).astype(np.int8)
-    cover = np.maximum(
-        np.maximum(code[..., :-1, :-1], code[..., :-1, 1:]),
-        np.maximum(code[..., 1:, :-1], code[..., 1:, 1:]),
+        # the grid's centers 0 .. size carry no exterior tile
+        centers = np.broadcast_to(empty, grids.shape[:-2] + empty.shape).copy()
+        centers[..., m:-m, m:-m] = np.where(grids, code[m:-m, m:-m], -1)
+    # open tiles are disjoint, so at most one of the four centers around
+    # a face holds a tile, and every other one reads -1
+    return np.maximum(
+        np.maximum(centers[..., :-1, :-1], centers[..., :-1, 1:]),
+        np.maximum(centers[..., 1:, :-1], centers[..., 1:, 1:]),
     )
-    return cover - 1
 
 
 def edge_sides(width: int, height: int, boundary: str, faces: np.ndarray, fill):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import IoError
+from .errors import IoError, ParameterError
 from .lattice import Configuration, tile_parity_class
 from .sticks import Stick, extract_sticks
 
@@ -154,16 +154,19 @@ def render_image(
     cell: Optional[int] = None,
     stick_overlay: bool = True,
 ) -> None:
-    """Write an SVG or PPM rendering to ``path``."""
+    """Write an SVG or PPM rendering to ``path``; ``cell`` (pixels per
+    unit, at least 1) defaults to 16 for SVG and 8 for PPM."""
+    if cell is not None and cell < 1:
+        raise ParameterError(f"cell must be at least 1 pixel, got {cell}")
     try:
         if style == "svg":
             text = render_svg(
-                config, cell=cell or 16, stick_overlay=stick_overlay
+                config, cell=16 if cell is None else cell, stick_overlay=stick_overlay
             )
             with open(path, "w") as fh:
                 fh.write(text)
         elif style == "ppm":
-            data = render_ppm(config, cell=cell or 8, stick_overlay=stick_overlay)
+            data = render_ppm(config, cell=8 if cell is None else cell, stick_overlay=stick_overlay)
             with open(path, "wb") as fh:
                 fh.write(data)
         else:

@@ -34,11 +34,17 @@ scalar engine runs grids of at most SCALAR_ENGINE_MAX_SITES (36) sites:
 its heat bath is one dict lookup per sublattice, keyed by the occupancy
 outside it, and its translations walk one move table indexed by the
 proposal. The bitboard engine updates a whole sublattice with a few
-shift and mask operations and runs every larger grid. On a 2-vCPU VM
-(python 3.11.7) a scalar sweep() + state_key() step takes about 1.6 us
-on the 4x4 torus and on the 4x6 free rectangle (heat bath 0.6 us,
-translations and draws 0.3 us each) and 3.0 us on the 6x6 torus; the
-bitboard engine takes 5.6 to 9 us on these grids.
+shift and mask operations and runs every larger grid. Its translations
+read two tables built once per chain, at set-up when the chain proposes
+moves and at the first call otherwise: the target site of each
+proposal (-1 off the grid) and the 3x3 stencil mask around each site;
+a proposal is a byte test on its source, one table read and one mask
+test. On a 2-vCPU VM (python 3.11.7) a scalar sweep() + state_key()
+step takes about 1.6 us on the 4x4 torus and on the 4x6 free rectangle
+(heat bath 0.6 us, translations and draws 0.3 us each) and 3.0 us on
+the 6x6 torus; the bitboard engine takes 5.6 to 9 us on these grids,
+and about 19-31 us a sweep on the 24x24 grids of criterion 9 at
+translation fraction 0.1 (46-53 us when each proposal built its stencil).
 """
 
 from __future__ import annotations
@@ -445,7 +451,10 @@ class _BitboardEngine:
     i set when uniform i is below the occupation probability. D is
     separable, h = a | E(a) | W(a), D = h | N(h) | S(h). A translation
     tests the 3x3 stencil around its target, one of three base stencils
-    (first column, interior, last column) shifted into place.
+    (first column, interior, last column) shifted into place; the
+    stencils of all sites and the targets of all proposals are tables,
+    built at the first call (``Chain`` makes that call at set-up when it
+    proposes moves).
     """
 
     def __init__(self, geom: _Geometry, initial: List[int]):
@@ -474,6 +483,7 @@ class _BitboardEngine:
             )
             for cx in (0, 1, nx - 1)
         ]
+        self.move_tables: Optional[Tuple[List[int], List[int]]] = None
 
     def heat_bath(self, accept: int) -> None:
         nx, n = self.geom.nx, self.geom.n_sites
@@ -495,43 +505,53 @@ class _BitboardEngine:
             occ = a | free ^ (free & d)
         self.occ = occ
 
-    def _stencil(self, tx: int, ty: int) -> int:
-        """The 3x3 block around grid point (tx, ty) as a mask.
+    def _translation_tables(self) -> Tuple[List[int], List[int]]:
+        """The target site of each proposal q = 4 * site + direction, -1
+        when the move leaves the grid, and the 3x3 stencil around each
+        site as a mask: the base stencil of its column (first, interior
+        or last) shifted into place, wrapping round on a torus.
 
-        Bits at or above n_sites may be set; the occupancy it is tested
-        against has none there.
+        Stencil bits at or above n_sites may be set on a rectangle; the
+        occupancy they are tested against has none there.
         """
-        nx = self.geom.nx
-        if tx == 0:
-            base, shift = self.stencils[0], (ty - 1) * nx
-        elif tx == nx - 1:
-            base, shift = self.stencils[2], (ty - 1) * nx
+        geom = self.geom
+        nx, ny, n = geom.nx, geom.ny, geom.n_sites
+        y, x = np.divmod(np.arange(n), nx)
+        step = np.array(DIRECTIONS)
+        tx, ty = x[:, None] + step[:, 0], y[:, None] + step[:, 1]
+        if geom.periodic:
+            target = ty % ny * nx + tx % nx
         else:
-            base, shift = self.stencils[1], (ty - 1) * nx + tx - 1
-        if self.geom.periodic:
-            shift %= self.geom.n_sites
-            return base << shift | base >> (self.geom.n_sites - shift)
-        return base << shift if shift >= 0 else base >> -shift
+            target = np.where((tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny), ty * nx + tx, -1)
+        column = np.where(x == 0, 0, np.where(x == nx - 1, 2, 1))
+        shift = (y - 1) * nx + np.where(column == 1, x - 1, 0)
+        bases = [self.stencils[c] for c in column.tolist()]
+        if geom.periodic:
+            shifts = (shift % n).tolist()
+            masks = [b << s | b >> (n - s) for b, s in zip(bases, shifts)]
+        else:
+            masks = [b << s if s >= 0 else b >> -s for b, s in zip(bases, shift.tolist())]
+        return target.ravel().tolist(), masks
 
     def translations(self, proposals: List[int]) -> None:
+        if self.move_tables is None:  # built at set-up when the chain proposes moves
+            self.move_tables = self._translation_tables()
+        targets, stencils = self.move_tables
         occ = self.occ
-        nx = self.geom.nx
-        target = self.geom.target
         # a bit test on the mask costs O(n_sites); most proposals stop
         # at an empty source, so test those on a byte per site
         occupied = bytearray(_unpack(occ, self.geom.n_sites))
         for q in proposals:
-            i, d = divmod(q, 4)
+            i = q >> 2
             if not occupied[i]:
                 continue
-            t = target(i, d)
-            if t is None:
+            j = targets[q]
+            if j < 0:
                 continue
             bit = 1 << i
             # the source lies in the stencil; nothing else may
-            if occ & self._stencil(*t) != bit:
+            if occ & stencils[j] != bit:
                 continue
-            j = t[1] * nx + t[0]
             occ ^= bit | 1 << j
             occupied[i], occupied[j] = 0, 1
         self.occ = occ
@@ -558,6 +578,8 @@ class Chain:
         self.step = 0
         self.p_occ = params.lam / (1.0 + params.lam)
         self.n_trans = int(round(params.translation_move_fraction * self.geom.n_sites))
+        if self.n_trans:
+            self.engine.translations([])  # builds the bitboard engine's move tables
         n = self.geom.n_sites
         self._draws = iter(SweepDraws(params.seed, n, self.n_trans, 4 * n, self.p_occ))
 

@@ -21,7 +21,7 @@ from squarepack.graphs import (
     max_stick_run,
 )
 from squarepack.errors import GeometryMismatch
-from squarepack.lattice import iter_mask_blocks, mask_to_configuration, model_sites
+from squarepack.lattice import FACE_MARGIN, iter_mask_blocks, mask_to_configuration, model_sites
 from squarepack.sticks import PHASES, Rect, Stick, properly_divides, stick_divides
 
 
@@ -838,3 +838,65 @@ class ScalarEngineBySites:
                 continue
             occ = (occ & ~bit) | (1 << t)
         self.occ = occ
+
+
+def _stencil_at(engine, tx, ty):
+    """The bitboard engine's 3x3 block around grid point (tx, ty), built
+    from its three base stencils per call, as its translations did
+    before they read tables. Bits at or above n_sites may be set."""
+    geom = engine.geom
+    nx = geom.nx
+    if tx == 0:
+        base, shift = engine.stencils[0], (ty - 1) * nx
+    elif tx == nx - 1:
+        base, shift = engine.stencils[2], (ty - 1) * nx
+    else:
+        base, shift = engine.stencils[1], (ty - 1) * nx + tx - 1
+    if geom.periodic:
+        shift %= geom.n_sites
+        return base << shift | base >> (geom.n_sites - shift)
+    return base << shift if shift >= 0 else base >> -shift
+
+
+def bitboard_translations_by_stencils(engine, proposals):
+    """Occupancy mask after the proposals on a bitboard engine's state,
+    each proposal's target by ``divmod`` and ``geom.target`` and its
+    stencil built per proposal; the engine is left unchanged."""
+    occ = engine.occ
+    nx = engine.geom.nx
+    for q in proposals:
+        i, d = divmod(q, 4)
+        if not occ >> i & 1:
+            continue
+        t = engine.geom.target(i, d)
+        if t is None:
+            continue
+        bit = 1 << i
+        if occ & _stencil_at(engine, *t) != bit:
+            continue
+        occ ^= bit | 1 << (t[1] * nx + t[0])
+    return occ
+
+
+def grid_face_cover_by_codes(width, height, boundary, grids):
+    """``lattice.grid_face_cover`` as it was before it read cached tables:
+    the centers gathered or padded, the fully-packed exterior and the
+    parity codes computed per call, and the cover as the largest of the
+    four codes + 1 around each face, less 1."""
+    w, h, m = width, height, FACE_MARGIN
+    cx = np.arange(-m, w + m + 1)
+    cy = np.arange(-m, h + m + 1)[:, None]
+    if boundary == "periodic":
+        occupied = grids[..., cy % h, cx % w]
+    else:
+        occupied = np.zeros(grids.shape[:-2] + (h + 2 * m + 1, w + 2 * m + 1), dtype=bool)
+        occupied[..., m:-m, m:-m] = grids
+    if boundary == "fully_packed":
+        interior = (cx >= 1) & (cx <= w - 1) & (cy >= 1) & (cy <= h - 1)
+        occupied |= (cx % 2 == 1) & (cy % 2 == 1) & ~interior
+    code = np.where(occupied, 2 * ((cx - 1) % 2) + (cy - 1) % 2 + 1, 0).astype(np.int8)
+    cover = np.maximum(
+        np.maximum(code[..., :-1, :-1], code[..., :-1, 1:]),
+        np.maximum(code[..., 1:, :-1], code[..., 1:, 1:]),
+    )
+    return cover - 1

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from squarepack import errors
 from squarepack.cli import build_parser, main
 from squarepack.exact import partition_polynomial
-from squarepack.lattice import create_configuration, encode
+from squarepack.lattice import create_configuration, decode, encode, from_json, to_json
 from squarepack.sampler import OBSERVABLES, seed_phase_configuration
+
+from strategies import random_valid_config
 
 
 def run_cli(args, capsys):
@@ -756,3 +758,139 @@ def test_coupling_fuzz_prints_json_or_a_json_error(run):
             assert code == 1
             assert out == ""
             assert json.loads(err)["error"]["type"] in SQUAREPACK_ERRORS
+
+
+@st.composite
+def config_texts(draw):
+    """The text of a configuration file: a random valid configuration or
+    a phase seed, as ASCII or JSON, or malformed text."""
+    kind = draw(st.sampled_from(["random", "seed", "malformed"]))
+    if kind == "malformed":
+        return draw(
+            st.sampled_from(
+                ["", "8 8 periodic\n", "4 4 torus\n", '{"width": 4}', "4 4 periodic\noo..\n....\n....\n....\n"]
+            )
+        )
+    if kind == "random":
+        cfg = draw(random_valid_config())
+    else:
+        side = st.sampled_from([8, 12, 16])
+        cfg = seed_phase_configuration(
+            draw(side),
+            draw(side),
+            draw(st.sampled_from(["ver0", "ver1", "hor0", "hor1"])),
+            boundary=draw(st.sampled_from(["periodic", "free", "fully_packed"])),
+        )
+    return to_json(cfg) if draw(st.booleans()) else encode(cfg)
+
+
+def _run_on_config(text, argv):
+    """main(argv) with ``--in`` a file holding ``text`` and every other
+    path in the same folder: (exit code, stdout, stderr, folder files)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "cfg.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = [argv[0], f"--in={path}", *(a.replace("FOLDER", folder) for a in argv[1:])]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        files = {}
+        for name in os.listdir(folder):
+            with open(os.path.join(folder, name), "rb") as fh:
+                files[name] = fh.read()
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    if code != 0:
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] in SQUAREPACK_ERRORS
+    else:
+        assert err == ""
+    return code, out, files
+
+
+@st.composite
+def sticks_runs(draw):
+    """A ``sticks`` argument vector: window scales of every kind, known
+    and unknown stick types, and window scales N below and above 3."""
+    argv = ["sticks"]
+    if draw(st.booleans()):
+        scale = st.integers(-1, 3).map(str) | st.sampled_from(["x", "1.5", str(2**70)])
+        stick_type = st.sampled_from(["ver", "hor", "ver0", "ver1", "hor0", "hor1", "diag"])
+        argv += ["--psi", draw(scale), draw(scale), draw(stick_type)]
+    if draw(st.booleans()):
+        argv.append(f"--N={draw(st.integers(-1, 6))}")
+    return draw(config_texts()), argv
+
+
+@settings(max_examples=160, deadline=None)
+@given(sticks_runs())
+def test_sticks_fuzz_prints_json_or_a_json_error(run):
+    code, out, _ = _run_on_config(*run)
+    if code == 0:
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["total_sticks"] == sum(c["count"] for c in payload["census"].values())
+        if "--psi" in run[1]:
+            psi = payload["psi"]
+            assert sum(row.count("1") for row in psi["bitmap"]) == len(psi["points"])
+
+
+@st.composite
+def phase_runs(draw):
+    """A ``phase`` argument vector: fugacities of every kind, thresholds
+    b below and above 1, and window scales N below and above 3."""
+    argv = ["phase"]
+    if draw(st.booleans()):
+        argv.append(f"--lambda={draw(FUZZ_FUGACITIES)}")
+    if draw(st.booleans()):
+        argv.append(f"--b={draw(st.integers(-2, 10))}")
+    if draw(st.booleans()):
+        argv.append(f"--N={draw(st.integers(-1, 6))}")
+    return draw(config_texts()), argv
+
+
+@settings(max_examples=140, deadline=None)
+@given(phase_runs())
+def test_phase_fuzz_prints_json_or_a_json_error(run):
+    code, out, _ = _run_on_config(*run)
+    if code == 0:
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["phase"] in ("ver0", "ver1", "hor0", "hor1", "undetermined")
+
+
+@st.composite
+def render_runs(draw):
+    """A ``render`` argument vector: both styles, cell sizes below and
+    above 1 or the default, with or without the stick overlay."""
+    style = draw(st.sampled_from(["svg", "ppm"]))
+    argv = ["render", f"--out=FOLDER/img.{style}", f"--style={style}"]
+    if draw(st.booleans()):
+        argv.append(f"--cell={draw(st.integers(-5, 4))}")
+    if draw(st.booleans()):
+        argv.append("--no-sticks")
+    return draw(config_texts()), argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(render_runs())
+def test_render_fuzz_writes_an_image_or_a_json_error(run):
+    text, argv = run
+    code, out, files = _run_on_config(text, argv)
+    if code == 0:
+        assert out == ""
+        cfg = from_json(text) if text.startswith("{") else decode(text)
+        ppm = "--style=ppm" in argv
+        cell = next((int(a.split("=")[1]) for a in argv if a.startswith("--cell=")), None)
+        if cell is None:
+            cell = 8 if ppm else 16
+        size = (cfg.width * cell, cfg.height * cell)
+        if ppm:
+            magic, dims, depth, pixels = files["img.ppm"].split(b"\n", 3)
+            assert (magic, depth) == (b"P6", b"255")
+            assert tuple(map(int, dims.split())) == size
+            assert len(pixels) == 3 * size[0] * size[1]
+        else:
+            head = files["img.svg"].split(b"\n", 1)[0].decode()
+            assert head.startswith("<svg")
+            assert f'width="{size[0]}" height="{size[1]}"' in head

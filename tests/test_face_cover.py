@@ -5,6 +5,7 @@ Stick detection, component graphs and vacancy counts all read
 ``Configuration.face_cover_center`` instead.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,14 +16,22 @@ from squarepack.lattice import (
     FACE_MARGIN,
     count_vacancies,
     face_cover,
+    grid_face_cover,
+    iter_mask_blocks,
     iter_valid_masks,
     mask_to_configuration,
+    model_sites,
     tile_parity_class,
 )
 from squarepack.sampler import Chain, ChainParams
 from squarepack.sticks import detect_stick_edges
 
-from oracles import component_graphs_by_faces, marked_edges_by_faces, stick_edges_by_faces
+from oracles import (
+    component_graphs_by_faces,
+    grid_face_cover_by_codes,
+    marked_edges_by_faces,
+    stick_edges_by_faces,
+)
 from strategies import random_valid_config
 
 
@@ -72,3 +81,33 @@ def test_face_cover_matches_references_sampled(boundary):
     for _ in range(3):
         chain.sweep(20)
         assert_matches_references(chain.configuration())
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cached_face_cover_matches_per_call_codes(boundary, data):
+    cfg = data.draw(random_valid_config((boundary,)))
+    grid = cfg.occupancy_grid()
+    cover = grid_face_cover(cfg.width, cfg.height, boundary, grid)
+    assert cover.dtype == np.int8
+    assert np.array_equal(cover, grid_face_cover_by_codes(cfg.width, cfg.height, boundary, grid))
+
+
+@pytest.mark.parametrize(
+    "width,height,boundary",
+    [(4, 4, "periodic"), (6, 4, "periodic"), (4, 6, "free"), (6, 4, "fully_packed"), (6, 6, "fully_packed")],
+)
+def test_cached_face_cover_matches_per_call_codes_on_stacks(width, height, boundary):
+    # every valid configuration of the grid, stacked as the component
+    # harvest stacks them, under one and two leading axes
+    masks = np.concatenate([m for m, _ in iter_mask_blocks(width, height, boundary)])
+    extra = 0 if boundary == "periodic" else 1
+    grids = np.zeros((len(masks), height + extra, width + extra), dtype=bool)
+    for i, (x, y) in enumerate(model_sites(width, height, boundary)):
+        grids[:, y, x] = masks >> np.uint64(i) & np.uint64(1)
+    for stack in (grids, grids[: len(grids) // 2 * 2].reshape(2, -1, *grids.shape[1:])):
+        assert np.array_equal(
+            grid_face_cover(width, height, boundary, stack),
+            grid_face_cover_by_codes(width, height, boundary, stack),
+        )

@@ -20,6 +20,7 @@ from squarepack.sampler import (
 
 from oracles import (
     ScalarEngineBySites,
+    bitboard_translations_by_stencils,
     ensemble,
     pairwise_valid,
     sweep_by_generator,
@@ -396,6 +397,52 @@ def test_translation_matches_cell_reference(engine, cfg):
         chain.engine.translations([q])
         moved = translation_by_cells(sites, geom.nx, geom.ny, geom.periodic, *divmod(q, 4))
         assert chain.state_key() == sum(1 << i for i in moved)
+
+
+# grids above the scalar engine's 36 sites; 10x14 and 14x10 rectangles
+# have odd interiors (9x13, 13x9)
+TABLE_GRIDS = [(8, 8), (8, 10), (10, 14), (14, 10)]
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_translation_tables_match_stencil_loop(boundary, data):
+    width, height = data.draw(st.sampled_from(TABLE_GRIDS))
+    chain = Chain(
+        params(
+            width=width,
+            height=height,
+            boundary=boundary,
+            lam=data.draw(st.sampled_from([0.5, 3.0, 50.0])),
+            seed=data.draw(st.integers(0, 2**31 - 1)),
+        ),
+        engine="bitboard",
+    )
+    chain.sweep(data.draw(st.integers(1, 20)))
+    engine, n = chain.engine, chain.geom.n_sites
+    assert n > sampler.SCALAR_ENGINE_MAX_SITES
+    start = engine.occ
+    for q in range(4 * n):
+        engine.occ = start
+        expected = bitboard_translations_by_stencils(engine, [q])
+        engine.translations([q])
+        assert engine.occ == expected, q
+    engine.occ = start
+    proposals = data.draw(st.lists(st.integers(0, 4 * n - 1), max_size=4 * n))
+    expected = bitboard_translations_by_stencils(engine, proposals)
+    engine.translations(proposals)
+    assert engine.occ == expected
+
+
+def test_translation_tables_built_at_set_up_when_the_chain_moves_tiles():
+    still = Chain(params(width=8, height=8, translation_move_fraction=0.0))
+    assert still.engine.move_tables is None
+    still.sweep(3)
+    assert still.engine.move_tables is None
+    assert Chain(params(width=8, height=8)).engine.move_tables is not None
+    still.engine.translations([5])
+    assert still.engine.move_tables is not None
 
 
 def test_engine_choice():

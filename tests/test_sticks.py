@@ -1,3 +1,8 @@
+import pickle
+from copy import deepcopy
+from functools import lru_cache
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,6 +192,105 @@ def test_extract_sticks_matches_edge_runs_on_any_edge_set(data):
     keep = data.draw(st.lists(st.floats(0, 1), min_size=len(scan), max_size=len(scan)))
     edges = {e for e, u in zip(scan, keep) if u < density}
     assert extract_sticks(cfg, edges) == sticks_by_edges(cfg, edges)
+
+
+@lru_cache(maxsize=1)
+def _sampled_configurations():
+    """Configurations of the criterion-9 chains on 24x24, a few sweeps
+    apart."""
+    found = []
+    for boundary, lam, initial, seed in (
+        ("periodic", 10.0, "empty", 91),
+        ("periodic", 130.0, "ver0", 92),
+        ("fully_packed", 130.0, "empty", 93),
+    ):
+        chain = Chain(
+            ChainParams(
+                width=24, height=24, lam=lam, seed=seed, sweeps=0, boundary=boundary,
+                translation_move_fraction=0.1, initial=initial,
+            )
+        )
+        chain.sweep(100)
+        found.extend(chain.sweep(4).configuration() for _ in range(3))
+    return tuple(found)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extract_sticks_of_an_edited_detected_set(data):
+    # the memo that detection leaves describes the set it returned, not
+    # the caller's edits of that set
+    cfg = data.draw(st.sampled_from(_sampled_configurations()) | random_valid_config())
+    edges = detect_stick_edges(cfg)
+    full = extract_sticks(cfg, edges)
+    m = 0 if cfg.boundary == "periodic" else 2
+    scan = [(o, x, y) for o in "vh" for x in range(-m, cfg.width + m) for y in range(-m, cfg.height + m)]
+    dropped = data.draw(st.lists(st.sampled_from(sorted(edges)), max_size=5)) if edges else []
+    added = data.draw(st.lists(st.sampled_from(scan), max_size=5))
+    edges.difference_update(dropped)
+    edges.update(added)
+    assert extract_sticks(cfg, edges) == sticks_by_edges(cfg, edges)
+    assert extract_sticks(cfg) == full
+    assert classify_phase(cfg, 2) == phase_by_sticks(full, 2)
+
+
+def test_extract_sticks_list_is_the_callers_own():
+    # division and Psi tests of a list other than the extracted one test
+    # that list, also once the extracted one has left its segments
+    rects = [Rect((x, y), 8, 4) for x in range(0, 16, 3) for y in range(0, 20, 3)]
+    rects += [Rect((x, y), 4, 8) for x in range(0, 20, 3) for y in range(0, 16, 3)]
+    for cfg in _sampled_configurations():
+        sticks = extract_sticks(cfg, detect_stick_edges(cfg))
+        full = list(sticks)
+        divided_directions(cfg, rects[0], sticks)
+        del sticks[::2]
+        assert extract_sticks(cfg) == full
+        for subset in (sticks, []):
+            for rect in rects:
+                assert divided_directions(cfg, rect, subset) == divided_directions_by_sticks(
+                    cfg, rect, subset
+                )
+            for t in STICK_TYPES:
+                assert psi_set(cfg, 2, 2, t, 4, subset) == psi_set_by_windows(cfg, 2, 2, t, 4, subset)
+
+
+def _memo_arrays(memo):
+    """Every array the stick memo of a configuration holds."""
+    out = []
+    for group in (memo.grids, memo._runs, memo._segments):
+        for part in group or ():
+            out.extend(part if isinstance(part, tuple) else [part])
+    return [a for a in out if isinstance(a, np.ndarray)]
+
+
+def test_stick_memo_read_only_after_pickle_and_deepcopy():
+    for cfg in _sampled_configurations():
+        edges = detect_stick_edges(cfg)
+        sticks = extract_sticks(cfg, edges)
+        divided = divided_directions(cfg, Rect((1, 1), 6, 6), sticks)
+        psi = psi_set(cfg, 2, 2, "hor", 4, sticks)
+        # a configuration with the same tiles and no memo
+        fresh = create_configuration(cfg.width, cfg.height, cfg.boundary, cfg.occupied)
+        assert "_sticks" in cfg.__dict__ and "_sticks" not in fresh.__dict__
+        assert cfg == fresh and hash(cfg) == hash(fresh)
+        for copy in (pickle.loads(pickle.dumps(cfg)), deepcopy(cfg)):
+            memo = copy.__dict__["_sticks"]
+            arrays = _memo_arrays(memo)
+            assert arrays and not any(a.flags.writeable for a in arrays)
+            assert memo.edges == frozenset(edges)
+            assert copy == cfg and hash(copy) == hash(cfg)
+            assert extract_sticks(copy, edges) == sticks
+            assert divided_directions(copy, Rect((1, 1), 6, 6), sticks) == divided
+            assert psi_set(copy, 2, 2, "hor", 4, sticks) == psi
+        with pytest.raises(ValueError):
+            _memo_arrays(cfg.__dict__["_sticks"])[0][...] = 0
+        # a memo that still holds its edge grids
+        assert detect_stick_edges(fresh) == edges
+        for copy in (pickle.loads(pickle.dumps(fresh)), deepcopy(fresh)):
+            memo = copy.__dict__["_sticks"]
+            assert memo.grids is not None
+            assert not any(a.flags.writeable for a in _memo_arrays(memo))
+            assert extract_sticks(copy, edges) == sticks
 
 
 def test_extract_sticks_rejects_edges_outside_the_scan():
