@@ -310,7 +310,8 @@ def _cmd_sticks(args) -> int:
         try:
             k, l = int(args.psi[0]), int(args.psi[1])
         except ValueError:
-            raise ParameterError(f"--psi K L TYPE needs integers K and L, got {args.psi[:2]}") from None
+            message = f"--psi K L TYPE needs integers K and L, got {args.psi[:2]}"
+            raise ParameterError(message) from None
         stype = args.psi[2]
         psi = sticks.psi_set(cfg, k, l, stype, args.n_div, stick_list)
         nx = (cfg.width - args.n_div * k) // k + 1

@@ -766,11 +766,9 @@ def config_texts(draw):
     a phase seed, as ASCII or JSON, or malformed text."""
     kind = draw(st.sampled_from(["random", "seed", "malformed"]))
     if kind == "malformed":
-        return draw(
-            st.sampled_from(
-                ["", "8 8 periodic\n", "4 4 torus\n", '{"width": 4}', "4 4 periodic\noo..\n....\n....\n....\n"]
-            )
-        )
+        overlapping = "4 4 periodic\noo..\n....\n....\n....\n"
+        texts = ["", "8 8 periodic\n", "4 4 torus\n", '{"width": 4}', overlapping]
+        return draw(st.sampled_from(texts))
     if kind == "random":
         cfg = draw(random_valid_config())
     else:

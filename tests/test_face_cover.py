@@ -96,7 +96,13 @@ def test_cached_face_cover_matches_per_call_codes(boundary, data):
 
 @pytest.mark.parametrize(
     "width,height,boundary",
-    [(4, 4, "periodic"), (6, 4, "periodic"), (4, 6, "free"), (6, 4, "fully_packed"), (6, 6, "fully_packed")],
+    [
+        (4, 4, "periodic"),
+        (6, 4, "periodic"),
+        (4, 6, "free"),
+        (6, 4, "fully_packed"),
+        (6, 6, "fully_packed"),
+    ],
 )
 def test_cached_face_cover_matches_per_call_codes_on_stacks(width, height, boundary):
     # every valid configuration of the grid, stacked as the component

@@ -224,7 +224,8 @@ def test_extract_sticks_of_an_edited_detected_set(data):
     edges = detect_stick_edges(cfg)
     full = extract_sticks(cfg, edges)
     m = 0 if cfg.boundary == "periodic" else 2
-    scan = [(o, x, y) for o in "vh" for x in range(-m, cfg.width + m) for y in range(-m, cfg.height + m)]
+    w, h = cfg.width, cfg.height
+    scan = [(o, x, y) for o in "vh" for x in range(-m, w + m) for y in range(-m, h + m)]
     dropped = data.draw(st.lists(st.sampled_from(sorted(edges)), max_size=5)) if edges else []
     added = data.draw(st.lists(st.sampled_from(scan), max_size=5))
     edges.difference_update(dropped)
@@ -251,7 +252,8 @@ def test_extract_sticks_list_is_the_callers_own():
                     cfg, rect, subset
                 )
             for t in STICK_TYPES:
-                assert psi_set(cfg, 2, 2, t, 4, subset) == psi_set_by_windows(cfg, 2, 2, t, 4, subset)
+                psi = psi_set(cfg, 2, 2, t, 4, subset)
+                assert psi == psi_set_by_windows(cfg, 2, 2, t, 4, subset)
 
 
 def _memo_arrays(memo):
