@@ -359,13 +359,16 @@ def edge_sides(width: int, height: int, boundary: str, faces: np.ndarray, fill):
     whole extent, with ``fill`` beyond it.
     """
     m = FACE_MARGIN
+    if boundary == "periodic":
+        # views: the faces left of and below the region lie in the margin
+        rows, cols = slice(m, m + height), slice(m, m + width)
+        left = faces[..., rows, m - 1 : m - 1 + width]
+        below = faces[..., m - 1 : m - 1 + height, cols]
+        return left, below, faces[..., rows, cols], 0, 0
     left = np.full_like(faces, fill)
     left[..., 1:] = faces[..., :-1]
     below = np.full_like(faces, fill)
     below[..., 1:, :] = faces[..., :-1, :]
-    if boundary == "periodic":
-        core = (Ellipsis, slice(m, m + height), slice(m, m + width))
-        return left[core], below[core], faces[core], 0, 0
     return left, below, faces, -m, -m
 
 

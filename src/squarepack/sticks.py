@@ -185,7 +185,10 @@ def detect_stick_edges(config: Configuration) -> Set[Edge]:
     found = []
     for orientation, grid in (("v", ver), ("h", hor)):
         ys, xs = np.nonzero(grid)
-        found.append(zip(repeat(orientation), (xs + x0).tolist(), (ys + y0).tolist()))
+        if x0 or y0:
+            xs += x0
+            ys += y0
+        found.append(zip(repeat(orientation), xs.tolist(), ys.tolist()))
     # a set copied from a frozenset reuses its hashes
     edges = _memo(config, grids).edges = frozenset(chain(*found))
     return set(edges)
