@@ -22,7 +22,7 @@ the set ``detect_stick_edges`` returned reads the memo; an edge set of
 the caller's own, or a stick list other than the extracted one, is
 worked out from scratch. On a 2-vCPU VM the criterion-9 analysis of a
 24x24 configuration (edges, sticks, four rectangles and two Psi sets)
-takes about 0.46 ms, against 0.75 ms when each call redid it.
+takes about 0.42 ms, against 0.64 ms when each call redid it.
 """
 
 from __future__ import annotations
