@@ -11,9 +11,13 @@ grown row by row in numpy arrays (``lattice.iter_mask_blocks``), and a
 row-transfer recursion sums over row sequences. They share only the row
 states and their neighbour lists. The transfer packs each row's
 polynomial into one int, so a row step is one shifted sum per row
-state; on a torus one walk carries one start row per orbit of the rows
-under rotation and mirroring, each in its own bit field and weighted by
-the orbit size, and a rectangle walks one row of each mirror pair.
+state. It walks only half of the rows: a row sequence is two walks that
+meet at its middle row, and since the neighbour relation is symmetric
+both halves are read from one walk, joined by squaring each row's
+packed int (one big-int product per row state and start). On a torus
+one walk carries one start row per orbit of the rows under rotation and
+mirroring, each in its own byte-aligned bit field and weighted by the
+orbit size; a rectangle walks one row of each mirror pair.
 
 Chessboard seminorms and disseminated products are a band transfer: a
 float row transfer along the torus's narrow side whose steps span one
@@ -59,8 +63,8 @@ TRANSFER_AREA_CAP = 4096
 # torus fits (7,568,932 floats), 14x14 does not (35,532,450)
 BAND_SIZE_CAP = 1 << 23
 # bits of one packed int in the torus row transfer, which walks as many
-# start orbits at once as fit: one start of the 14x40 torus takes 34,122,
-# and the 843 rows of 14 sites hold 3.9 MB
+# start orbits at once as fit: one start of the 14x40 torus takes 17,184,
+# two share a walk, and the 843 rows of 14 sites hold 3.9 MB
 PACK_BITS = 9 << 12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -258,15 +262,25 @@ def _brute_coefficients(width: int, height: int, boundary: str) -> List[int]:
     return counts.tolist()
 
 
-def _dihedral_orbits(states: Sequence[int], positions: int) -> List[Tuple[int, int]]:
+def _dihedral_orbits(
+    states: Sequence[int], positions: int
+) -> Tuple[List[Tuple[int, int]], List[int]]:
     """(index of one row, orbit size) for each orbit of the cyclic rows
-    under rotation and mirroring."""
+    under rotation and mirroring, largest orbits first, and each row's
+    orbit as its place in that list."""
     s = np.array(states, dtype=np.int64)
     both = np.stack([s, _reversed_bits(s, positions)])[:, None]
     k = np.arange(positions)[:, None]
     images = (both << k | both >> positions - k) & (1 << positions) - 1
-    _, first, sizes = np.unique(images.min(axis=(0, 1)), return_index=True, return_counts=True)
-    return list(zip(first.tolist(), sizes.tolist()))
+    members = {}
+    for i, least in enumerate(images.min(axis=(0, 1)).tolist()):
+        members.setdefault(least, []).append(i)
+    orbits = sorted(members.values(), key=len, reverse=True)
+    label = [0] * len(s)
+    for k, rows in enumerate(orbits):
+        for i in rows:
+            label[i] = k
+    return [(rows[0], len(rows)) for rows in orbits], label
 
 
 def _limb(degree: np.ndarray, first: np.ndarray, flat: np.ndarray, nrows: int) -> int:
@@ -290,29 +304,86 @@ def _walk(vec: List[int], neighbours: List[List[int]], shifts: List[int], steps:
     return vec
 
 
+def _torus_total(
+    width: int, height: int, values: np.ndarray, neighbours: List[List[int]], shifts: List[int], limb: int
+) -> int:
+    """The packed torus polynomial, cut at a start row and at the middle
+    row height/2 rows on (see ``_transfer_coefficients``)."""
+    # largest orbits first: the middle rows of orbit k join k + 1 starts
+    orbits, label = _dihedral_orbits(values, width)
+    half = height // 2
+    nbytes = -(-((half // 2) * (width // 2) + 1) * limb // 8)
+    field = 8 * nbytes
+    walks = -(-len(orbits) // max(1, PACK_BITS // field))
+    group = -(-len(orbits) // walks)
+    total = 0
+    for lo in range(0, len(orbits), group):
+        starts = orbits[lo : lo + group]
+        vec = [0] * len(values)
+        for j, (start, _) in enumerate(starts):
+            vec[start] = 1 << j * field
+        vec = _walk(vec, neighbours, shifts, half - 1)
+        size = len(starts) * nbytes
+        spans = [(a, a + nbytes) for a in range(0, size, nbytes)]
+        # each start's closed walks through middle rows of later orbits,
+        # which count twice, and of its own orbit
+        later, own = [0] * len(starts), [0] * len(starts)
+        for s, k in enumerate(label):
+            k -= lo
+            if k < 0:
+                continue
+            raw = sum(map(vec.__getitem__, neighbours[s])).to_bytes(size, "little")
+            shift = shifts[s]
+            for j, (a, b) in enumerate(spans[:k]):
+                g = int.from_bytes(raw[a:b], "little")
+                later[j] += g * g << shift
+            if k < len(starts):
+                a, b = spans[k]
+                g = int.from_bytes(raw[a:b], "little")
+                own[k] += g * g << shift
+        for (start, weight), l, o in zip(starts, later, own):
+            total += weight * ((l << 1) + o) << shifts[start]
+    return total
+
+
 def _transfer_coefficients(width: int, height: int, boundary: str) -> List[int]:
-    """Row transfer with each row's polynomial packed into one int.
+    """Row transfer with each row's polynomial packed into one int, walked
+    half way and joined at the middle row.
 
     Coefficient n of a packed polynomial sits in bits [n*limb, (n+1)*limb).
-    Every limb of every partial sum counts row sequences (a shorter one
-    extends by empty rows), so it is at most the number of all sequences
-    of nrows rows, which fixes limb (``_limb``) and keeps carries inside
-    their limb.
+    A row sequence cut at a middle row s is two walks that end next to s,
+    and the neighbour relation is symmetric, so both come from one walk.
+    With g[s] the polynomial of the walks of one half that end next to
+    s, the sequences through s hold x^tiles(s) * g[s]^2, and squaring a
+    packed int multiplies its polynomial by itself (Kronecker
+    substitution). Every limb of every walk entry, square and weighted
+    sum counts row sequences of at most nrows rows (a shorter one extends
+    by empty rows), and never more than the whole sum does, so it is at
+    most the number of all sequences of nrows rows. That fixes limb
+    (``_limb``) and keeps every carry inside its limb.
 
-    A torus walks its starts, one row per orbit of the rows under
-    rotation and mirroring, together: start j of a walk owns the field of
-    bits [j*field, (j+1)*field), field = (n_max + 1) * limb, and the walk
-    closes onto each start by reading its field of the sum over the
-    start's neighbours. Two adjacent rows hold at most width/2 tiles, so
-    a walk of at most height rows (an even number) holds at most n_max
-    tiles, and no polynomial of a field reaches the next field. The
-    starts go into as few walks as keep every packed int within
-    PACK_BITS, at least one start a walk, and the walks share them
-    evenly.
+    A torus of H rows, H even, is cut at a start row r and at the middle
+    row s, H/2 rows on: Z = sum over r and s of x^(tiles(r) + tiles(s)) *
+    g_r[s]^2, where g_r[s] is a walk of H/2 - 1 steps from r, which
+    leaves out the tiles of r, summed over the neighbours of s. Rotating
+    or mirroring every row maps closed walks to closed walks with the
+    same tiles, and the term is symmetric in r and s. So the starts are
+    one row per orbit (``_dihedral_orbits``), weighted by orbit size, and
+    the start of orbit j joins only the middle rows of orbits k >= j,
+    those of k > j twice. The starts share walks: start j of a walk owns
+    the bits [j*field, (j+1)*field) of each packed int. A field holds the
+    tiles of the H/2 - 1 rows between r and s, at most (H/2 // 2) *
+    width/2 as two adjacent rows hold at most width/2, in whole bytes, so
+    one to_bytes of g[s] cuts it at its fields. The starts go into as few
+    walks as keep every packed int within PACK_BITS, at least one start a
+    walk, and the walks share them evenly.
 
-    In the rectangle modes the start vector and the neighbour relation
-    are mirror symmetric, so every partial vector is, and the walk keeps
-    one row of each mirror pair.
+    The rectangle modes have an odd number N of rows. The top N // 2 rows
+    walk from every first row, and up/down symmetry gives the bottom
+    ones: Z = sum over s of x^tiles(s) * n[s]^2. The start vector and the
+    neighbour relation are mirror symmetric, so every partial vector is;
+    the walk keeps one row of each mirror pair, and the middle row of a
+    pair counts twice.
     """
     periodic = boundary == "periodic"
     positions = width if periodic else width - 1
@@ -320,22 +391,8 @@ def _transfer_coefficients(width: int, height: int, boundary: str) -> List[int]:
     values, counts, neighbours, degree, first, flat = _row_tables(positions, periodic)
     limb = _limb(degree, first, flat, nrows)
     shifts = [c * limb for c in counts.tolist()]
-    n_max = width * height // 4
     if periodic:
-        # rotating or mirroring every row of a closed walk gives a closed
-        # walk with the same tiles, so all starts of an orbit sum alike
-        orbits = _dihedral_orbits(values, positions)
-        field = (n_max + 1) * limb
-        walks = -(-len(orbits) // max(1, PACK_BITS // field))
-        group, low, total = -(-len(orbits) // walks), (1 << field) - 1, 0
-        for lo in range(0, len(orbits), group):
-            starts = orbits[lo : lo + group]
-            vec = [0] * len(values)
-            for j, (start, _) in enumerate(starts):
-                vec[start] = 1 << shifts[start] + j * field
-            vec = _walk(vec, neighbours, shifts, nrows - 1)
-            for j, (start, size) in enumerate(starts):
-                total += size * (sum(map(vec.__getitem__, neighbours[start])) >> j * field & low)
+        total = _torus_total(width, height, values, neighbours, shifts, limb)
     else:
         # rows ascend in their reversed patterns, so the mirror image of
         # row i is the row at the rank of its pattern among them
@@ -344,16 +401,17 @@ def _transfer_coefficients(width: int, height: int, boundary: str) -> List[int]:
         keep = mirror >= np.arange(len(v))
         rep = np.cumsum(keep) - 1
         rep = np.minimum(rep, rep[mirror])  # the kept row of each pair
-        kept = np.flatnonzero(keep).tolist()
-        vec = _walk(
-            [1 << shifts[i] for i in kept],
-            _split(degree[keep], rep[flat[np.repeat(keep, degree)]]),
-            [shifts[i] for i in kept],
-            nrows - 1,
-        )
-        total = sum(vec) + sum(x for x, i in zip(vec, kept) if mirror[i] != i)
+        kept = np.flatnonzero(keep)
+        pairs = (mirror[kept] != kept).tolist()
+        kept = kept.tolist()
+        nbs = _split(degree[keep], rep[flat[np.repeat(keep, degree)]])
+        top = _walk([1 << shifts[i] for i in kept], nbs, [shifts[i] for i in kept], nrows // 2 - 1)
+        total = 0
+        for nb, i, pair in zip(nbs, kept, pairs):
+            n = sum(map(top.__getitem__, nb))
+            total += n * n << shifts[i] + pair
     low = (1 << limb) - 1
-    return [total >> n * limb & low for n in range(n_max + 1)]
+    return [total >> n * limb & low for n in range(width * height // 4 + 1)]
 
 
 def partition_polynomial(

@@ -11,7 +11,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from squarepack import exact
+from squarepack import exact, lattice
 from squarepack.graphs import (
     ComponentRecord,
     build_component_graph,
@@ -199,7 +199,7 @@ def transfer_coefficients_by_orbits(width, height, boundary):
     shifts = [bin(s).count("1") * limb for s in states]
     if periodic:
         total = 0
-        for start, size in exact._dihedral_orbits(states, positions):
+        for start, size in exact._dihedral_orbits(states, positions)[0]:
             vec = [0] * len(states)
             vec[start] = 1 << shifts[start]
             vec = walk(vec, shifts)
@@ -208,6 +208,54 @@ def transfer_coefficients_by_orbits(width, height, boundary):
         total = sum(walk([1 << k for k in shifts], shifts))
     low = (1 << limb) - 1
     return [total >> n * limb & low for n in range(width * height // 4 + 1)]
+
+
+def transfer_coefficients_by_full_walk(width, height, boundary):
+    """Packed-int row transfer over all rows: a torus walks its start
+    orbits together, each in a field of the full polynomial width, and
+    closes the walk onto each start; a rectangle walks one row of each
+    mirror pair from the first row to the last."""
+    periodic = boundary == "periodic"
+    positions = width if periodic else width - 1
+    nrows = height if periodic else height - 1
+    values, counts, neighbours, degree, first, flat = lattice._row_tables(positions, periodic)
+    limb = exact._limb(degree, first, flat, nrows)
+    shifts = [c * limb for c in counts.tolist()]
+    n_max = width * height // 4
+
+    def walk(vec, neighbours, shifts):
+        for _ in range(nrows - 1):
+            vec = [sum(map(vec.__getitem__, nb)) << k for nb, k in zip(neighbours, shifts)]
+        return vec
+
+    if periodic:
+        orbits = exact._dihedral_orbits(values, positions)[0]
+        field = (n_max + 1) * limb
+        walks = -(-len(orbits) // max(1, exact.PACK_BITS // field))
+        group, low, total = -(-len(orbits) // walks), (1 << field) - 1, 0
+        for lo in range(0, len(orbits), group):
+            starts = orbits[lo : lo + group]
+            vec = [0] * len(values)
+            for j, (start, _) in enumerate(starts):
+                vec[start] = 1 << shifts[start] + j * field
+            vec = walk(vec, neighbours, shifts)
+            for j, (start, size) in enumerate(starts):
+                total += size * (sum(map(vec.__getitem__, neighbours[start])) >> j * field & low)
+    else:
+        v = values.astype(np.int64)
+        mirror = np.searchsorted(lattice._reversed_bits(v, positions), v)
+        keep = mirror >= np.arange(len(v))
+        rep = np.cumsum(keep) - 1
+        rep = np.minimum(rep, rep[mirror])
+        kept = np.flatnonzero(keep).tolist()
+        vec = walk(
+            [1 << shifts[i] for i in kept],
+            lattice._split(degree[keep], rep[flat[np.repeat(keep, degree)]]),
+            [shifts[i] for i in kept],
+        )
+        total = sum(vec) + sum(x for x, i in zip(vec, kept) if mirror[i] != i)
+    low = (1 << limb) - 1
+    return [total >> n * limb & low for n in range(n_max + 1)]
 
 
 def row_sequence_counts(positions, cyclic, nrows):

@@ -11,6 +11,7 @@ from oracles import (
     cyclic_independent_set_counts,
     row_sequence_counts,
     torus_partition_counts,
+    transfer_coefficients_by_full_walk,
     transfer_coefficients_by_orbits,
     transfer_coefficients_by_rows,
     z1d_periodic_enumeration,
@@ -174,9 +175,25 @@ def test_transfer_matches_walk_per_orbit(boundary):
 
 @pytest.mark.parametrize("dims", [(12, 12), (14, 8)])
 def test_transfer_matches_walk_per_orbit_on_wide_tori(dims):
-    # 26 and 49 start orbits, in two and three walks of packed starts
+    # 26 and 49 start orbits, in one and two walks of packed starts
     w, h = dims
     want = transfer_coefficients_by_orbits(w, h, "periodic")
+    assert exact._transfer_coefficients(w, h, "periodic") == want
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "free", "fully_packed"])
+def test_half_walk_matches_full_walk(boundary):
+    # the walk over every row, closed onto each start on a torus
+    for w in range(4, 11, 2):
+        for h in range(4, 13, 2):
+            want = transfer_coefficients_by_full_walk(w, h, boundary)
+            assert exact._transfer_coefficients(w, h, boundary) == want, (w, h)
+
+
+@pytest.mark.parametrize("dims", [(12, 12), (14, 8)])
+def test_half_walk_matches_full_walk_on_wide_tori(dims):
+    w, h = dims
+    want = transfer_coefficients_by_full_walk(w, h, "periodic")
     assert exact._transfer_coefficients(w, h, "periodic") == want
 
 
@@ -212,7 +229,7 @@ def test_torus_walk_keeps_packed_ints_within_the_budget(monkeypatch, dims, budge
     walks = _record_walks(monkeypatch)
     assert exact._transfer_coefficients(w, h, "periodic") == want
     assert sum(starts for starts, _ in walks) == len(
-        exact._dihedral_orbits(lattice._row_states(w, True), w)
+        exact._dihedral_orbits(lattice._row_states(w, True), w)[0]
     )
     assert all(bits <= exact.PACK_BITS for _, bits in walks)
     if budget is not None:
@@ -220,16 +237,19 @@ def test_torus_walk_keeps_packed_ints_within_the_budget(monkeypatch, dims, budge
 
 
 def test_torus_walk_14x40_groups_within_the_budget(monkeypatch):
-    # the walk itself is left out: only the starts it would be given
+    # the walks themselves are left out: only the starts they would be given
     walks = []
     monkeypatch.setattr(
         exact, "_walk", lambda vec, *_: walks.append(sum(1 for x in vec if x)) or vec
     )
     exact._transfer_coefficients(14, 40, "periodic")
     _, _, _, degree, first, flat = lattice._row_tables(14, True)
-    field = (14 * 40 // 4 + 1) * exact._limb(degree, first, flat, 40)
+    # a start's field holds, in whole bytes, the at most 10 * 7 tiles of
+    # the 19 rows between it and the middle row
+    field = -(-(10 * 7 + 1) * exact._limb(degree, first, flat, 40) // 8) * 8
     assert sum(walks) == 49
     assert all(starts * field <= exact.PACK_BITS for starts in walks)
+    assert max(walks) == 2
 
 
 @pytest.mark.parametrize("positions", range(1, 15))
