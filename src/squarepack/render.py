@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import IoError, ParameterError
+from .errors import IoError, ParameterError, TooLarge
 from .lattice import Configuration, tile_parity_class
 from .sticks import Stick, extract_sticks
 
@@ -32,6 +32,8 @@ _PARITY_RGB = {
 }
 _STICK_RGB = (47, 158, 68)
 _BACKGROUND_RGB = (245, 242, 234)
+# pixels of the largest PPM raster: 4096 x 4096, 48 MiB of RGB
+PPM_PIXEL_CAP = 1 << 24
 
 
 def render_svg(
@@ -96,9 +98,14 @@ def render_svg(
 def render_ppm(
     config: Configuration, *, cell: int = 8, stick_overlay: bool = True
 ) -> bytes:
-    """Binary P6 raster of a configuration."""
+    """Binary P6 raster of a configuration; TooLarge beyond
+    PPM_PIXEL_CAP pixels, before any row is built."""
     w, h = config.width, config.height
     width_px, height_px = w * cell, h * cell
+    if width_px * height_px > PPM_PIXEL_CAP:
+        raise TooLarge(
+            f"a {width_px}x{height_px} raster exceeds the cap of {PPM_PIXEL_CAP} pixels"
+        )
     buf = bytearray()
     rows = [
         bytearray(_BACKGROUND_RGB * width_px) for _ in range(height_px)

@@ -386,6 +386,38 @@ def test_render_bytes_independent_of_hash_seed(tmp_path):
     assert images[0] == images[1]
 
 
+def test_render_ppm_beyond_the_pixel_cap_is_a_json_error(tmp_path, capsys, monkeypatch):
+    # 24,000 x 24,000 pixels would take 1.7 GB; no raster row may be built
+    from squarepack import render
+
+    def no_rows(*_):
+        raise AssertionError("a raster row was built")
+
+    monkeypatch.setattr(render, "bytearray", no_rows, raising=False)
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(encode(seed_phase_configuration(24, 24, "ver0")))
+    args = ["render", "--in", str(cfg_path), "--cell", "1000", "--out"]
+    code, out, err = run_cli(args + [str(tmp_path / "img.ppm"), "--style", "ppm"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "TooLarge"
+    assert not (tmp_path / "img.ppm").exists()
+    # SVG has no raster and no cap
+    code, _, _ = run_cli(args + [str(tmp_path / "img.svg")], capsys)
+    assert code == 0
+    assert 'width="24000" height="24000"' in (tmp_path / "img.svg").read_text()
+
+
+def test_render_ppm_pixel_cap_is_inclusive(monkeypatch):
+    from squarepack import render
+
+    cfg = seed_phase_configuration(4, 6, "ver0")
+    monkeypatch.setattr(render, "PPM_PIXEL_CAP", 8 * 12)
+    assert render.render_ppm(cfg, cell=2).startswith(b"P6\n8 12\n255\n")
+    monkeypatch.setattr(render, "PPM_PIXEL_CAP", 8 * 12 - 1)
+    with pytest.raises(errors.TooLarge):
+        render.render_ppm(cfg, cell=2)
+
+
 def test_components_cli(capsys):
     code, out, _ = run_cli(
         ["components", "--width", "4", "--height", "4", "--M", "2"], capsys
