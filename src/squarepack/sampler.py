@@ -62,6 +62,9 @@ from .observables import ObservableReport, summarize_series
 from .sticks import classify_phase, stick_census
 
 SCALAR_ENGINE_MAX_SITES = 36
+# entries of one heat-bath dict of the scalar engine, about 6 MB; a dict
+# that reaches it is emptied on its next miss
+FREE_OF_CAP = 1 << 16
 # 64-bit words of one random_raw block: about 220 sweeps of a 4x4 torus
 BLOCK_WORDS = 4096
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -380,7 +383,9 @@ class _ScalarEngine:
     emptied, so a dict holds at most the grid's number of valid
     configurations: 133 on the 4x4 torus, 42,938 on the 6x6 torus and
     159,651 on the 6x8 rectangles, the most of any grid the engine
-    runs (about 15 MB a dict, were a chain to meet them all).
+    runs. A miss empties a dict that holds FREE_OF_CAP entries, so a
+    long chain on the 6x8 rectangles keeps at most that many; the dicts
+    are caches, and the chain is the same with or without the cap.
     Translations walk ``moves``, one (source bit, source | target bit,
     mask of cells that must be empty) per proposal q = 4 * site +
     direction; an off-grid move's mask is its source bit, so it never
@@ -428,6 +433,8 @@ class _ScalarEngine:
             a = occ & others
             free = free_of.get(a)
             if free is None:
+                if len(free_of) >= FREE_OF_CAP:
+                    free_of.clear()
                 free = free_of[a] = sum(bit for bit, nbrs in sites if not a & nbrs)
             occ = a | free & accept
         self.occ = occ

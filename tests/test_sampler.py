@@ -164,6 +164,23 @@ def test_heat_bath_tables_hold_at_most_the_valid_configurations(width, height, b
                 assert not key & members and free & ~members == 0
 
 
+def test_heat_bath_tables_capped_without_changing_the_chain(monkeypatch):
+    # 6x8 free: 159,651 valid configurations, the most the scalar engine meets
+    def trail(chain):
+        keys, largest = [], 0
+        for _ in range(3000):
+            keys.append(chain.sweep().state_key())
+            largest = max(largest, *map(len, chain.engine.free_of))
+        return keys, largest
+
+    uncapped, most = trail(Chain(params(width=6, height=8, boundary="free", lam=2.0, seed=4)))
+    assert most > 200
+    monkeypatch.setattr(sampler, "FREE_OF_CAP", 50)
+    capped, largest = trail(Chain(params(width=6, height=8, boundary="free", lam=2.0, seed=4)))
+    assert capped == uncapped
+    assert largest == 50
+
+
 @pytest.mark.parametrize("width", [1, 62, 63, 64, 65, 576])
 def test_pack_rows_matches_bit_sums(width):
     rows = np.random.default_rng(width).random((7, width)) < 0.5
