@@ -14,10 +14,11 @@ polynomial into one int, so a row step is one shifted sum per row
 state. It walks only half of the rows: a row sequence is two walks that
 meet at its middle row, and since the neighbour relation is symmetric
 both halves are read from one walk, joined by squaring each row's
-packed int (one big-int product per row state and start). On a torus
-one walk carries one start row per orbit of the rows under rotation and
-mirroring, each in its own byte-aligned bit field and weighted by the
-orbit size; a rectangle walks one row of each mirror pair.
+packed int (at most one big-int product per row state and start). On
+a torus one walk carries one start row per orbit of the rows under
+rotation and mirroring, each in its own byte-aligned bit field and
+weighted by the orbit size; a rectangle walks one row of each mirror
+pair.
 
 Chessboard seminorms and disseminated products are a band transfer: a
 float row transfer along the torus's narrow side whose steps span one
@@ -325,24 +326,19 @@ def _torus_total(
         vec = _walk(vec, neighbours, shifts, half - 1)
         size = len(starts) * nbytes
         spans = [(a, a + nbytes) for a in range(0, size, nbytes)]
-        # each start's closed walks through middle rows of later orbits,
-        # which count twice, and of its own orbit
-        later, own = [0] * len(starts), [0] * len(starts)
+        # each start's closed walks through middle rows of its own orbit
+        # and of later ones, which count twice
+        sums = [0] * len(starts)
         for s, k in enumerate(label):
             k -= lo
             if k < 0:
                 continue
             raw = sum(map(vec.__getitem__, neighbours[s])).to_bytes(size, "little")
-            shift = shifts[s]
-            for j, (a, b) in enumerate(spans[:k]):
+            for j, (a, b) in enumerate(spans[: k + 1]):
                 g = int.from_bytes(raw[a:b], "little")
-                later[j] += g * g << shift
-            if k < len(starts):
-                a, b = spans[k]
-                g = int.from_bytes(raw[a:b], "little")
-                own[k] += g * g << shift
-        for (start, weight), l, o in zip(starts, later, own):
-            total += weight * ((l << 1) + o) << shifts[start]
+                sums[j] += g * g << shifts[s] + (j < k)
+        for (start, weight), x in zip(starts, sums):
+            total += weight * x << shifts[start]
     return total
 
 

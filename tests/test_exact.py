@@ -166,35 +166,22 @@ def test_transfer_matches_row_by_row_reference(dims, boundary):
 
 @pytest.mark.parametrize("boundary", ["periodic", "free", "fully_packed"])
 def test_transfer_matches_walk_per_orbit(boundary):
-    # one walk per start orbit and an exact count walk for the limb
+    # one walk per start orbit and an exact count walk for the limb, and
+    # the walk over every row, closed onto each start on a torus
     for w in range(4, 11, 2):
-        for h in range(4, 11, 2):
-            want = transfer_coefficients_by_orbits(w, h, boundary)
-            assert exact._transfer_coefficients(w, h, boundary) == want, (w, h)
+        for h in range(4, 13, 2):
+            got = exact._transfer_coefficients(w, h, boundary)
+            assert got == transfer_coefficients_by_orbits(w, h, boundary), (w, h)
+            assert got == transfer_coefficients_by_full_walk(w, h, boundary), (w, h)
 
 
 @pytest.mark.parametrize("dims", [(12, 12), (14, 8)])
 def test_transfer_matches_walk_per_orbit_on_wide_tori(dims):
     # 26 and 49 start orbits, in one and two walks of packed starts
     w, h = dims
-    want = transfer_coefficients_by_orbits(w, h, "periodic")
-    assert exact._transfer_coefficients(w, h, "periodic") == want
-
-
-@pytest.mark.parametrize("boundary", ["periodic", "free", "fully_packed"])
-def test_half_walk_matches_full_walk(boundary):
-    # the walk over every row, closed onto each start on a torus
-    for w in range(4, 11, 2):
-        for h in range(4, 13, 2):
-            want = transfer_coefficients_by_full_walk(w, h, boundary)
-            assert exact._transfer_coefficients(w, h, boundary) == want, (w, h)
-
-
-@pytest.mark.parametrize("dims", [(12, 12), (14, 8)])
-def test_half_walk_matches_full_walk_on_wide_tori(dims):
-    w, h = dims
-    want = transfer_coefficients_by_full_walk(w, h, "periodic")
-    assert exact._transfer_coefficients(w, h, "periodic") == want
+    got = exact._transfer_coefficients(w, h, "periodic")
+    assert got == transfer_coefficients_by_orbits(w, h, "periodic")
+    assert got == transfer_coefficients_by_full_walk(w, h, "periodic")
 
 
 @pytest.mark.parametrize("dims", [(8, 8), (10, 6), (6, 10), (12, 4)])
