@@ -22,12 +22,16 @@ from .errors import check_fugacity
 from .sampler import OBSERVABLES, ChainParams, run_chain
 
 
-def _threads_default() -> int:
+def _threads(args) -> int:
+    """``--threads``, else the SQUAREPACK_THREADS environment variable,
+    else 1; a value that is not an integer is a ParameterError."""
+    if args.threads is not None:
+        return args.threads
     env = os.environ.get("SQUAREPACK_THREADS")
     try:
-        return max(1, int(env)) if env else 1
+        return int(env) if env else 1
     except ValueError:
-        return 1
+        raise ParameterError(f"SQUAREPACK_THREADS must be an integer, got {env!r}") from None
 
 
 def _finite(value):
@@ -91,7 +95,7 @@ def _add_common(p: argparse.ArgumentParser, *names) -> None:
     if "out" in names:
         p.add_argument("--out", default=None)
     if "threads" in names:
-        p.add_argument("--threads", type=int, default=_threads_default())
+        p.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +353,7 @@ def _cmd_components(args) -> int:
     lambdas = args.lambdas or [100.0, 1e4]
     graphs.check_bound_grid(m_values, lambdas)  # before the harvest, which can be long
     catalog = graphs.enumerate_components(
-        args.width, args.height, window_cap=args.window_cap, threads=args.threads
+        args.width, args.height, window_cap=args.window_cap, threads=_threads(args)
     )
     report = graphs.verify_counting_bounds(catalog, m_values, lambdas)
     report["spec"] = {

@@ -17,12 +17,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ParameterError, RegionOutOfBounds, ShapeMismatch
-from .lattice import Configuration, Point, _unchecked, component_labels
+from .lattice import Configuration, Point, component_labels
 from .observables import fit_decay_length
 from .sampler import PHASE_SEEDS, Chain, ChainParams, iter_samples
 from .sticks import classify_phase
@@ -84,41 +84,6 @@ def king_clusters(
     members = [pts[i] for i in perm[order].tolist()]
     cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), n]
     return [frozenset(members[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-
-
-def disagreement_cluster_of(
-    a: Configuration, b: Configuration, anchors: Iterable[Point]
-) -> FrozenSet[Point]:
-    """Union of disagreement clusters meeting the anchor set."""
-    delta = disagreement_set(a, b)
-    anchor_hits = delta & frozenset(anchors)
-    if not anchor_hits:
-        return frozenset()
-    clusters = king_clusters(
-        delta, a.width, a.height, periodic=a.boundary == "periodic"
-    )
-    out: Set[Point] = set()
-    for cl in clusters:
-        if cl & anchor_hits:
-            out |= cl
-    return frozenset(out)
-
-
-def swap_map(
-    a: Configuration, b: Configuration, anchors: Iterable[Point]
-) -> Tuple[Configuration, Configuration]:
-    """Exchange the two configurations on the disagreement cluster of
-    the anchors. An involution; preserves product measures with equal
-    marginals, which underlies the decay-of-correlation bounds."""
-    cluster = disagreement_cluster_of(a, b, anchors)
-    if not cluster:
-        return a, b
-    occ_a = (a.occupied - cluster) | (b.occupied & cluster)
-    occ_b = (b.occupied - cluster) | (a.occupied & cluster)
-    return (
-        _unchecked(a.width, a.height, a.boundary, occ_a),
-        _unchecked(b.width, b.height, b.boundary, occ_b),
-    )
 
 
 # -- directional reach tails ---------------------------------------------------

@@ -79,8 +79,8 @@ class SpecError(SquarepackError):
 
 
 class ParameterError(SquarepackError, ValueError):
-    """A chain parameter or phase name is out of range; also a ValueError,
-    which these errors were before."""
+    """A chain parameter, phase name or thread count is out of range;
+    also a ValueError, which these errors were before."""
 
 
 class UsageError(SquarepackError):

@@ -1,4 +1,4 @@
-"""Exact partition functions, event weights and chessboard seminorms.
+"""Exact partition functions and chessboard seminorms.
 
 Partition functions are stored as exact integer coefficient vectors over
 the tile count n; the vacancy-convention value differs from the
@@ -53,7 +53,6 @@ from .lattice import (
     _row_tables,
     _split,
     iter_mask_blocks,
-    iter_valid_masks,
     model_sites,
 )
 
@@ -118,45 +117,6 @@ def z1d_free(length: int, lam: float) -> float:
     if value is None:
         raise OutOfFloatRange(f"free 1D value at L={length}, lambda={lam} exceeds the float range")
     return value
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_add(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
-
-
-def z1d_periodic_coeffs(length: int) -> List[int]:
-    """Integer coefficients of trace([[t, 1], [1, 0]]^L) in t = lam^(-1/2)."""
-    if length % 2 or length < 0:
-        raise OddLength(f"periodic 1D length must be even and >= 0, got {length}")
-    # 2x2 matrix with polynomial entries, starting from the identity
-    one, zero, t = [1], [0], [0, 1]
-    m = [[one, zero], [zero, one]]
-    base = [[t, one], [one, zero]]
-    for _ in range(length):
-        m = [
-            [
-                _poly_add(_poly_mul(m[r][0], base[0][c]), _poly_mul(m[r][1], base[1][c]))
-                for c in range(2)
-            ]
-            for r in range(2)
-        ]
-    return _poly_add(m[0][0], m[1][1])
 
 
 # -- partition polynomials ---------------------------------------------------
@@ -442,36 +402,6 @@ def partition_polynomial(
     else:
         raise ValueError(f"unknown method {method!r}")
     return PartitionPolynomial(width, height, boundary, _trim(coeffs))
-
-
-# -- event weights -----------------------------------------------------------
-
-
-def event_weight(
-    width: int,
-    height: int,
-    boundary: str,
-    lam: float,
-    predicate: Callable,
-    *,
-    area_cap: int = DEFAULT_AREA_CAP,
-) -> float:
-    """Total weight sum_{sigma in E} lam^(-vacancies/4) over the region.
-
-    ``predicate`` receives each valid Configuration and returns a truth
-    value selecting the event E.
-    """
-    from .lattice import mask_to_configuration
-
-    check_fugacity(lam)
-    area = width * height
-    if area > area_cap:
-        raise TooLarge(f"area {area} exceeds enumeration cap {area_cap}")
-    total = 0.0
-    for mask, cnt in iter_valid_masks(width, height, boundary):
-        if predicate(mask_to_configuration(width, height, boundary, int(mask))):
-            total += lam ** (cnt - area / 4.0)
-    return total
 
 
 # -- chessboard seminorm and reflection positivity ---------------------------

@@ -1,16 +1,14 @@
-"""Component graphs of configurations: sticks and vacancies together.
+"""Component graphs of fully-packed windows: sticks and vacancies together.
 
 Directing every lattice edge up or right and marking it as a stick edge,
 a vacancy edge (bounding an uncovered face) or a regular edge, then
 deleting the regular edges, yields the configuration graph. Its finite
 connected components are rigid: the embedding is determined by the
 marked graph up to translation, so a translation-normalized edge list is
-a complete canonical key.
-
-Edges are stored as (start, end, kind) with start < end, pointing up or
-right; unit steps in a raw component graph, full stick spans after
-compression. Exhaustive enumeration harvests every component arising
-from any configuration of a bounded window under fully-packed boundary
+a complete canonical key. Replacing each maximal stick path by one stick
+edge gives the compressed graph, whose key forgets the stick lengths.
+Exhaustive enumeration harvests every component arising from any
+configuration of a bounded window under fully-packed boundary
 conditions, which realizes all components fitting inside the window.
 
 The harvest runs as array passes. The configurations of
@@ -18,8 +16,8 @@ The harvest runs as array passes. The configurations of
 finds the face covers, marks the edges and labels the components of all
 of them with ``component_labels``; only a component whose key is new is
 turned into strings. The catalog keeps its order: components enter by
-configuration, in enumeration order, then by their first edge in
-``_marked_edges`` order.
+configuration, in enumeration order, then by their first edge, with
+edges ordered by start point, x before y, vertical before horizontal.
 """
 
 from __future__ import annotations
@@ -28,77 +26,46 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SpecError, TooLarge, check_fugacity
+from .errors import ParameterError, SpecError, TooLarge, check_fugacity
 from .exact import _transfer_coefficients
 from .lattice import (
     _row_layout,
     FACE_MARGIN,
-    Configuration,
-    Point,
     component_labels,
     edge_sides,
-    face_cover,
     grid_face_cover,
     iter_mask_blocks,
     map_start_rows,
 )
-
-Edge = Tuple[Point, Point, str]  # (start, end, "stick" | "vacancy")
 
 DEFAULT_WINDOW_CAP = 64  # window area; 8x8 interior
 # configurations of a window: 8x6 has 159,651, 10x6 4,005,785, 8x8 12,727,570
 WINDOW_CONFIGURATION_CAP = 1 << 18
 
 
-def edge_orientation(edge: Edge) -> str:
-    (x1, _), (x2, _), _ = edge
-    return "v" if x1 == x2 else "h"
-
-
-@dataclass(frozen=True)
-class ComponentGraph:
-    """One finite connected component of a configuration graph."""
-
-    edges: FrozenSet[Edge]
-    vacancies: FrozenSet[Point]  # lower-left corners of vacant faces that belong
-
-    @property
-    def vertices(self) -> FrozenSet[Point]:
-        return frozenset(p for a, b, _ in self.edges for p in (a, b))
-
-    @property
-    def v_count(self) -> int:
-        return len(self.vacancies)
-
-    @property
-    def trivial(self) -> bool:
-        return not self.edges
-
-
-def _edge_kinds(width: int, height: int, boundary: str, cover: np.ndarray):
-    """Kinds of the unit edges that ``edge_sides`` scans, for one face
-    cover or a stack of them: 0 regular, 1 stick, 2 vacancy.
+def _edge_kinds(width: int, height: int, cover: np.ndarray):
+    """Kinds of the unit edges that ``edge_sides`` scans, for a stack of
+    fully-packed face covers: 0 regular, 1 stick, 2 vacancy.
 
     Returns (kinds, region_vacant, x0, y0). ``kinds`` is indexed [..., x,
     y, orientation], orientation 0 vertical and 1 horizontal, for the
     edge that starts at (x0 + x, y0 + y); ``region_vacant`` is indexed
     [..., fy, fx] over the faces of the region. Only uncovered faces
-    inside the region are vacant: under free boundary the margin is
-    outside the model.
+    inside the region are vacant.
     """
     m = FACE_MARGIN
     region_vacant = cover[..., m : m + height, m : m + width] < 0
-    # the torus margin repeats the region's vacancies; outside a
-    # rectangle nothing is vacant
+    # outside the window nothing is vacant
     pad = [(0, 0)] * (cover.ndim - 2) + [(m, m)] * 2
-    mode = "wrap" if boundary == "periodic" else "constant"
-    vacant_faces = np.pad(region_vacant, pad, mode=mode)
-    left, below, here, x0, y0 = edge_sides(width, height, boundary, cover, -1)
-    vac_left, vac_below, vac_here, _, _ = edge_sides(width, height, boundary, vacant_faces, False)
+    vacant_faces = np.pad(region_vacant, pad)
+    left, below, here, x0, y0 = edge_sides(width, height, "fully_packed", cover, -1)
+    vac_left, vac_below, vac_here, _, _ = edge_sides(
+        width, height, "fully_packed", vacant_faces, False
+    )
 
     def marks(before, vacant_before):
         stick = (before >= 0) & (here >= 0) & (before != here)
@@ -106,156 +73,6 @@ def _edge_kinds(width: int, height: int, boundary: str, cover: np.ndarray):
 
     kinds = np.stack([marks(left, vac_left), marks(below, vac_below)], axis=-1)
     return np.swapaxes(kinds, -3, -2), region_vacant, x0, y0
-
-
-def _marked_edges(config: Configuration) -> Tuple[List[Edge], Set[Point]]:
-    """Unit stick and vacancy edges, plus vacant face corners.
-
-    Torus coordinates are reduced to canonical residues, so components
-    crossing the periodic seam stay connected (their stick runs, however,
-    are reported in fundamental-domain pieces). For the rectangle modes
-    the scan covers the margin of ``face_cover`` so fully-packed boundary
-    structure is included. Edges are listed by start point, x before y,
-    vertical before horizontal.
-    """
-    w, h = config.width, config.height
-    periodic = config.boundary == "periodic"
-    kinds, region_vacant, x0, y0 = _edge_kinds(w, h, config.boundary, face_cover(config))
-    xs, ys, orients = np.nonzero(kinds)
-    found = kinds[xs, ys, orients]
-    edges: List[Edge] = []
-    for x, y, orient, kind in zip(
-        (xs + x0).tolist(), (ys + y0).tolist(), orients.tolist(), found.tolist()
-    ):
-        end = (x + orient, y + 1 - orient)  # up from a vertical, right from a horizontal
-        if periodic:
-            end = (end[0] % w, end[1] % h)
-        edges.append(((x, y), end, "vacancy" if kind == 2 else "stick"))
-    vy, vx = np.nonzero(region_vacant)
-    return edges, set(zip(vx.tolist(), vy.tolist()))
-
-
-def _labelled(edges: Sequence[Edge]) -> Tuple[Dict[Point, int], List[int]]:
-    """Vertex indices in order of first appearance, and the component
-    label of each index: the least index in its component."""
-    index: Dict[Point, int] = {}
-    for a, b, _ in edges:
-        index.setdefault(a, len(index))
-        index.setdefault(b, len(index))
-    u = np.array([index[a] for a, _, _ in edges], dtype=np.int64)
-    v = np.array([index[b] for _, b, _ in edges], dtype=np.int64)
-    return index, component_labels(len(index), u, v).tolist()
-
-
-def build_component_graph(config: Configuration) -> List[ComponentGraph]:
-    """Connected components of the configuration graph, trivial ones
-    omitted, ordered by their first edge in ``_marked_edges`` order."""
-    edges, vacant = _marked_edges(config)
-    index, label = _labelled(edges)
-    # a component's label indexes the start of its first edge, so the
-    # groups fill in order of first edges
-    grouped: Dict[int, List[Edge]] = {}
-    for e in edges:
-        grouped.setdefault(label[index[e[0]]], []).append(e)
-    periodic = config.boundary == "periodic"
-    w, h = config.width, config.height
-    vac_by_root: Dict[int, Set[Point]] = defaultdict(set)
-    for fx, fy in vacant:
-        corners = [(fx + dx, fy + dy) for dx in (0, 1) for dy in (0, 1)]
-        if periodic:
-            corners = [(x % w, y % h) for x, y in corners]
-        roots = {label[index[c]] for c in corners if c in index}
-        # the four bounding edges of a vacancy lie in one component
-        if len(roots) == 1:
-            vac_by_root[roots.pop()].add((fx, fy))
-    return [
-        ComponentGraph(frozenset(comp_edges), frozenset(vac_by_root.get(root, ())))
-        for root, comp_edges in grouped.items()
-    ]
-
-
-def _subcomponent_count(graph: ComponentGraph, drop_orientation: str) -> int:
-    """Non-trivial components after dropping stick edges of one orientation."""
-    kept = [
-        e
-        for e in graph.edges
-        if not (e[2] == "stick" and edge_orientation(e) == drop_orientation)
-    ]
-    _, label = _labelled(kept)
-    return sum(root == i for i, root in enumerate(label))
-
-
-def component_stats(graph: ComponentGraph) -> Tuple[int, int, int]:
-    """(vacancy count, vertical sub-components, horizontal sub-components)."""
-    if graph.trivial:
-        return (0, 0, 0)
-    return (graph.v_count, _subcomponent_count(graph, "h"), _subcomponent_count(graph, "v"))
-
-
-def _stick_runs(graph: ComponentGraph):
-    """Maximal stick paths as (lo, hi, fixed, orientation); hi - lo edges."""
-    by_line: Dict[Tuple[str, int], List[Tuple[int, int]]] = defaultdict(list)
-    for a, b, kind in graph.edges:
-        if kind != "stick":
-            continue
-        if a[0] == b[0]:
-            by_line[("v", a[0])].append((min(a[1], b[1]), max(a[1], b[1])))
-        else:
-            by_line[("h", a[1])].append((min(a[0], b[0]), max(a[0], b[0])))
-    runs = []
-    for (orient, fixed), spans in by_line.items():
-        spans.sort()
-        lo, hi = spans[0]
-        for s_lo, s_hi in spans[1:]:
-            if s_lo == hi:
-                hi = s_hi
-                continue
-            runs.append((lo, hi, fixed, orient))
-            lo, hi = s_lo, s_hi
-        runs.append((lo, hi, fixed, orient))
-    return runs
-
-
-def max_stick_run(graph: ComponentGraph) -> int:
-    """Length of the longest maximal stick path in the component."""
-    return max((hi - lo for lo, hi, _, _ in _stick_runs(graph)), default=0)
-
-
-def compress(graph: ComponentGraph) -> ComponentGraph:
-    """Replace each maximal stick path by a single stick edge.
-
-    The replacement edge spans from the start of the path to its end;
-    internal vertices disappear. Vacancy edges are untouched, so the
-    sub-component counts are preserved. Intended for planar (window)
-    components; torus seam-crossing runs stay split.
-    """
-    new_edges: List[Edge] = [e for e in graph.edges if e[2] == "vacancy"]
-    for lo, hi, fixed, orient in _stick_runs(graph):
-        if orient == "v":
-            new_edges.append(((fixed, lo), (fixed, hi), "stick"))
-        else:
-            new_edges.append(((lo, fixed), (hi, fixed), "stick"))
-    return ComponentGraph(frozenset(new_edges), graph.vacancies)
-
-
-EMPTY_KEY = "trivial"
-
-
-def canonicalize(graph: ComponentGraph) -> str:
-    """Translation-invariant serialization of an embedded component.
-
-    Components are rigid (the marked graph determines the embedding up
-    to translation), so translating the minimal vertex to the origin and
-    sorting the edge list is a complete invariant.
-    """
-    if graph.trivial:
-        return EMPTY_KEY
-    ox, oy = min(graph.vertices)
-    items = sorted(
-        (a[0] - ox, a[1] - oy, b[0] - ox, b[1] - oy, kind)
-        for a, b, kind in graph.edges
-    )
-    return ";".join(f"{x1},{y1},{x2},{y2},{kind[0]}" for x1, y1, x2, y2, kind in items)
 
 
 _SLOT_TOKENS = (("vos", "vov"), ("vis", "viv"), ("hos", "hov"), ("his", "hiv"))
@@ -331,20 +148,6 @@ def _least_encoding(slots: Dict) -> str:
     return min(encode_from(v) for v, rank in ranks.items() if rank == least)
 
 
-def canonicalize_compressed(graph: ComponentGraph) -> str:
-    """Canonical key of a compressed graph up to stick-length changes.
-
-    Stick lengths are free parameters of a compressed class, so the
-    embedded key cannot be used. Each vertex has at most one incident
-    edge per (orientation, direction) slot, which makes a deterministic
-    slot-order traversal a canonical encoding once minimized over roots.
-    """
-    if graph.trivial:
-        return EMPTY_KEY
-    edges = ((a, b, int(a[0] != b[0]), int(kind == "vacancy")) for a, b, kind in graph.edges)
-    return _least_encoding(_slot_table(edges))
-
-
 # -- exhaustive enumeration ----------------------------------------------------
 
 
@@ -410,9 +213,7 @@ def _harvest_pass(width: int, height: int, masks: np.ndarray, max_stick, seen: D
     )
     grids = np.zeros((len(masks), h + 1, w + 1), dtype=bool)
     grids[:, 1:h, 1:w] = bits.reshape(-1, h - 1, w - 1)
-    kinds, region_vacant, x0, y0 = _edge_kinds(
-        w, h, "fully_packed", grid_face_cover(w, h, "fully_packed", grids)
-    )
+    kinds, region_vacant, x0, y0 = _edge_kinds(w, h, grid_face_cover(w, h, "fully_packed", grids))
     nb, nx, ny, _ = kinds.shape
     col = ny + 1
     per = (nx + 1) * col
@@ -478,7 +279,7 @@ def _harvest_pass(width: int, height: int, masks: np.ndarray, max_stick, seen: D
     ]
 
     # each edge row (dx, dy, hz, vacancy) from the component's least
-    # vertex as one code, and the canonicalize token of every code
+    # vertex as one code, and the key token of every code
     root = label[start]
     dx, dy = xi - root % per // col, yi - root % col
     code = (((dx * 2 * col + dy + col) * 2 + hz) * 2 + vacancy).astype("<i4")
@@ -545,8 +346,11 @@ def enumerate_components(
 
     With ``threads`` > 1 the configurations are partitioned by their
     first row across a process pool and the catalogs merged in that
-    order, which gives the serial catalog, order included.
+    order, which gives the serial catalog, order included. A ``threads``
+    below 1 is a ParameterError.
     """
+    if threads < 1:
+        raise ParameterError(f"threads must be at least 1, got {threads}")
     if width * height > window_cap:
         raise TooLarge(f"window area {width * height} exceeds cap {window_cap}")
     # count before listing: the row transfer along the narrow side (the
@@ -558,7 +362,7 @@ def enumerate_components(
             f"{width}x{height} fully-packed window has {count} configurations, "
             f"more than the {WINDOW_CONFIGURATION_CAP} that the harvest lists"
         )
-    if threads <= 1:
+    if threads == 1:
         return _harvest(width, height, max_stick)
     harvest = partial(_harvest, width, height, max_stick)
     catalog: Dict[str, ComponentRecord] = {}

@@ -33,7 +33,6 @@ from .errors import (
     DimensionError,
     OverlapError,
     ParseError,
-    RegionOutOfBounds,
     TooLarge,
 )
 
@@ -178,41 +177,6 @@ class Configuration:
             center = (center[0] % self.width, center[1] % self.height)
         return center in self.occupied
 
-    def face_cover_center(self, corner: Point) -> Optional[Point]:
-        """Center of the tile covering the face with lower-left ``corner``.
-
-        Faces outside the region are resolved too: under fully_packed
-        boundary they may be covered by the implicit exterior tiles.
-        Returns None for a vacant face.
-        """
-        fx, fy = corner
-        w, h = self.width, self.height
-        for cx in (fx, fx + 1):
-            for cy in (fy, fy + 1):
-                if self.boundary == "periodic":
-                    if (cx % w, cy % h) in self.occupied:
-                        return (cx, cy)
-                else:
-                    if (cx, cy) in self.occupied:
-                        return (cx, cy)
-                    if self.boundary == "fully_packed":
-                        if (
-                            cx % 2 == 1
-                            and cy % 2 == 1
-                            and not (1 <= cx <= w - 1 and 1 <= cy <= h - 1)
-                        ):
-                            return (cx, cy)
-        return None
-
-    def is_face_vacant(self, corner: Point) -> bool:
-        return self.face_cover_center(corner) is None
-
-    def face_corners(self) -> Iterator[Point]:
-        """Lower-left corners of all faces inside the region."""
-        for y in range(self.height):
-            for x in range(self.width):
-                yield (x, y)
-
     def occupancy_grid(self) -> np.ndarray:
         """Boolean grid indexed [y, x] over the center lattice.
 
@@ -257,19 +221,6 @@ def create_configuration(
     return Configuration(width, height, boundary, frozenset(occupied))
 
 
-def _unchecked(width: int, height: int, boundary: str, occupied) -> Configuration:
-    """Internal fast path: build a Configuration without validation.
-
-    Only for occupancy sets already known valid (enumeration, samplers).
-    """
-    cfg = object.__new__(Configuration)
-    object.__setattr__(cfg, "width", width)
-    object.__setattr__(cfg, "height", height)
-    object.__setattr__(cfg, "boundary", boundary)
-    object.__setattr__(cfg, "occupied", frozenset(occupied))
-    return cfg
-
-
 def _from_grid(width: int, height: int, boundary: str, grid: np.ndarray) -> Configuration:
     """Internal fast path: a Configuration holding a valid occupancy grid,
     laid out as ``occupancy_grid`` lays it out, without validation.
@@ -295,8 +246,7 @@ def face_cover(config: Configuration) -> np.ndarray:
     An int8 array indexed [fy + FACE_MARGIN, fx + FACE_MARGIN] over the
     faces with corners -2 <= fx < width + 2, -2 <= fy < height + 2; -1
     marks an uncovered face. On a torus the margin wraps; under
-    fully_packed boundary the exterior tiles cover it. Agrees with
-    ``Configuration.face_cover_center`` face by face.
+    fully_packed boundary the exterior tiles cover it.
     """
     grid = config.__dict__.get("_grid")
     if grid is None:
@@ -394,22 +344,6 @@ def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             if (jumped == label).all():
                 break
             label = jumped
-
-
-def count_vacancies(
-    config: Configuration, region: Optional[Tuple[int, int, int, int]] = None
-) -> int:
-    """Number of vacant faces in ``region`` = (x0, y0, x1, y1), half open.
-
-    Coordinates are face corners; the full region is the default.
-    """
-    if region is None:
-        region = (0, 0, config.width, config.height)
-    x0, y0, x1, y1 = region
-    if not (0 <= x0 <= x1 <= config.width and 0 <= y0 <= y1 <= config.height):
-        raise RegionOutOfBounds(f"face region {region} outside {config.width}x{config.height}")
-    m = FACE_MARGIN
-    return int((face_cover(config)[y0 + m : y1 + m, x0 + m : x1 + m] < 0).sum())
 
 
 # -- ASCII codec ---------------------------------------------------------
@@ -611,10 +545,12 @@ def iter_mask_blocks(
 
 def map_start_rows(fn: Callable, width: int, height: int, boundary: str, threads: int):
     """fn([start]) for every first-row state of iter_mask_blocks, in start
-    order, across a pool of ``threads`` processes."""
+    order, across a pool of ``threads`` processes, at most one per state:
+    under the fork start method the pool starts all of its workers at once."""
     cyclic, positions, _ = _row_layout(width, height, boundary)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, ([start] for start in range(len(_row_states(positions, cyclic)))))
+    starts = range(len(_row_states(positions, cyclic)))
+    with ProcessPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+        yield from pool.map(fn, ([start] for start in starts))
 
 
 def iter_valid_masks(width: int, height: int, boundary: str) -> Iterator[Tuple[int, int]]:
@@ -628,9 +564,3 @@ def iter_valid_masks(width: int, height: int, boundary: str) -> Iterator[Tuple[i
     """
     for masks, tiles in iter_mask_blocks(width, height, boundary):
         yield from zip(masks.tolist(), tiles.tolist())
-
-
-def mask_to_configuration(width, height, boundary, mask: int) -> Configuration:
-    sites = model_sites(width, height, boundary)
-    occ = frozenset(sites[i] for i in range(len(sites)) if mask >> i & 1)
-    return _unchecked(width, height, boundary, occ)

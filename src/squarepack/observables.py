@@ -71,19 +71,6 @@ def parity_density(samples: Sequence[Configuration]) -> Dict[str, float]:
     return out
 
 
-def two_point_covariance(
-    samples: Sequence[Configuration], u, v
-) -> Tuple[float, float]:
-    """Empirical covariance of the occupancies at u and v, with stderr."""
-    if not samples:
-        raise InsufficientData("no samples")
-    a = np.array([1.0 if c.is_occupied(u) else 0.0 for c in samples])
-    b = np.array([1.0 if c.is_occupied(v) else 0.0 for c in samples])
-    prod_mean, prod_err = batch_mean_stderr(a * b)
-    cov = prod_mean - a.mean() * b.mean()
-    return float(cov), prod_err
-
-
 def occupancy_stack(samples: Sequence[Configuration]) -> np.ndarray:
     """Samples as a (n, H, W) float array over the torus site grid."""
     grids = [c.occupancy_grid().astype(np.float64) for c in samples]
@@ -146,28 +133,6 @@ def fit_decay_length(
     slope_err = math.sqrt(float((resid**2).sum()) / dof / denom) if denom else float("nan")
     xi = -1.0 / slope
     return float(xi), float(xi * xi * slope_err)
-
-
-def correlation_length_fit(
-    samples: Sequence[Configuration],
-    axis: str,
-    lags: Optional[Sequence[int]] = None,
-    floor: float = 1e-4,
-) -> Tuple[float, float]:
-    """Exponential correlation length along "x" or "y", with stderr.
-
-    Even lags step over the period-2 structure of columnar samples.
-    """
-    if not samples:
-        raise InsufficientData("no samples")
-    cfg = samples[0]
-    if lags is None:
-        span = cfg.width if axis == "x" else cfg.height
-        lags = list(range(2, span // 2, 2))
-    if not lags:
-        raise InsufficientData("no usable lags for this geometry")
-    curve = autocorrelation_curve(samples, axis, lags)
-    return fit_decay_length(curve, floor)
 
 
 def offset_row_vacancy_check(cfg: Configuration) -> List[dict]:

@@ -290,60 +290,6 @@ def extract_sticks(
 # -- division predicates -----------------------------------------------------
 
 
-def divides(p1: Point, p2: Point, rect: Rect) -> bool:
-    """Does the segment from p1 to p2 divide the rectangle?
-
-    A vertical segment divides when it spans the rectangle's full height
-    and its x-coordinate is strictly between the rectangle's sides; the
-    horizontal case is symmetric. Non-axis-aligned segments never divide.
-    """
-    (x1, y1), (x2, y2) = p1, p2
-    x0, y0 = rect.corner
-    if x1 == x2 and y1 != y2:
-        lo, hi = min(y1, y2), max(y1, y2)
-        return lo <= y0 and y0 + rect.height <= hi and x0 < x1 < x0 + rect.width
-    if y1 == y2 and x1 != x2:
-        lo, hi = min(x1, x2), max(x1, x2)
-        return lo <= x0 and x0 + rect.width <= hi and y0 < y1 < y0 + rect.height
-    return False
-
-
-def _stick_segments(stick: Stick, config: Configuration):
-    """Planar segments representing a stick, including torus shift copies."""
-    x, y = stick.anchor
-    if stick.orientation == "vertical":
-        base = ((x, y), (x, y + stick.length))
-        shifts = [(0, 0)]
-        if config.boundary == "periodic":
-            if stick.wraps:
-                # a cycle spans every window at its x-line
-                return [((x, -config.height), (x, 2 * config.height))]
-            shifts = [(0, 0), (0, -config.height), (0, config.height)]
-    else:
-        base = ((x, y), (x + stick.length, y))
-        shifts = [(0, 0)]
-        if config.boundary == "periodic":
-            if stick.wraps:
-                return [((-config.width, y), (2 * config.width, y))]
-            shifts = [(0, 0), (-config.width, 0), (config.width, 0)]
-    (p1, p2) = base
-    return [
-        ((p1[0] + dx, p1[1] + dy), (p2[0] + dx, p2[1] + dy)) for dx, dy in shifts
-    ]
-
-
-def stick_divides(stick: Stick, rect: Rect, config: Configuration) -> bool:
-    return any(divides(p1, p2, rect) for p1, p2 in _stick_segments(stick, config))
-
-
-def properly_divides(
-    stick: Stick, rect: Rect, config: Configuration, n: int = DEFAULT_N
-) -> bool:
-    """True when the stick divides both the rectangle and its inner copy."""
-    inner = rect.inner(n)
-    return stick_divides(stick, rect, config) and stick_divides(stick, inner, config)
-
-
 def _stick_list_runs(sticks: Sequence[Stick]) -> Tuple[Runs, Runs]:
     """The (fixed, start, length, wraps) runs of a stick list, vertical
     then horizontal, each in list order."""
@@ -363,8 +309,8 @@ def _segments(
     runs: Tuple[Runs, Runs], periods: Optional[Tuple[int, int]]
 ) -> Tuple[Segments, Segments]:
     """(fixed, lo, hi) over the planar segments of the vertical and of the
-    horizontal runs, as ``_stick_segments`` gives them: each segment's
-    coordinate across the stick and the span [lo, hi] it covers along it.
+    horizontal runs, torus copies included: each segment's coordinate
+    across the stick and the span [lo, hi] it covers along it.
     ``periods`` is (width, height) on a torus and None otherwise."""
     out = []
     for vertical, (fixed, lo, length, wraps) in zip((1, 0), runs):
@@ -399,8 +345,10 @@ def _divided(segments, cross_lo, cross_hi, start, stop) -> np.ndarray:
     """Bitmap over (a, b): some segment lies strictly between cross_lo[a]
     and cross_hi[a] across the stick and spans [start[b], stop[b]] along it.
 
-    This is ``divides`` for every segment and every rectangle whose
-    transverse interval is indexed by a and whose extent by b.
+    A segment divides a rectangle when it spans the rectangle's extent
+    along the stick and lies strictly inside it across; this tests every
+    segment against every rectangle whose transverse interval is indexed
+    by a and whose extent by b.
     """
     fixed, lo, hi = (v[:, None] for v in segments)
     inside = (cross_lo < fixed) & (fixed < cross_hi)
@@ -410,8 +358,8 @@ def _divided(segments, cross_lo, cross_hi, start, stop) -> np.ndarray:
 
 def _spans(segments: Segments, cross_lo: int, cross_hi: int, start: int, stop: int) -> bool:
     """Some segment lies strictly between cross_lo and cross_hi across
-    the stick and spans [start, stop] along it: ``divides`` for one
-    rectangle."""
+    the stick and spans [start, stop] along it: the division test of
+    ``_divided`` for one rectangle."""
     fixed, lo, hi = segments
     return bool(((cross_lo < fixed) & (fixed < cross_hi) & (lo <= start) & (stop <= hi)).any())
 

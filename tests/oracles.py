@@ -8,21 +8,30 @@ enumeration over raw occupancy masks or sequences.
 from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
 from squarepack import exact, lattice
-from squarepack.graphs import (
-    ComponentRecord,
-    build_component_graph,
-    canonicalize,
-    component_stats,
-    compress,
-    max_stick_run,
+from squarepack.errors import GeometryMismatch, TooLarge, check_fugacity
+from squarepack.graphs import ComponentRecord, _least_encoding, _slot_table
+from squarepack.lattice import (
+    FACE_MARGIN,
+    create_configuration,
+    iter_mask_blocks,
+    iter_valid_masks,
+    model_sites,
 )
-from squarepack.errors import GeometryMismatch
-from squarepack.lattice import FACE_MARGIN, iter_mask_blocks, mask_to_configuration, model_sites
-from squarepack.sticks import PHASES, Rect, Stick, properly_divides, stick_divides
+from squarepack.sticks import DEFAULT_N, PHASES, Rect, Stick
+
+
+def mask_to_configuration(width, height, boundary, mask):
+    """The configuration whose occupied sites are the set bits of
+    ``mask``, bit i for model_sites(...)[i]."""
+    sites = model_sites(width, height, boundary)
+    return create_configuration(
+        width, height, boundary, (sites[i] for i in range(len(sites)) if mask >> i & 1)
+    )
 
 
 def linf_torus(u, v, width, height):
@@ -382,18 +391,148 @@ def least_encoding_by_head_strings(slots):
     return min(encode_from(v) for v, head in heads.items() if head == least)
 
 
+class ComponentGraph(NamedTuple):
+    """One finite connected component of a configuration graph: its
+    (start, end, kind) edges and the lower-left corners of the vacant
+    faces that belong to it."""
+
+    edges: frozenset
+    vacancies: frozenset
+
+    @property
+    def vertices(self):
+        return frozenset(p for a, b, _ in self.edges for p in (a, b))
+
+    @property
+    def v_count(self):
+        return len(self.vacancies)
+
+    @property
+    def trivial(self):
+        return not self.edges
+
+
+def edge_orientation(edge):
+    (x1, _), (x2, _), _ = edge
+    return "v" if x1 == x2 else "h"
+
+
+def _component_roots(edges):
+    """Each vertex of the edges mapped to the start of the first edge of
+    its component, by a graph search."""
+    adjacent = defaultdict(list)
+    for a, b, _ in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    root = {}
+    for a, _, _ in edges:
+        if a in root:
+            continue
+        root[a] = a
+        queue = [a]
+        while queue:
+            for q in adjacent[queue.pop()]:
+                if q not in root:
+                    root[q] = a
+                    queue.append(q)
+    return root
+
+
+def _subcomponent_count(graph, drop_orientation):
+    """Non-trivial components after dropping stick edges of one orientation."""
+    kept = [
+        e
+        for e in graph.edges
+        if not (e[2] == "stick" and edge_orientation(e) == drop_orientation)
+    ]
+    return len(set(_component_roots(kept).values()))
+
+
+def component_stats(graph):
+    """(vacancy count, vertical sub-components, horizontal sub-components)."""
+    if graph.trivial:
+        return (0, 0, 0)
+    return (graph.v_count, _subcomponent_count(graph, "h"), _subcomponent_count(graph, "v"))
+
+
+def _stick_runs(graph):
+    """Maximal stick paths as (lo, hi, fixed, orientation); hi - lo edges."""
+    by_line = defaultdict(list)
+    for a, b, kind in graph.edges:
+        if kind != "stick":
+            continue
+        if a[0] == b[0]:
+            by_line[("v", a[0])].append((min(a[1], b[1]), max(a[1], b[1])))
+        else:
+            by_line[("h", a[1])].append((min(a[0], b[0]), max(a[0], b[0])))
+    runs = []
+    for (orient, fixed), spans in by_line.items():
+        spans.sort()
+        lo, hi = spans[0]
+        for s_lo, s_hi in spans[1:]:
+            if s_lo == hi:
+                hi = s_hi
+                continue
+            runs.append((lo, hi, fixed, orient))
+            lo, hi = s_lo, s_hi
+        runs.append((lo, hi, fixed, orient))
+    return runs
+
+
+def max_stick_run(graph):
+    """Length of the longest maximal stick path in the component."""
+    return max((hi - lo for lo, hi, _, _ in _stick_runs(graph)), default=0)
+
+
+def compress(graph):
+    """Replace each maximal stick path by a single stick edge spanning
+    from its start to its end; vacancy edges are untouched. Intended for
+    planar (window) components; torus seam-crossing runs stay split."""
+    new_edges = [e for e in graph.edges if e[2] == "vacancy"]
+    for lo, hi, fixed, orient in _stick_runs(graph):
+        if orient == "v":
+            new_edges.append(((fixed, lo), (fixed, hi), "stick"))
+        else:
+            new_edges.append(((lo, fixed), (hi, fixed), "stick"))
+    return ComponentGraph(frozenset(new_edges), graph.vacancies)
+
+
+def canonicalize(graph):
+    """Translation-invariant key of an embedded component: its edges
+    with the least vertex moved to the origin, sorted."""
+    if graph.trivial:
+        return "trivial"
+    ox, oy = min(graph.vertices)
+    items = sorted(
+        (a[0] - ox, a[1] - oy, b[0] - ox, b[1] - oy, kind)
+        for a, b, kind in graph.edges
+    )
+    return ";".join(f"{x1},{y1},{x2},{y2},{kind[0]}" for x1, y1, x2, y2, kind in items)
+
+
+def canonicalize_compressed(graph):
+    """Compressed-class key by the harvest's least slot-order encoding,
+    over the roots of least head rank."""
+    if graph.trivial:
+        return "trivial"
+    edges = ((a, b, int(a[0] != b[0]), int(kind == "vacancy")) for a, b, kind in graph.edges)
+    return _least_encoding(_slot_table(edges))
+
+
 def harvest_mask(width, height, mask, max_stick, catalog, compressed_key=None):
     """Reference harvest of one configuration of the fully-packed window:
-    its component graphs one at a time, each keyed by ``canonicalize`` and
-    added to ``catalog`` (key -> ComponentRecord) or counted there.
+    its face-by-face component graphs one at a time, each keyed by
+    ``canonicalize`` and added to ``catalog`` (key -> ComponentRecord) or
+    counted there.
 
     Compressed keys come from ``compressed_key``, by default the least
     encoding over every root.
     """
     compressed_key = compressed_key or canonicalize_compressed_all_roots
     config = mask_to_configuration(width, height, "fully_packed", mask)
-    for comp in build_component_graph(config):
-        if any(not (0 <= x <= width and 0 <= y <= height) for x, y in comp.vertices):
+    for comp in component_graphs_by_faces(config):
+        vertices = comp.vertices
+        if any(not (0 <= x <= width and 0 <= y <= height) for x, y in vertices):
             continue
         run = max_stick_run(comp)
         if max_stick is not None and run > max_stick:
@@ -415,7 +554,7 @@ def harvest_mask(width, height, mask, max_stick, catalog, compressed_key=None):
             compressed_key=compressed_key(comp_c),
             k_compressed=kc_ver + kc_hor,
             edge_count=len(comp.edges),
-            vertex_count=len(comp.vertices),
+            vertex_count=len(vertices),
         )
 
 
@@ -436,6 +575,21 @@ def ensemble(width, height, boundary):
     the order of iter_valid_masks."""
     masks, tiles = zip(*iter_mask_blocks(width, height, boundary))
     return np.concatenate(masks), np.concatenate(tiles)
+
+
+def event_weight(width, height, boundary, lam, predicate, *, area_cap=exact.DEFAULT_AREA_CAP):
+    """Total weight sum_{sigma in E} lam^(-vacancies/4) over the region,
+    configuration by configuration; ``predicate`` receives each valid
+    Configuration and selects the event E."""
+    check_fugacity(lam)
+    area = width * height
+    if area > area_cap:
+        raise TooLarge(f"area {area} exceeds enumeration cap {area_cap}")
+    total = 0.0
+    for mask, cnt in iter_valid_masks(width, height, boundary):
+        if predicate(mask_to_configuration(width, height, boundary, mask)):
+            total += lam ** (cnt - area / 4.0)
+    return total
 
 
 def pattern_table(width, height, corner, k, l):
@@ -614,8 +768,43 @@ def phase_by_sticks(sticks, b):
     return best if 2 * counts[best] > len(long_sticks) else "undetermined"
 
 
+def face_cover_center(config, corner):
+    """Center of the tile covering the face with lower-left ``corner``,
+    None for a vacant face, tried center by center.
+
+    Faces outside the region are resolved too: under fully_packed
+    boundary they may be covered by the implicit exterior tiles.
+    """
+    fx, fy = corner
+    w, h = config.width, config.height
+    for cx in (fx, fx + 1):
+        for cy in (fy, fy + 1):
+            if config.boundary == "periodic":
+                if (cx % w, cy % h) in config.occupied:
+                    return (cx, cy)
+            else:
+                if (cx, cy) in config.occupied:
+                    return (cx, cy)
+                if config.boundary == "fully_packed":
+                    exterior = not (1 <= cx <= w - 1 and 1 <= cy <= h - 1)
+                    if cx % 2 == 1 and cy % 2 == 1 and exterior:
+                        return (cx, cy)
+    return None
+
+
+def is_face_vacant(config, corner):
+    return face_cover_center(config, corner) is None
+
+
+def face_corners(config):
+    """Lower-left corners of all faces inside the region."""
+    for y in range(config.height):
+        for x in range(config.width):
+            yield (x, y)
+
+
 def _cover_parity(config, face):
-    center = config.face_cover_center(face)
+    center = face_cover_center(config, face)
     return None if center is None else ((center[0] - 1) % 2, (center[1] - 1) % 2)
 
 
@@ -694,29 +883,15 @@ def marked_edges_by_faces(config):
 
 
 def component_graphs_by_faces(config):
-    """Components of the reference marked edges, by breadth-first search.
+    """Components of the reference marked edges, by a graph search.
 
-    Returns (edges, vacancies) pairs of frozensets, ordered by the first
-    edge of each component. A vacant face joins a component when all of
-    its corners that are graph vertices lie in it.
+    Returns ComponentGraph (edges, vacancies) pairs of frozensets, ordered
+    by the first edge of each component. A vacant face joins a component
+    when all of its corners that are graph vertices lie in it.
     """
     w, h = config.width, config.height
     edges, vacant = marked_edges_by_faces(config)
-    adjacent = {}
-    for a, b, _ in edges:
-        adjacent.setdefault(a, set()).add(b)
-        adjacent.setdefault(b, set()).add(a)
-    label = {}
-    for a, _, _ in edges:
-        if a in label:
-            continue
-        label[a] = a
-        queue = [a]
-        while queue:
-            for q in adjacent[queue.pop()]:
-                if q not in label:
-                    label[q] = a
-                    queue.append(q)
+    label = _component_roots(edges)
     components = {}
     for e in edges:
         components.setdefault(label[e[0]], (set(), set()))[0].add(e)
@@ -727,7 +902,7 @@ def component_graphs_by_faces(config):
         roots = {label[c] for c in corners if c in label}
         if len(roots) == 1:
             components[roots.pop()][1].add((fx, fy))
-    return [(frozenset(e), frozenset(v)) for e, v in components.values()]
+    return [ComponentGraph(frozenset(e), frozenset(v)) for e, v in components.values()]
 
 
 def translation_by_cells(sites, nx, ny, periodic, site, direction):
@@ -757,6 +932,56 @@ def translation_by_cells(sites, nx, ny, periodic, site, direction):
         if cy * nx + cx != site and cy * nx + cx in sites:
             return sites
     return (sites - {site}) | {ty * nx + tx}
+
+
+def divides(p1, p2, rect):
+    """Does the segment from p1 to p2 divide the rectangle?
+
+    A vertical segment divides when it spans the rectangle's full height
+    and its x-coordinate is strictly between the rectangle's sides; the
+    horizontal case is symmetric. Non-axis-aligned segments never divide.
+    """
+    (x1, y1), (x2, y2) = p1, p2
+    x0, y0 = rect.corner
+    if x1 == x2 and y1 != y2:
+        lo, hi = min(y1, y2), max(y1, y2)
+        return lo <= y0 and y0 + rect.height <= hi and x0 < x1 < x0 + rect.width
+    if y1 == y2 and x1 != x2:
+        lo, hi = min(x1, x2), max(x1, x2)
+        return lo <= x0 and x0 + rect.width <= hi and y0 < y1 < y0 + rect.height
+    return False
+
+
+def _stick_segments(stick, config):
+    """Planar segments representing a stick, including torus shift copies."""
+    x, y = stick.anchor
+    if stick.orientation == "vertical":
+        base = ((x, y), (x, y + stick.length))
+        shifts = [(0, 0)]
+        if config.boundary == "periodic":
+            if stick.wraps:
+                # a cycle spans every window at its x-line
+                return [((x, -config.height), (x, 2 * config.height))]
+            shifts = [(0, 0), (0, -config.height), (0, config.height)]
+    else:
+        base = ((x, y), (x + stick.length, y))
+        shifts = [(0, 0)]
+        if config.boundary == "periodic":
+            if stick.wraps:
+                return [((-config.width, y), (2 * config.width, y))]
+            shifts = [(0, 0), (-config.width, 0), (config.width, 0)]
+    (p1, p2) = base
+    return [((p1[0] + dx, p1[1] + dy), (p2[0] + dx, p2[1] + dy)) for dx, dy in shifts]
+
+
+def stick_divides(stick, rect, config):
+    return any(divides(p1, p2, rect) for p1, p2 in _stick_segments(stick, config))
+
+
+def properly_divides(stick, rect, config, n=DEFAULT_N):
+    """True when the stick divides both the rectangle and its inner copy."""
+    inner = rect.inner(n)
+    return stick_divides(stick, rect, config) and stick_divides(stick, inner, config)
 
 
 def psi_set_by_windows(config, k, l, stick_type, n, sticks):

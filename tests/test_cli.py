@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squarepack import errors
+from squarepack import errors, graphs
 from squarepack.cli import build_parser, main
 from squarepack.exact import partition_polynomial
 from squarepack.lattice import create_configuration, decode, encode, from_json, to_json
@@ -460,6 +460,46 @@ def test_components_cli_checks_bounds_before_the_harvest():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert json.loads(proc.stderr)["error"]["type"] == "SpecError"
+
+
+@pytest.mark.parametrize(
+    "extra,env",
+    [
+        (["--threads", "0"], None),
+        (["--threads", "-3"], None),
+        ([], "0"),
+        ([], "-3"),
+        ([], "abc"),
+        ([], "1.5"),
+    ],
+)
+def test_components_cli_rejects_bad_thread_counts(extra, env, monkeypatch, capsys):
+    # rejected before any configuration is harvested or a worker started
+    def never(*args, **kwargs):
+        raise AssertionError("harvest started")
+
+    monkeypatch.setattr(graphs, "_harvest", never)
+    monkeypatch.setattr(graphs, "map_start_rows", never)
+    if env is None:
+        monkeypatch.delenv("SQUAREPACK_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SQUAREPACK_THREADS", env)
+    code, out, err = run_cli(["components", "--width", "4", "--height", "4", *extra], capsys)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError"
+    assert (env or extra[-1]) in error["message"]
+
+
+def test_bad_thread_variable_fails_only_components(monkeypatch, capsys):
+    # the variable is read when components runs, not when the parser is built
+    monkeypatch.setenv("SQUAREPACK_THREADS", "abc")
+    code, out, _ = run_cli(["exact1d", "--L", "4", "--lambda", "1"], capsys)
+    assert (code, out.strip()) == (0, "7")
+    # an explicit count overrides the variable
+    code, out, _ = run_cli(["components", "--width", "4", "--height", "4", "--threads", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["spec"]["boundary"] == "fully_packed"
 
 
 def test_components_window_refused_by_configuration_count(capsys):

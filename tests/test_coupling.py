@@ -1,19 +1,12 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squarepack.coupling import (
-    disagreement_cluster_of,
-    disagreement_set,
-    king_clusters,
-    radius_tail_experiment,
-    swap_map,
-)
+from squarepack.coupling import disagreement_set, king_clusters, radius_tail_experiment
 from squarepack.errors import ParameterError, RegionOutOfBounds, ShapeMismatch
-from squarepack.lattice import create_configuration, mask_to_configuration
+from squarepack.lattice import create_configuration
 from squarepack.sampler import ChainParams
 
 from oracles import king_clusters_bfs, king_clusters_by_union_find
@@ -118,72 +111,6 @@ def test_king_clusters_reject_points_off_the_torus():
         king_clusters({(0, 0), (8, 1)}, 8, 8, periodic=True)
     with pytest.raises(RegionOutOfBounds):
         king_clusters({(0, -1)}, 8, 8, periodic=True)
-
-
-# -- swap map ----------------------------------------------------------------------
-
-
-def test_swap_map_identity_without_anchor_disagreement():
-    a = cfg([(1, 1)])
-    b = cfg([(5, 5)])
-    wa, wb = swap_map(a, b, [(3, 3)])
-    assert wa is a and wb is b
-
-
-def test_swap_map_is_involution_and_valid():
-    a = cfg([(1, 1), (5, 1)])
-    b = cfg([(2, 1), (5, 1)])
-    wa, wb = swap_map(a, b, [(1, 1)])
-    # the swapped pair re-validates as proper configurations
-    create_configuration(8, 8, "periodic", wa.occupied)
-    create_configuration(8, 8, "periodic", wb.occupied)
-    ra, rb = swap_map(wa, wb, [(1, 1)])
-    assert (ra.occupied, rb.occupied) == (a.occupied, b.occupied)
-
-
-def test_swap_map_preserves_product_measure_exactly():
-    """Exhaustive check on the 4x4 torus at lambda = 2 with exact weights."""
-    from squarepack.lattice import iter_valid_masks
-
-    lam = 2
-    states = [
-        (mask, cnt) for mask, cnt in iter_valid_masks(4, 4, "periodic")
-    ]
-    configs = {
-        mask: mask_to_configuration(4, 4, "periodic", mask) for mask, _ in states
-    }
-    anchors = [(0, 0)]
-    before = {}
-    after = {}
-    for m1, n1 in states:
-        for m2, n2 in states:
-            w = Fraction(lam) ** (n1 + n2)
-            key = (m1, m2)
-            before[key] = before.get(key, 0) + w
-            wa, wb = swap_map(configs[m1], configs[m2], anchors)
-            sk = (_mask_of(wa), _mask_of(wb))
-            after[sk] = after.get(sk, 0) + w
-    assert before == after
-
-
-def _mask_of(config):
-    from squarepack.lattice import model_sites
-
-    sites = model_sites(config.width, config.height, config.boundary)
-    index = {p: i for i, p in enumerate(sites)}
-    m = 0
-    for p in config.occupied:
-        m |= 1 << index[p]
-    return m
-
-
-def test_disagreement_cluster_of_multiple_anchors():
-    a = cfg([(1, 1), (5, 5)])
-    b = cfg([])
-    cl = disagreement_cluster_of(a, b, [(1, 1), (5, 5)])
-    assert cl == frozenset({(1, 1), (5, 5)})
-    cl_one = disagreement_cluster_of(a, b, [(1, 1)])
-    assert cl_one == frozenset({(1, 1)})
 
 
 # -- tail experiment ---------------------------------------------------------------

@@ -9,6 +9,9 @@ from squarepack.errors import NonpositiveFugacity, OddLength, OutOfFloatRange, T
 
 from oracles import (
     cyclic_independent_set_counts,
+    event_weight,
+    is_face_vacant,
+    mask_to_configuration,
     row_sequence_counts,
     torus_partition_counts,
     transfer_coefficients_by_full_walk,
@@ -76,12 +79,11 @@ def test_z1d_values_beyond_the_float_range():
 @pytest.mark.parametrize("length", [2, 4, 8, 12])
 def test_z1d_periodic_polynomial_identity(length):
     # Tr(M^L) in t = lam^(-1/2) has coefficient N_cyc(L, n) at power L - 2n
-    coeffs = exact.z1d_periodic_coeffs(length)
     counts = cyclic_independent_set_counts(length)
-    expected = [0] * (length + 1)
-    for n, c in enumerate(counts):
-        expected[length - 2 * n] = c
-    assert list(coeffs) + [0] * (length + 1 - len(coeffs)) == expected
+    for lam in (0.5, 4.0):
+        t = lam**-0.5
+        expected = sum(c * t ** (length - 2 * n) for n, c in enumerate(counts))
+        assert exact.z1d_periodic(length, lam) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("length", [2, 4, 6, 10, 20])
@@ -319,24 +321,24 @@ def test_evaluation_beyond_float_range():
 def test_event_weight_true_false():
     lam = 2.0
     poly = exact.partition_polynomial(4, 4, "periodic")
-    z = exact.event_weight(4, 4, "periodic", lam, lambda cfg: True)
+    z = event_weight(4, 4, "periodic", lam, lambda cfg: True)
     assert z == pytest.approx(poly.evaluate_vacancy(lam), rel=1e-12)
-    assert exact.event_weight(4, 4, "periodic", lam, lambda cfg: False) == 0.0
+    assert event_weight(4, 4, "periodic", lam, lambda cfg: False) == 0.0
 
 
 def test_event_weight_face_vacant():
-    from squarepack.lattice import iter_valid_masks, mask_to_configuration
+    from squarepack.lattice import iter_valid_masks
 
     lam = 1.0
-    w = exact.event_weight(
-        4, 4, "periodic", lam, lambda cfg: cfg.is_face_vacant((0, 0))
+    w = event_weight(
+        4, 4, "periodic", lam, lambda cfg: is_face_vacant(cfg, (0, 0))
     )
     # at lam=1 every configuration has weight 1: count configurations
     # leaving the face at (0, 0) vacant
     count = sum(
         1
         for mask, _ in iter_valid_masks(4, 4, "periodic")
-        if mask_to_configuration(4, 4, "periodic", mask).is_face_vacant((0, 0))
+        if is_face_vacant(mask_to_configuration(4, 4, "periodic", mask), (0, 0))
     )
     assert w == pytest.approx(count, rel=1e-12)
 
@@ -348,7 +350,7 @@ def test_z1d_periodic_equals_torus_event_weight():
     # restricting to even horizontal parity squares it.
     lam = 3.0
     for length in (4, 6):
-        single = exact.event_weight(
+        single = event_weight(
             4,
             length,
             "periodic",
@@ -357,7 +359,7 @@ def test_z1d_periodic_equals_torus_event_weight():
         )
         z = exact.z1d_periodic(length, lam)
         assert single * lam ** (length / 2.0) == pytest.approx(z, rel=1e-12)
-        both = exact.event_weight(
+        both = event_weight(
             4, length, "periodic", lam, lambda cfg: all(x % 2 for x, _ in cfg.occupied)
         )
         assert both == pytest.approx(z * z, rel=1e-12)

@@ -7,22 +7,20 @@ from hypothesis import strategies as st
 
 from squarepack import graphs
 from squarepack.errors import NonpositiveFugacity, SpecError, TooLarge
-from squarepack.graphs import (
-    build_component_graph,
-    canonicalize,
-    canonicalize_compressed,
-    component_stats,
-    compress,
-    enumerate_components,
-    max_stick_run,
-    verify_counting_bounds,
-)
-from squarepack.lattice import create_configuration, mask_to_configuration, model_sites
+from squarepack.graphs import enumerate_components, verify_counting_bounds
+from squarepack.lattice import create_configuration, model_sites
 
 from oracles import (
+    canonicalize,
+    canonicalize_compressed,
     canonicalize_compressed_all_roots,
+    component_graphs_by_faces,
+    component_stats,
+    compress,
     harvest_mask,
     least_encoding_by_head_strings,
+    mask_to_configuration,
+    max_stick_run,
     valid_masks_by_sites,
 )
 from strategies import random_valid_config, striped_config
@@ -35,13 +33,13 @@ def aligned_packing(w, h, boundary="periodic"):
 
 
 def test_aligned_torus_trivial_graph():
-    assert build_component_graph(aligned_packing(8, 8)) == []
+    assert component_graphs_by_faces(aligned_packing(8, 8)) == []
 
 
 def test_single_vacant_block_component():
     occ = [(x, y) for x in range(1, 8, 2) for y in range(1, 8, 2)]
     occ.remove((3, 3))
-    comps = build_component_graph(create_configuration(8, 8, "periodic", occ))
+    comps = component_graphs_by_faces(create_configuration(8, 8, "periodic", occ))
     assert len(comps) == 1
     comp = comps[0]
     v, k_ver, k_hor = component_stats(comp)
@@ -58,7 +56,7 @@ def test_flanked_sticks_component():
     occ.remove((3, 3))
     occ.remove((3, 5))
     occ.append((3, 4))
-    comps = build_component_graph(create_configuration(8, 8, "fully_packed", occ))
+    comps = component_graphs_by_faces(create_configuration(8, 8, "fully_packed", occ))
     assert len(comps) == 1
     comp = comps[0]
     v, k_ver, k_hor = component_stats(comp)
@@ -76,7 +74,7 @@ def test_no_degree_one_vertices():
     occ.remove((3, 3))
     occ.remove((3, 5))
     occ.append((3, 4))
-    for comp in build_component_graph(
+    for comp in component_graphs_by_faces(
         create_configuration(8, 8, "fully_packed", occ)
     ):
         degree = {}
@@ -93,7 +91,7 @@ def test_vacancy_edges_same_component():
     occ.append((5, 4))
     occ.remove((9, 1))
     cfg = create_configuration(12, 8, "fully_packed", occ)
-    comps = build_component_graph(cfg)
+    comps = component_graphs_by_faces(cfg)
     # vacancies split between exactly the components they belong to
     assert sum(c.v_count for c in comps) == 8
 
@@ -101,7 +99,7 @@ def test_vacancy_edges_same_component():
 def test_compress_trivial_on_stick_free():
     occ = [(x, y) for x in range(1, 8, 2) for y in range(1, 8, 2)]
     occ.remove((3, 3))
-    comp = build_component_graph(create_configuration(8, 8, "periodic", occ))[0]
+    comp = component_graphs_by_faces(create_configuration(8, 8, "periodic", occ))[0]
     assert compress(comp).edges == comp.edges
 
 
@@ -110,7 +108,7 @@ def test_compress_collapses_runs():
     occ.remove((3, 3))
     occ.remove((3, 5))
     occ.append((3, 4))
-    comp = build_component_graph(create_configuration(8, 8, "fully_packed", occ))[0]
+    comp = component_graphs_by_faces(create_configuration(8, 8, "fully_packed", occ))[0]
     comp_c = compress(comp)
     stick_edges = [e for e in comp_c.edges if e[2] == "stick"]
     assert len(stick_edges) == 2
@@ -126,7 +124,7 @@ def test_canonicalize_translation_invariance():
         occ = [(x, y) for x in range(1, w, 2) for y in range(1, h, 2)]
         occ.remove((cx, cy))
         cfg = create_configuration(w, h, "fully_packed", occ)
-        return build_component_graph(cfg)[0]
+        return component_graphs_by_faces(cfg)[0]
 
     assert canonicalize(component_at(3, 3)) == canonicalize(component_at(7, 5))
     assert canonicalize(component_at(5, 3)) == canonicalize(component_at(9, 9))
@@ -139,8 +137,8 @@ def test_canonicalize_distinguishes_rotation():
     occ.remove((3, 5))
     occ.append((3, 4))
     cfg = create_configuration(10, 10, "fully_packed", occ)
-    comp = build_component_graph(cfg)[0]
-    comp_t = build_component_graph(cfg.transpose())[0]
+    comp = component_graphs_by_faces(cfg)[0]
+    comp_t = component_graphs_by_faces(cfg.transpose())[0]
     assert canonicalize(comp) != canonicalize(comp_t)
     assert canonicalize_compressed(compress(comp)) != canonicalize_compressed(
         compress(comp_t)
@@ -155,7 +153,7 @@ def test_compressed_key_ignores_stick_length():
         for y in removed:
             occ.remove((3, y))
         occ.extend((3, y + 1) for y in removed[:-1])
-        return build_component_graph(create_configuration(w, h, "fully_packed", occ))
+        return component_graphs_by_faces(create_configuration(w, h, "fully_packed", occ))
 
     # shifting runs of different lengths yields different embedded keys
     # but identical compressed keys
@@ -250,7 +248,7 @@ def test_catalog_order_survives_pass_boundaries(monkeypatch, pass_size, max_stic
 
 
 def _compressed(config):
-    return [compress(comp) for comp in build_component_graph(config)]
+    return [compress(comp) for comp in component_graphs_by_faces(config)]
 
 
 @pytest.mark.parametrize("dims", [(6, 4), (4, 6)])
@@ -373,7 +371,7 @@ def test_closed_cycle_balance():
     occ.remove((3, 5))
     occ.append((3, 4))
     comp = compress(
-        build_component_graph(create_configuration(8, 8, "fully_packed", occ))[0]
+        component_graphs_by_faces(create_configuration(8, 8, "fully_packed", occ))[0]
     )
     adj = {}
     for a, b, _ in comp.edges:

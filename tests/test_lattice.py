@@ -10,16 +10,16 @@ from squarepack.errors import (
     DimensionError,
     OverlapError,
     ParseError,
-    RegionOutOfBounds,
     TooLarge,
 )
 from squarepack.lattice import (
     BOUNDARIES,
+    FACE_MARGIN,
     component_labels,
-    count_vacancies,
     create_configuration,
     decode,
     encode,
+    face_cover,
     from_json,
     iter_mask_blocks,
     iter_valid_masks,
@@ -30,6 +30,8 @@ from squarepack.lattice import (
 )
 
 from oracles import (
+    face_cover_center,
+    is_face_vacant,
     pairwise_valid,
     row_neighbours_by_rows,
     row_states_by_strings,
@@ -92,22 +94,21 @@ def test_parity_translation_covariance(x, y):
     assert tile_parity_class((x, y + 1)).vpar == 1 - p.vpar
 
 
-def test_count_vacancies_empty_full_one():
+def region_vacancies(cfg):
+    """Vacant faces of the region, read from face_cover."""
+    m = FACE_MARGIN
+    return int((face_cover(cfg)[m : m + cfg.height, m : m + cfg.width] < 0).sum())
+
+
+def test_face_cover_vacancies_empty_full_one():
     empty = create_configuration(4, 4, "periodic", [])
-    assert count_vacancies(empty) == 16
+    assert region_vacancies(empty) == 16
     packed = create_configuration(
         4, 4, "periodic", [(1, 1), (1, 3), (3, 1), (3, 3)]
     )
-    assert count_vacancies(packed) == 0
+    assert region_vacancies(packed) == 0
     one = create_configuration(4, 4, "periodic", [(0, 0)])
-    assert count_vacancies(one) == 12
-
-
-def test_count_vacancies_region_bounds():
-    cfg = create_configuration(4, 4, "periodic", [])
-    assert count_vacancies(cfg, (0, 0, 2, 2)) == 4
-    with pytest.raises(RegionOutOfBounds):
-        count_vacancies(cfg, (0, 0, 5, 2))
+    assert region_vacancies(one) == 12
 
 
 def test_torus_vacancy_identity_random():
@@ -122,7 +123,7 @@ def test_torus_vacancy_identity_random():
             if pairwise_valid(list(occ | {c}), w, h, periodic=True):
                 occ.add(c)
         cfg = create_configuration(w, h, "periodic", occ)
-        assert count_vacancies(cfg) == w * h - 4 * cfg.tile_count
+        assert region_vacancies(cfg) == w * h - 4 * cfg.tile_count
 
 
 @given(random_valid_config())
@@ -168,9 +169,9 @@ def test_face_cover_fully_packed_exterior():
     cfg = create_configuration(4, 4, "fully_packed", [])
     # faces inside the region are vacant, faces outside are covered by
     # the implicit exterior packing
-    assert cfg.is_face_vacant((0, 0))
-    assert not cfg.is_face_vacant((-1, 0))
-    assert cfg.face_cover_center((-2, 0)) == (-1, 1)
+    assert is_face_vacant(cfg, (0, 0))
+    assert not is_face_vacant(cfg, (-1, 0))
+    assert face_cover_center(cfg, (-2, 0)) == (-1, 1)
 
 
 def test_translate_and_transpose():
@@ -220,6 +221,30 @@ def test_enumeration_beyond_64_sites_rejected():
     # the 4x18 rectangle has 51 interior sites
     masks, tiles = next(iter_mask_blocks(4, 18, "free"))
     assert masks[0] == 0 and tiles[0] == 0
+
+
+def test_start_row_pool_has_at_most_one_worker_per_start_row(monkeypatch):
+    # a stand-in pool records its size and runs the tasks in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(lattice, "ProcessPoolExecutor", RecordingPool)
+    starts = lattice._row_states(3, False)  # the 4-wide window's first rows
+    assert list(map_start_rows(len, 4, 6, "fully_packed", threads=64)) == [1] * len(starts)
+    assert list(map_start_rows(len, 4, 6, "fully_packed", threads=2)) == [1] * len(starts)
+    assert sizes == [len(starts), 2]
 
 
 @pytest.mark.parametrize("positions,cyclic", [(16, True), (17, False)])

@@ -10,11 +10,9 @@ from squarepack.observables import (
     _residue_class_sizes,
     autocorrelation_curve,
     batch_mean_stderr,
-    correlation_length_fit,
     fit_decay_length,
     offset_row_vacancy_check,
     parity_density,
-    two_point_covariance,
 )
 from squarepack.sampler import seed_phase_configuration
 
@@ -81,33 +79,6 @@ def test_estimators_order_independent():
         for occ in ([(1, 1)], [(3, 3), (6, 6)], [], [(1, 5)])
     ]
     assert parity_density(cfgs) == parity_density(list(reversed(cfgs)))
-    a, _ = two_point_covariance(cfgs, (1, 1), (3, 3))
-    b, _ = two_point_covariance(list(reversed(cfgs)), (1, 1), (3, 3))
-    assert a == pytest.approx(b)
-
-
-def test_two_point_covariance_identical_site():
-    cfgs = [
-        create_configuration(4, 4, "periodic", occ)
-        for occ in ([(1, 1)], [], [(1, 1)], [(1, 1)], [])
-    ]
-    cov, _ = two_point_covariance(cfgs, (1, 1), (1, 1))
-    p = 3 / 5
-    assert cov == pytest.approx(p * (1 - p), rel=1e-12)
-
-
-def test_two_point_covariance_synthetic_independent():
-    rng = random.Random(1)
-    cfgs = []
-    for _ in range(400):
-        occ = []
-        if rng.random() < 0.5:
-            occ.append((1, 1))
-        if rng.random() < 0.5:
-            occ.append((5, 5))
-        cfgs.append(create_configuration(8, 8, "periodic", occ))
-    cov, _ = two_point_covariance(cfgs, (1, 1), (5, 5))
-    assert abs(cov) < 0.05
 
 
 def test_fit_decay_length_exact_exponential():
@@ -134,7 +105,7 @@ def test_correlation_length_iid_noise_below_resolution():
             if rng.random() < 0.5
         }
         cfgs.append(create_configuration(16, 16, "periodic", occ))
-    xi, _ = correlation_length_fit(cfgs, "y", lags=[2, 4, 6], floor=0.05)
+    xi, _ = fit_decay_length(autocorrelation_curve(cfgs, "y", [2, 4, 6]), floor=0.05)
     assert xi == 0.0
 
 

@@ -1,0 +1,67 @@
+"""Public names of ``src/`` that only the tests reach.
+
+Every public top-level name that ``src/squarepack`` defines is referenced
+from ``src/`` outside its own definition, from ``scripts/`` or from
+``perfbench/``, except the names pinned below with the reason each one
+stays. Code that only tests call belongs in ``tests/oracles.py``; a new
+public name without a caller fails here until it gets one, moves, or is
+pinned with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TEST_ONLY = {
+    "disseminated_expectation": (
+        "the left side of the chessboard estimate, mu^per of a product of "
+        "reflected block events, which acceptance criterion 5 bounds by "
+        "chessboard_seminorm"
+    ),
+    "reflection_positivity_value": (
+        "mu^per(f * (f o reflection)) by the band transfer, the reflection "
+        "positivity that the chessboard estimate rests on"
+    ),
+}
+
+
+def _references(tree, own=frozenset()):
+    """Names read, attributes taken and names imported within ``tree``,
+    less ``own``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+    return found - own
+
+
+def _defined(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return {node.target.id}
+    return set()
+
+
+def test_only_the_pinned_public_names_lack_a_caller_outside_the_tests():
+    public, referenced = set(), set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = _defined(node)
+            public |= {n for n in names if not n.startswith("_")}
+            # a definition does not reach itself
+            referenced |= _references(node, frozenset(names))
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            referenced |= _references(ast.parse(path.read_text()))
+    unreached = public - referenced
+    assert not unreached - set(TEST_ONLY), "reached only from tests; move to tests/oracles.py"
+    assert not set(TEST_ONLY) - unreached, "pinned but now reached, or gone: unpin"
+    assert all(TEST_ONLY.values())

@@ -17,16 +17,18 @@ from squarepack.sticks import (
     default_stick_threshold,
     detect_stick_edges,
     divided_directions,
-    divides,
     extract_sticks,
-    properly_divides,
     psi_set,
     stick_census,
 )
 
 from oracles import (
     divided_directions_by_sticks,
+    divides,
+    face_cover_center,
+    is_face_vacant,
     phase_by_sticks,
+    properly_divides,
     psi_set_by_windows,
     sticks_by_edges,
 )
@@ -103,8 +105,8 @@ def test_sticks_end_at_vacancies_in_window():
         assert s.length == 2  # the offset tile's own two face rows
     # sticks end at vacant faces: vacancy pairs sit below and above the
     # shifted tile
-    assert cfg.is_face_vacant((2, 2)) and cfg.is_face_vacant((3, 2))
-    assert cfg.is_face_vacant((2, 5)) and cfg.is_face_vacant((3, 5))
+    assert is_face_vacant(cfg, (2, 2)) and is_face_vacant(cfg, (3, 2))
+    assert is_face_vacant(cfg, (2, 5)) and is_face_vacant(cfg, (3, 5))
 
 
 def test_sticks_never_share_vertices():
@@ -511,7 +513,7 @@ def test_stick_side_parities_constant():
                     x, y = s.anchor[0] + k, s.anchor[1]
                     faces = ((x, y - 1), (x, y))
                 for side, face in zip(sides, faces):
-                    cover = cfg.face_cover_center(face)
+                    cover = face_cover_center(cfg, face)
                     assert cover is not None
                     side.append(tile_parity_class(cover).as_tuple())
             for side in sides:
