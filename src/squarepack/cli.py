@@ -85,11 +85,7 @@ def _add_common(p: argparse.ArgumentParser, *names) -> None:
         p.add_argument("--width", type=int, required=True)
         p.add_argument("--height", type=int, required=True)
     if "boundary" in names:
-        p.add_argument(
-            "--boundary",
-            choices=("periodic", "free", "fully_packed"),
-            default="periodic",
-        )
+        p.add_argument("--boundary", choices=lattice.BOUNDARIES, default="periodic")
     if "seed" in names:
         p.add_argument("--seed", type=int, default=0)
     if "out" in names:
@@ -126,9 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default=None, help="JSON experiment spec file")
     p.add_argument("--width", type=int)
     p.add_argument("--height", type=int)
-    p.add_argument(
-        "--boundary", choices=("periodic", "free", "fully_packed"), default="periodic"
-    )
+    p.add_argument("--boundary", choices=lattice.BOUNDARIES, default="periodic")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweeps", type=int, default=1000)
@@ -156,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "dims", "out", "threads")
     p.add_argument("--M", dest="m_values", type=int, action="append", default=[])
     p.add_argument("--lambda", dest="lambdas", type=float, action="append", default=[])
-    p.add_argument("--window-cap", type=int, default=graphs.DEFAULT_WINDOW_CAP)
 
     p = sub.add_parser("coupling", help="disagreement cluster tail experiment")
     _add_common(p, "dims", "lambda", "out")
@@ -352,9 +345,7 @@ def _cmd_components(args) -> int:
     m_values = args.m_values or [1, 2, 3]
     lambdas = args.lambdas or [100.0, 1e4]
     graphs.check_bound_grid(m_values, lambdas)  # before the harvest, which can be long
-    catalog = graphs.enumerate_components(
-        args.width, args.height, window_cap=args.window_cap, threads=_threads(args)
-    )
+    catalog = graphs.enumerate_components(args.width, args.height, threads=_threads(args))
     report = graphs.verify_counting_bounds(catalog, m_values, lambdas)
     report["spec"] = {
         "width": args.width,

@@ -150,13 +150,6 @@ class TailReport:
         per_d = [hist.get(r, 0) for r in range(max(hist, default=-1) + 1)]
         return np.cumsum(per_d[::-1])[::-1].tolist()
 
-    def probability(self, direction: str, d: int) -> float:
-        if self.totals == 0:
-            return 0.0
-        tail = self.tail_counts(direction)
-        c = tail[max(d, 0)] if d < len(tail) else 0
-        return c / self.totals
-
     def tail_rows(self) -> List[dict]:
         rows = []
         for direction in self.counts:
@@ -185,7 +178,6 @@ def radius_tail_experiment(
     seeds: Tuple[int, int],
     *,
     phase: Optional[str] = "ver0",
-    min_count: int = 50,
 ) -> TailReport:
     """Empirical reach tails of disagreement clusters for a chain pair.
 
@@ -194,10 +186,10 @@ def radius_tail_experiment(
     phase does not match are excluded and counted. For every site in the
     disagreement set, the cluster through it contributes its horizontal
     and vertical reach; tails are fitted by least squares on
-    log-probabilities over the distances with at least ``min_count``
-    observations. ``phase`` is None (no phase filter; the chains start
-    from the template's initial state) or one of the four phase seeds,
-    since the classifier labels no state "empty".
+    log-probabilities over the distances with at least 50 observations.
+    ``phase`` is None (no phase filter; the chains start from the
+    template's initial state) or one of the four phase seeds, since the
+    classifier labels no state "empty".
     """
     from dataclasses import replace
 
@@ -244,7 +236,7 @@ def radius_tail_experiment(
     for direction in ("horizontal", "vertical"):
         # no pair used leaves every tail empty
         tail = report.tail_counts(direction)
-        curve = {d: c / totals for d, c in enumerate(tail) if d >= 1 and c >= min_count}
+        curve = {d: c / totals for d, c in enumerate(tail) if d >= 1 and c >= 50}
         if len(curve) >= 2:
             xi, err = fit_decay_length(curve, floor=0.0)
             report.fits[direction] = {

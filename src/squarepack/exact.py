@@ -135,10 +135,6 @@ class PartitionPolynomial:
     def area(self) -> int:
         return self.width * self.height
 
-    @property
-    def n_max(self) -> int:
-        return len(self.coefficients) - 1
-
     def evaluate_tile(self, lam: float) -> Optional[float]:
         """Sum a_n lam^n (tile-count weight convention); None beyond the float range."""
         check_fugacity(lam)
@@ -158,11 +154,9 @@ class PartitionPolynomial:
         """log of sum a_n lam^n, summed relative to the largest term so
         that it is finite for every positive lam."""
         check_fugacity(lam)
-        logs = [
-            math.log(a) + n * math.log(lam) for n, a in enumerate(self.coefficients) if a
-        ]
-        top = max(logs)
-        return top + math.log(sum(math.exp(v - top) for v in logs))
+        return _log_sum(
+            [math.log(a) + n * math.log(lam) for n, a in enumerate(self.coefficients) if a]
+        )
 
     def log_vacancy(self, lam: float) -> float:
         """log of sum a_n lam^(n - Area/4)."""

@@ -26,7 +26,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .lattice import (
     map_start_rows,
 )
 
-DEFAULT_WINDOW_CAP = 64  # window area; 8x8 interior
 # configurations of a window: 8x6 has 159,651, 10x6 4,005,785, 8x8 12,727,570
 WINDOW_CONFIGURATION_CAP = 1 << 18
 
@@ -194,7 +193,7 @@ def _runs(ids: np.ndarray, step: int) -> Tuple[np.ndarray, np.ndarray]:
     return ids[heads], np.diff(np.append(heads, len(ids)))
 
 
-def _harvest_pass(width: int, height: int, masks: np.ndarray, max_stick, seen: Dict) -> None:
+def _harvest_pass(width: int, height: int, masks: np.ndarray, seen: Dict) -> None:
     """Add the components of the configurations in ``masks`` to ``seen``,
     a dict from the bytes of each component's edge rows to its record.
 
@@ -250,8 +249,6 @@ def _harvest_pass(width: int, height: int, masks: np.ndarray, max_stick, seen: D
     longest = np.zeros(nc, dtype=np.int64)
     np.maximum.at(longest, comp_at[label[ver]], ver_len)
     np.maximum.at(longest, comp_at[label[hor]], hor_len)
-    if max_stick is not None:
-        keep &= longest <= max_stick
 
     fb, fy, fx = np.nonzero(region_vacant)
     # a vacancy's bounding edges join its four corners in one component
@@ -317,22 +314,17 @@ def _harvest_pass(width: int, height: int, masks: np.ndarray, max_stick, seen: D
         )
 
 
-def _harvest(width: int, height: int, max_stick, starts=None) -> Dict[str, ComponentRecord]:
+def _harvest(width: int, height: int, starts=None) -> Dict[str, ComponentRecord]:
     """Catalog of the configurations from the given first-row states (all
     by default), in enumeration order."""
     seen: Dict[bytes, ComponentRecord] = {}
     for masks in _mask_passes(width, height, starts):
-        _harvest_pass(width, height, masks, max_stick, seen)
+        _harvest_pass(width, height, masks, seen)
     return {rec.key: rec for rec in seen.values()}
 
 
 def enumerate_components(
-    width: int,
-    height: int,
-    max_stick: Optional[int] = None,
-    *,
-    window_cap: int = DEFAULT_WINDOW_CAP,
-    threads: int = 1,
+    width: int, height: int, *, threads: int = 1
 ) -> Dict[str, ComponentRecord]:
     """All distinct components from configurations of a fully-packed window.
 
@@ -341,8 +333,9 @@ def enumerate_components(
     configuration graph and deduplicates them by canonical key. A
     component with a vertex outside the closed window is discarded as
     possibly extending outside (with a fully-packed exterior none
-    arise). ``max_stick`` keeps only components whose stick paths have
-    length at most that bound. Completeness is relative to the window.
+    arise). Completeness is relative to the window. A window of more
+    than 64 sites, or of more than WINDOW_CONFIGURATION_CAP
+    configurations, is TooLarge.
 
     With ``threads`` > 1 the configurations are partitioned by their
     first row across a process pool and the catalogs merged in that
@@ -351,8 +344,6 @@ def enumerate_components(
     """
     if threads < 1:
         raise ParameterError(f"threads must be at least 1, got {threads}")
-    if width * height > window_cap:
-        raise TooLarge(f"window area {width * height} exceeds cap {window_cap}")
     # count before listing: the row transfer along the narrow side (the
     # transposed window has as many configurations)
     _row_layout(width, height, "fully_packed")
@@ -363,8 +354,8 @@ def enumerate_components(
             f"more than the {WINDOW_CONFIGURATION_CAP} that the harvest lists"
         )
     if threads == 1:
-        return _harvest(width, height, max_stick)
-    harvest = partial(_harvest, width, height, max_stick)
+        return _harvest(width, height)
+    harvest = partial(_harvest, width, height)
     catalog: Dict[str, ComponentRecord] = {}
     for part in map_start_rows(harvest, width, height, "fully_packed", threads):
         for key, rec in part.items():

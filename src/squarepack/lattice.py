@@ -172,11 +172,6 @@ class Configuration:
         grid = self.__dict__.get("_grid")
         return len(self.occupied) if grid is None else int(np.count_nonzero(grid))
 
-    def is_occupied(self, center: Point) -> bool:
-        if self.boundary == "periodic":
-            center = (center[0] % self.width, center[1] % self.height)
-        return center in self.occupied
-
     def occupancy_grid(self) -> np.ndarray:
         """Boolean grid indexed [y, x] over the center lattice.
 

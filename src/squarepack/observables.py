@@ -15,19 +15,20 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InsufficientData
+from .errors import InsufficientData, ParameterError
 from .lattice import FACE_MARGIN, Configuration, face_cover
 
-DEFAULT_BATCHES = 32
+BATCHES = 32
 
 
-def batch_mean_stderr(values: Sequence[float], batches: int = DEFAULT_BATCHES):
-    """(mean, stderr) by splitting the sequence into consecutive batches."""
+def batch_mean_stderr(values: Sequence[float]):
+    """(mean, stderr) by splitting the sequence into BATCHES consecutive
+    batches."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise InsufficientData("no measurements")
     mean = float(arr.mean())
-    nb = min(batches, arr.size)
+    nb = min(BATCHES, arr.size)
     if nb < 2:
         return mean, float("nan")
     usable = arr[: arr.size - arr.size % nb]
@@ -84,8 +85,11 @@ def autocorrelation_curve(
 
     The mean is removed per site (so the frozen parity pattern of an
     ordered phase does not masquerade as correlation), then products are
-    averaged over positions and samples for each lag.
+    averaged over positions and samples for each lag. ``axis`` is "x"
+    or "y"; any other is a ParameterError.
     """
+    if axis not in ("x", "y"):
+        raise ParameterError(f"axis must be 'x' or 'y', got {axis!r}")
     if not samples:
         raise InsufficientData("no samples")
     if samples[0].boundary != "periodic":
@@ -206,11 +210,9 @@ class ObservableReport:
         return json.dumps(payload, indent=indent)
 
 
-def summarize_series(
-    series: Mapping[str, List[float]], batches: int = DEFAULT_BATCHES
-) -> Dict[str, dict]:
+def summarize_series(series: Mapping[str, List[float]]) -> Dict[str, dict]:
     out = {}
     for name, values in series.items():
-        mean, err = batch_mean_stderr(values, batches)
+        mean, err = batch_mean_stderr(values)
         out[name] = {"mean": mean, "stderr": err, "n": len(values)}
     return out

@@ -8,11 +8,11 @@ optional green stick overlay:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import IoError, ParameterError, TooLarge
 from .lattice import Configuration, tile_parity_class
-from .sticks import Stick, extract_sticks
+from .sticks import extract_sticks
 
 PARITY_COLORS = {
     (0, 0): "#3b78d8",  # blue
@@ -41,7 +41,6 @@ def render_svg(
     *,
     cell: int = 16,
     stick_overlay: bool = True,
-    sticks: Optional[Sequence[Stick]] = None,
 ) -> str:
     """SVG document for a configuration; y grows upward as on paper."""
     w, h = config.width, config.height
@@ -76,9 +75,7 @@ def render_svg(
             f'fill="{color}" stroke="#222222" stroke-width="0.6"/>'
         )
     if stick_overlay:
-        if sticks is None:
-            sticks = extract_sticks(config)
-        for s in sticks:
+        for s in extract_sticks(config):
             sx, sy = s.anchor
             if s.orientation == "vertical":
                 x1, y1 = px(sx, sy)

@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, check_fugacity
 from .lattice import Configuration, _check_dims, _from_grid, create_configuration
-from .observables import ObservableReport, summarize_series
+from .observables import ObservableReport, parity_density, summarize_series
 from .sticks import classify_phase, stick_census
 
 SCALAR_ENGINE_MAX_SITES = 36
@@ -651,8 +651,6 @@ def _vacancy_density(cfg: Configuration, params: ChainParams) -> float:
 
 
 def _parity_density(cfg: Configuration, params: ChainParams) -> dict:
-    from .observables import parity_density
-
     return parity_density([cfg])
 
 

@@ -17,12 +17,13 @@ that needs it leaves a memo on the configuration, as its occupancy grid
 is kept. Detection scans the face cover into edge grids; the runs of
 those grids, taken in one pass over all lines of both orientations,
 give the sticks, and the runs with their torus copies give the segment
-arrays that the division and Psi tests compare against. Extraction of
-the set ``detect_stick_edges`` returned reads the memo; an edge set of
-the caller's own, or a stick list other than the extracted one, is
-worked out from scratch. On a 2-vCPU VM the criterion-9 analysis of a
-24x24 configuration (edges, sticks, four rectangles and two Psi sets)
-takes about 0.42 ms, against 0.64 ms when each call redid it.
+arrays that the division and Psi tests compare against. Every stick
+query reads the memo: an edge set other than the one
+``detect_stick_edges`` returns, or a stick list other than the one
+``extract_sticks`` returns, is a ParameterError. On a 2-vCPU VM the
+criterion-9 analysis of a 24x24 configuration (edges, sticks, four
+rectangles and two Psi sets) takes about 0.42 ms, against 0.64 ms when
+each call redid it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import DimensionError, ParameterError, WrapError, check_fugacity
-from .lattice import FACE_MARGIN, Configuration, Point, edge_sides, face_cover
+from .lattice import Configuration, Point, edge_sides, face_cover
 
 Edge = Tuple[str, int, int]  # ("v", x, y) from (x,y) to (x,y+1); ("h", x, y) to (x+1,y)
 
@@ -80,19 +81,6 @@ class Rect:
     corner: Point
     width: int
     height: int
-
-    def inner(self, n: int = DEFAULT_N) -> "Rect":
-        """Concentric rectangle with dimensions scaled by (n - 2)/n."""
-        if self.width % n or self.height % n:
-            raise DimensionError(
-                f"rectangle {self.width}x{self.height} not divisible by N={n}"
-            )
-        dx, dy = self.width // n, self.height // n
-        return Rect(
-            (self.corner[0] + dx, self.corner[1] + dy),
-            self.width - 2 * dx,
-            self.height - 2 * dy,
-        )
 
 
 # -- stick edge detection ---------------------------------------------------
@@ -194,20 +182,6 @@ def detect_stick_edges(config: Configuration) -> Set[Edge]:
     return set(edges)
 
 
-def _edge_set_grids(
-    config: Configuration, edges: Set[Edge]
-) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """``_stick_edge_grids`` of a given edge set; ValueError for an edge
-    outside the scanned edges."""
-    m = 0 if config.boundary == "periodic" else FACE_MARGIN
-    grids = np.zeros((2, config.height + 2 * m, config.width + 2 * m), dtype=bool)
-    kinds, xs, ys = zip(*edges) if edges else ((), (), ())
-    horizontal = np.fromiter(map("h".__eq__, kinds), dtype=np.int64, count=len(kinds))
-    at = (horizontal, np.array(ys, dtype=np.int64) + m, np.array(xs, dtype=np.int64) + m)
-    grids.reshape(-1)[np.ravel_multi_index(at, grids.shape)] = True
-    return grids[0], grids[1], -m, -m
-
-
 def _grid_runs(
     periodic: bool, ver: np.ndarray, hor: np.ndarray, x0: int, y0: int
 ) -> Tuple[Runs, Runs]:
@@ -273,36 +247,22 @@ def extract_sticks(
     """Partition the stick edges into maximal straight runs.
 
     Vertical sticks come first, then horizontal ones, each ordered by
-    their line and along it as ``_grid_runs`` gives them. ``edges``
-    defaults to ``detect_stick_edges(config)``; the set that call
-    returned, or any equal one, reads the configuration's stick memo,
-    and any other set is split run by run.
+    their line and along it as ``_grid_runs`` gives them. ``edges``, when
+    given, must equal ``detect_stick_edges(config)``; any other set is a
+    ParameterError.
     """
-    memo = _memo(config) if edges is None else config.__dict__.get("_sticks")
-    if memo is None or edges is not None and edges != memo.edges:
-        periodic = config.boundary == "periodic"
-        return _sticks_of(_grid_runs(periodic, *_edge_set_grids(config, edges)))
+    memo = _memo(config)
+    if edges is not None:
+        if memo.edges is None:
+            detect_stick_edges(config)
+        if edges != memo.edges:
+            raise ParameterError("edges differ from detect_stick_edges of this configuration")
     if memo.sticks is None:
         memo.sticks = _sticks_of(memo.runs)
     return list(memo.sticks)
 
 
 # -- division predicates -----------------------------------------------------
-
-
-def _stick_list_runs(sticks: Sequence[Stick]) -> Tuple[Runs, Runs]:
-    """The (fixed, start, length, wraps) runs of a stick list, vertical
-    then horizontal, each in list order."""
-    flat = np.array(
-        [(s.orientation == "vertical", *s.anchor, s.length, s.wraps) for s in sticks],
-        dtype=np.int64,
-    ).reshape(-1, 5)
-    runs = []
-    for vertical in (1, 0):
-        _, x, y, length, wraps = flat[flat[:, 0] == vertical].T
-        fixed, start = (x, y) if vertical else (y, x)
-        runs.append((fixed, start, length, wraps.astype(bool)))
-    return runs[0], runs[1]
 
 
 def _segments(
@@ -331,14 +291,17 @@ def _segments(
 def _segment_arrays(
     config: Configuration, sticks: Optional[Sequence[Stick]]
 ) -> Tuple[Segments, Segments]:
-    """``_segments`` of a stick list, ``extract_sticks(config)`` when None.
-    That list, or any equal one, reads the segments once built on the
-    configuration's stick memo; any other list is split stick by stick."""
+    """The segments on the configuration's stick memo. ``sticks``, when
+    given, must equal ``extract_sticks(config)``; any other list is a
+    ParameterError."""
+    memo = _memo(config)
+    if sticks is not None:
+        if memo.sticks is None:
+            extract_sticks(config)
+        if memo.sticks != list(sticks):
+            raise ParameterError("sticks differ from extract_sticks of this configuration")
     periods = (config.width, config.height) if config.boundary == "periodic" else None
-    memo = _memo(config) if sticks is None else config.__dict__.get("_sticks")
-    if sticks is None or memo is not None and memo.sticks == list(sticks):
-        return memo.segments(periods)
-    return _segments(_stick_list_runs(sticks), periods)
+    return memo.segments(periods)
 
 
 def _divided(segments, cross_lo, cross_hi, start, stop) -> np.ndarray:
@@ -367,7 +330,8 @@ def _spans(segments: Segments, cross_lo: int, cross_hi: int, start: int, stop: i
 def divided_directions(
     config: Configuration, rect: Rect, sticks: Optional[Sequence[Stick]] = None
 ) -> Tuple[bool, bool]:
-    """(vertically divided, horizontally divided) by any stick."""
+    """(vertically divided, horizontally divided) by any stick.
+    ``sticks``, when given, must equal ``extract_sticks(config)``."""
     (x0, y0), x1, y1 = rect.corner, rect.corner[0] + rect.width, rect.corner[1] + rect.height
     vertical, horizontal = _segment_arrays(config, sticks)
     return _spans(vertical, x0, x1, y0, y1), _spans(horizontal, y0, y1, x0, x1)
@@ -392,7 +356,8 @@ def psi_set(
 
     The window with grid coordinates (x, y) has its corner at (xK, yL);
     windows must fit inside the region without torus wrap. K and L must
-    be at least 1 and N at least 3.
+    be at least 1 and N at least 3. ``sticks``, when given, must equal
+    ``extract_sticks(config)``.
     """
     types = ("ver", "hor") + PHASES
     if stick_type not in types:
@@ -426,7 +391,7 @@ def psi_set(
 # -- phase classification -----------------------------------------------------
 
 
-def default_stick_threshold(lam: float, n: int = DEFAULT_N, c: float = 1.0) -> int:
+def default_stick_threshold(lam: float, n: int = DEFAULT_N) -> int:
     """Length scale b = 2 * floor(c * sqrt(lambda) / (2N)), at least 2.
 
     The paper's constant c is an existence constant; c = 1 here is a
@@ -435,7 +400,7 @@ def default_stick_threshold(lam: float, n: int = DEFAULT_N, c: float = 1.0) -> i
     """
     check_n(n)
     check_fugacity(lam)
-    return max(2, 2 * int(c * lam**0.5 / (2 * n)))
+    return max(2, 2 * int(lam**0.5 / (2 * n)))
 
 
 def classify_phase(

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from squarepack import exact, lattice
-from squarepack.errors import GeometryMismatch, TooLarge, check_fugacity
+from squarepack.errors import DimensionError, GeometryMismatch, TooLarge, check_fugacity
 from squarepack.graphs import ComponentRecord, _least_encoding, _slot_table
 from squarepack.lattice import (
     FACE_MARGIN,
@@ -978,9 +978,18 @@ def stick_divides(stick, rect, config):
     return any(divides(p1, p2, rect) for p1, p2 in _stick_segments(stick, config))
 
 
+def inner_rect(rect, n=DEFAULT_N):
+    """Concentric rectangle with dimensions scaled by (n - 2)/n."""
+    if rect.width % n or rect.height % n:
+        raise DimensionError(f"rectangle {rect.width}x{rect.height} not divisible by N={n}")
+    dx, dy = rect.width // n, rect.height // n
+    corner = (rect.corner[0] + dx, rect.corner[1] + dy)
+    return Rect(corner, rect.width - 2 * dx, rect.height - 2 * dy)
+
+
 def properly_divides(stick, rect, config, n=DEFAULT_N):
     """True when the stick divides both the rectangle and its inner copy."""
-    inner = rect.inner(n)
+    inner = inner_rect(rect, n)
     return stick_divides(stick, rect, config) and stick_divides(stick, inner, config)
 
 

@@ -502,8 +502,27 @@ def test_bad_thread_variable_fails_only_components(monkeypatch, capsys):
     assert json.loads(out)["spec"]["boundary"] == "fully_packed"
 
 
+def test_components_window_refused_by_site_count(capsys):
+    # 81 interior sites do not fit the 64-bit configuration masks
+    code, out, err = run_cli(["components", "--width", "10", "--height", "10"], capsys)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "TooLarge"
+    assert "81 sites" in error["message"]
+
+
+def test_components_has_no_window_cap_option(capsys):
+    args = ["components", "--width", "4", "--height", "4", "--window-cap", "64"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    assert "--window-cap" in error["message"]
+
+
 def test_components_window_refused_by_configuration_count(capsys):
-    # within the 64-site area cap, but 12,727,570 configurations
+    # 49 sites fit the masks, but 12,727,570 configurations do not fit
+    # the harvest's cap
     code, out, err = run_cli(["components", "--width", "8", "--height", "8"], capsys)
     assert code == 1
     assert out == ""

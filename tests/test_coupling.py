@@ -170,19 +170,20 @@ def test_radius_tail_experiment_smoke():
         thinning=10,
         initial="ver0",
     )
-    report = radius_tail_experiment(template, (11, 12), phase="ver0", min_count=5)
+    report = radius_tail_experiment(template, (11, 12), phase="ver0")
     assert report.pairs_used + report.pairs_skipped == 30
     assert report.totals == report.pairs_used * 256
-    # d = 0 tail probability equals the disagreement density estimate
-    p0 = report.probability("vertical", 0)
-    assert 0 <= p0 <= 1
-    assert report.probability("vertical", 2) <= p0
     csv = report.to_csv()
     assert csv.startswith("direction,d,count,probability")
-    # tails are nonincreasing in d
+    rows = report.tail_rows()
     for direction in ("horizontal", "vertical"):
-        hist = report.counts[direction]
-        if not hist:
-            continue
-        probs = [report.probability(direction, d) for d in range(max(hist) + 1)]
+        probs = [r["probability"] for r in rows if r["direction"] == direction]
+        # the d = 0 tail probability is the disagreement density, and
+        # tails are nonincreasing in d
+        assert all(0 <= p <= 1 for p in probs)
         assert all(a >= b for a, b in zip(probs, probs[1:]))
+        # a fit uses only the distances d >= 1 with at least 50 reaches
+        fitted = sum(d >= 1 and c >= 50 for d, c in enumerate(report.tail_counts(direction)))
+        assert (direction in report.fits) == (fitted >= 2)
+        if fitted >= 2:
+            assert report.fits[direction]["points"] == fitted

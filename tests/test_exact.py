@@ -278,7 +278,7 @@ def test_a0_is_one_and_bounds():
     poly = exact.partition_polynomial(6, 4, "periodic")
     assert poly.coefficients[0] == 1
     assert all(a >= 0 for a in poly.coefficients)
-    assert poly.n_max <= poly.area // 4
+    assert len(poly.coefficients) - 1 <= poly.area // 4
 
 
 def test_partition_too_large():

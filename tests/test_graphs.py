@@ -166,8 +166,13 @@ def test_compressed_key_ignores_stick_length():
     assert key2 == key3
 
 
+def capped(catalog, m):
+    """The records of a catalog whose stick runs are at most m, in order."""
+    return [(key, rec) for key, rec in catalog.items() if rec.max_stick_run <= m]
+
+
 def test_enumerate_components_4x4():
-    catalog = enumerate_components(4, 4, max_stick=1)
+    catalog = enumerate_components(4, 4)
     # the 2x2 vacant block component arises from removing one tile of the
     # fully packed window
     block_keys = [
@@ -180,8 +185,10 @@ def test_enumerate_components_4x4():
 
 
 def test_enumerate_monotone_in_m():
-    sizes = [len(enumerate_components(4, 4, max_stick=m)) for m in (0, 1, 2, 3)]
+    catalog = enumerate_components(4, 4)
+    sizes = [len(capped(catalog, m)) for m in (0, 1, 2, 3)]
     assert sizes == sorted(sizes)
+    assert 0 < sizes[0] and sizes[-1] == len(catalog)
 
 
 def test_enumerate_cap():
@@ -222,9 +229,10 @@ def test_enumerate_matches_site_dfs_harvest(dims):
 @pytest.mark.parametrize("max_stick", [0, 1, 2, 3])
 @pytest.mark.parametrize("dims", [(4, 4), (6, 4), (4, 6)])
 def test_enumerate_matches_reference_under_stick_caps(dims, max_stick):
-    # keys, order, every record field and multiplicities
-    catalog = enumerate_components(*dims, max_stick=max_stick)
-    assert list(catalog.items()) == list(reference_catalog(*dims, max_stick).items())
+    # the catalog cut at a stick cap against the reference harvest that
+    # skips longer runs: keys, order, every record field and multiplicities
+    catalog = enumerate_components(*dims)
+    assert capped(catalog, max_stick) == list(reference_catalog(*dims, max_stick).items())
 
 
 def test_enumerate_matches_reference_6x6():
@@ -235,15 +243,14 @@ def test_enumerate_matches_reference_6x6():
     assert list(enumerate_components(6, 6).items()) == list(reference.items())
 
 
-@pytest.mark.parametrize("max_stick", [None, 2])
 @pytest.mark.parametrize("pass_size", [3, 25])
-def test_catalog_order_survives_pass_boundaries(monkeypatch, pass_size, max_stick):
-    whole = list(enumerate_components(6, 4, max_stick=max_stick).items())
+def test_catalog_order_survives_pass_boundaries(monkeypatch, pass_size):
+    whole = list(enumerate_components(6, 4).items())
     # the 6x4 blocks hold 13 to 43 configurations: passes of 3 cut every
     # block, passes of 25 cut the largest and join smaller ones
     monkeypatch.setattr(graphs, "_PASS", pass_size)
-    assert list(enumerate_components(6, 4, max_stick=max_stick).items()) == whole
-    threaded = enumerate_components(6, 4, max_stick=max_stick, threads=2)
+    assert list(enumerate_components(6, 4).items()) == whole
+    threaded = enumerate_components(6, 4, threads=2)
     assert list(threaded.items()) == whole
 
 
@@ -310,7 +317,7 @@ def test_least_encoding_matches_head_strings_on_harvested_windows(cfg):
     with pytest.MonkeyPatch.context() as monkeypatch:
         keys = _check_encodings(monkeypatch)
         seen = {}
-        graphs._harvest_pass(w, h, np.array([mask], dtype=np.uint64), None, seen)
+        graphs._harvest_pass(w, h, np.array([mask], dtype=np.uint64), seen)
     assert len(keys) == len(seen)
 
 

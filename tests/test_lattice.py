@@ -172,6 +172,17 @@ def test_face_cover_fully_packed_exterior():
     assert is_face_vacant(cfg, (0, 0))
     assert not is_face_vacant(cfg, (-1, 0))
     assert face_cover_center(cfg, (-2, 0)) == (-1, 1)
+    # the same on the shipped cover, indexed [fy + m, fx + m]: every
+    # region face is vacant, every margin face covered, and the face
+    # (-2, 0) carries the parity code 2 * hpar + vpar of the tile (-1, 1)
+    m = FACE_MARGIN
+    cover = face_cover(cfg)
+    region = np.zeros(cover.shape, dtype=bool)
+    region[m : m + 4, m : m + 4] = True
+    assert (cover[region] == -1).all()
+    assert (cover[~region] >= 0).all()
+    hpar, vpar = tile_parity_class((-1, 1)).as_tuple()
+    assert cover[0 + m, -2 + m] == 2 * hpar + vpar
 
 
 def test_translate_and_transpose():

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from squarepack.errors import InsufficientData
+from squarepack.errors import InsufficientData, ParameterError
 from squarepack.lattice import BOUNDARIES, create_configuration, model_sites
 from squarepack.observables import (
     _residue_class_sizes,
@@ -113,6 +113,14 @@ def test_autocorrelation_curve_requires_torus():
     cfg = create_configuration(6, 6, "free", [])
     with pytest.raises(InsufficientData):
         autocorrelation_curve([cfg], "y", [2])
+
+
+@pytest.mark.parametrize("axis", ["Y", "X", "z", "", 1])
+def test_autocorrelation_curve_rejects_other_axes(axis):
+    # any axis but "y" once read as x
+    cfg = seed_phase_configuration(8, 8, "ver0")
+    with pytest.raises(ParameterError):
+        autocorrelation_curve([cfg], axis, [2])
 
 
 def test_offset_row_vacancy_check_counts_four():

@@ -6,6 +6,11 @@ from ``src/`` outside its own definition, from ``scripts/`` or from
 stays. Code that only tests call belongs in ``tests/oracles.py``; a new
 public name without a caller fails here until it gets one, moves, or is
 pinned with its reason.
+
+The public methods and properties of the public classes are held to the
+same rule, with one difference: only an attribute access (``obj.name``)
+outside the method's own body reaches a method, since a bare name of the
+same spelling is some other variable.
 """
 
 import ast
@@ -65,3 +70,37 @@ def test_only_the_pinned_public_names_lack_a_caller_outside_the_tests():
     assert not unreached - set(TEST_ONLY), "reached only from tests; move to tests/oracles.py"
     assert not set(TEST_ONLY) - unreached, "pinned but now reached, or gone: unpin"
     assert all(TEST_ONLY.values())
+
+
+def _attributes(node, own=frozenset()):
+    """Attribute names taken within ``node``, less, inside the body of
+    each method of a class, that method's own name."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and child.attr not in own:
+            found.add(child.attr)
+        if isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef):
+            found |= _attributes(child, own | {child.name})
+        else:
+            found |= _attributes(child, own)
+    return found
+
+
+def test_public_methods_have_a_caller_outside_the_tests():
+    methods, referenced = set(), set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            referenced |= _attributes(tree)
+            if folder != "src":
+                continue
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                    methods |= {
+                        f"{node.name}.{item.name}"
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                    }
+    assert methods
+    unreached = {m for m in methods if m.rpartition(".")[2] not in referenced}
+    assert not unreached, "reached only from tests; move to tests/oracles.py"

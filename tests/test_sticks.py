@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squarepack.errors import DimensionError, WrapError
+from squarepack.errors import DimensionError, ParameterError, WrapError
 from squarepack.lattice import BOUNDARIES, create_configuration
 from squarepack.sampler import Chain, ChainParams
 from squarepack.sticks import (
     PHASES,
     Rect,
+    _grid_runs,
+    _sticks_of,
     classify_phase,
     default_stick_threshold,
     detect_stick_edges,
@@ -26,6 +28,7 @@ from oracles import (
     divided_directions_by_sticks,
     divides,
     face_cover_center,
+    inner_rect,
     is_face_vacant,
     phase_by_sticks,
     properly_divides,
@@ -182,18 +185,22 @@ def test_sticks_and_phase_match_edge_runs_on_sampled_chains():
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_extract_sticks_matches_edge_runs_on_any_edge_set(data):
-    # arbitrary edge sets give runs that no configuration has, such as
+def test_grid_runs_match_edge_runs_on_any_edge_set(data):
+    # arbitrary edge grids give runs that no configuration has, such as
     # gaps of one edge next to the torus seam
     boundary = data.draw(st.sampled_from(BOUNDARIES))
     w, h = data.draw(st.sampled_from([4, 6, 8])), data.draw(st.sampled_from([4, 6, 8]))
     cfg = create_configuration(w, h, boundary, [])
     m = 0 if boundary == "periodic" else 2
-    scan = [(o, x, y) for o in "vh" for x in range(-m, w + m) for y in range(-m, h + m)]
     density = data.draw(st.sampled_from([0.3, 0.7, 0.95]))
-    keep = data.draw(st.lists(st.floats(0, 1), min_size=len(scan), max_size=len(scan)))
-    edges = {e for e, u in zip(scan, keep) if u < density}
-    assert extract_sticks(cfg, edges) == sticks_by_edges(cfg, edges)
+    size = 2 * (h + 2 * m) * (w + 2 * m)
+    keep = data.draw(st.lists(st.floats(0, 1), min_size=size, max_size=size))
+    # grids indexed [orientation, y + m, x + m], as detection scans them
+    grids = (np.array(keep) < density).reshape(2, h + 2 * m, w + 2 * m)
+    o, ys, xs = np.nonzero(grids)
+    edges = {("vh"[i], x - m, y - m) for i, x, y in zip(o.tolist(), xs.tolist(), ys.tolist())}
+    runs = _grid_runs(boundary == "periodic", grids[0], grids[1], -m, -m)
+    assert _sticks_of(runs) == sticks_by_edges(cfg, edges)
 
 
 @lru_cache(maxsize=1)
@@ -220,8 +227,8 @@ def _sampled_configurations():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_extract_sticks_of_an_edited_detected_set(data):
-    # the memo that detection leaves describes the set it returned, not
-    # the caller's edits of that set
+    # the memo that detection leaves describes the set it returned: an
+    # edit of that set is refused and leaves the memo as it was
     cfg = data.draw(st.sampled_from(_sampled_configurations()) | random_valid_config())
     edges = detect_stick_edges(cfg)
     full = extract_sticks(cfg, edges)
@@ -230,32 +237,35 @@ def test_extract_sticks_of_an_edited_detected_set(data):
     scan = [(o, x, y) for o in "vh" for x in range(-m, w + m) for y in range(-m, h + m)]
     dropped = data.draw(st.lists(st.sampled_from(sorted(edges)), max_size=5)) if edges else []
     added = data.draw(st.lists(st.sampled_from(scan), max_size=5))
-    edges.difference_update(dropped)
-    edges.update(added)
-    assert extract_sticks(cfg, edges) == sticks_by_edges(cfg, edges)
-    assert extract_sticks(cfg) == full
+    edited = (edges - set(dropped)) | set(added)
+    if edited != edges:
+        with pytest.raises(ParameterError):
+            extract_sticks(cfg, edited)
+    assert extract_sticks(cfg, edges) == extract_sticks(cfg) == full
+    assert full == sticks_by_edges(cfg, edges)
     assert classify_phase(cfg, 2) == phase_by_sticks(full, 2)
 
 
 def test_extract_sticks_list_is_the_callers_own():
-    # division and Psi tests of a list other than the extracted one test
-    # that list, also once the extracted one has left its segments
-    rects = [Rect((x, y), 8, 4) for x in range(0, 16, 3) for y in range(0, 20, 3)]
-    rects += [Rect((x, y), 4, 8) for x in range(0, 20, 3) for y in range(0, 16, 3)]
+    # an edit of the extracted list leaves the memo as it was; division
+    # and Psi tests refuse the edited list, also once the extracted one
+    # has left its segments
+    rect = Rect((0, 0), 8, 4)
     for cfg in _sampled_configurations():
         sticks = extract_sticks(cfg, detect_stick_edges(cfg))
         full = list(sticks)
-        divided_directions(cfg, rects[0], sticks)
+        divided = divided_directions(cfg, rect, sticks)
         del sticks[::2]
         assert extract_sticks(cfg) == full
         for subset in (sticks, []):
-            for rect in rects:
-                assert divided_directions(cfg, rect, subset) == divided_directions_by_sticks(
-                    cfg, rect, subset
-                )
-            for t in STICK_TYPES:
-                psi = psi_set(cfg, 2, 2, t, 4, subset)
-                assert psi == psi_set_by_windows(cfg, 2, 2, t, 4, subset)
+            if subset == full:
+                continue
+            with pytest.raises(ParameterError):
+                divided_directions(cfg, rect, subset)
+            with pytest.raises(ParameterError):
+                psi_set(cfg, 2, 2, "ver", 4, subset)
+        assert divided_directions(cfg, rect, full) == divided
+        assert divided == divided_directions_by_sticks(cfg, rect, full)
 
 
 def _memo_arrays(memo):
@@ -298,9 +308,9 @@ def test_stick_memo_read_only_after_pickle_and_deepcopy():
 
 
 def test_extract_sticks_rejects_edges_outside_the_scan():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         extract_sticks(create_configuration(8, 8, "periodic", []), {("v", 8, 0)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         extract_sticks(create_configuration(8, 8, "free", []), {("h", -3, 0)})
 
 
@@ -337,7 +347,7 @@ def test_figure_style_division_cases():
     # only spans the inner rectangle is not properly divided; a window
     # with a long interior (ver,1) stick is.
     rect = Rect((0, 0), 16, 16)
-    inner = rect.inner(4)
+    inner = inner_rect(rect, 4)
     # vertical segment at x=2 spanning the window divides rect only
     assert divides((2, -1), (2, 17), rect) and not divides((2, -1), (2, 17), inner)
     # horizontal segment at y=6 spanning [4, 12] divides inner only
@@ -388,23 +398,33 @@ def _sublist(data, sticks):
     return [s for s, k in zip(sticks, keep) if k]
 
 
+def _refuses_sublist(data, cfg, call):
+    """``call(sticks)`` is a ParameterError for a proper sublist of the
+    extracted sticks."""
+    full = extract_sticks(cfg)
+    sub = _sublist(data, full)
+    if sub != full:
+        with pytest.raises(ParameterError):
+            call(sub)
+
+
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 @pytest.mark.parametrize("configs", [random_valid_config, striped_config])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_psi_set_matches_window_loop(boundary, configs, data):
     cfg = data.draw(configs((boundary,)))
-    full = extract_sticks(cfg)
-    for sticks in (full, _sublist(data, full)):
-        for k, l in ((1, 1), (1, 2), (2, 1)):
-            if 4 * k > cfg.width or 4 * l > cfg.height:
-                with pytest.raises(WrapError):
-                    psi_set(cfg, k, l, "ver", 4, sticks)
-                continue
-            for t in STICK_TYPES:
-                assert psi_set(cfg, k, l, t, 4, sticks) == psi_set_by_windows(
-                    cfg, k, l, t, 4, sticks
-                ), (k, l, t)
+    sticks = extract_sticks(cfg)
+    for k, l in ((1, 1), (1, 2), (2, 1)):
+        if 4 * k > cfg.width or 4 * l > cfg.height:
+            with pytest.raises(WrapError):
+                psi_set(cfg, k, l, "ver", 4, sticks)
+            continue
+        for t in STICK_TYPES:
+            assert psi_set(cfg, k, l, t, 4, sticks) == psi_set_by_windows(
+                cfg, k, l, t, 4, sticks
+            ), (k, l, t)
+    _refuses_sublist(data, cfg, lambda sub: psi_set(cfg, 1, 1, "ver", 4, sub))
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
@@ -413,14 +433,14 @@ def test_psi_set_matches_window_loop(boundary, configs, data):
 @given(data=st.data())
 def test_divided_directions_matches_stick_loop(boundary, configs, data):
     cfg = data.draw(configs((boundary,)))
-    full = extract_sticks(cfg)
-    for sticks in (full, _sublist(data, full)):
-        for _ in range(10):
-            x, y = data.draw(st.integers(-2, cfg.width)), data.draw(st.integers(-2, cfg.height))
-            rect = Rect((x, y), data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6)))
-            assert divided_directions(cfg, rect, sticks) == divided_directions_by_sticks(
-                cfg, rect, sticks
-            )
+    sticks = extract_sticks(cfg)
+    for _ in range(10):
+        x, y = data.draw(st.integers(-2, cfg.width)), data.draw(st.integers(-2, cfg.height))
+        rect = Rect((x, y), data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6)))
+        assert divided_directions(cfg, rect, sticks) == divided_directions_by_sticks(
+            cfg, rect, sticks
+        )
+    _refuses_sublist(data, cfg, lambda sub: divided_directions(cfg, Rect((0, 0), 4, 4), sub))
 
 
 def test_psi_set_matches_window_loop_on_sampled_chains():
