@@ -300,7 +300,7 @@ def _cmd_sticks(args) -> int:
     stick_list = sticks.extract_sticks(cfg)
     payload = {
         "spec": {"input": args.infile, "dims": [cfg.width, cfg.height], "N": args.n_div},
-        "census": sticks.stick_census(cfg, stick_list),
+        "census": sticks.stick_census(cfg),
         "total_sticks": len(stick_list),
     }
     if args.psi:

@@ -43,6 +43,7 @@ from .errors import (
     GeometryMismatch,
     OddLength,
     OutOfFloatRange,
+    ParameterError,
     TooLarge,
     check_fugacity,
 )
@@ -394,7 +395,7 @@ def partition_polynomial(
             raise TooLarge(f"area {area} exceeds transfer cap {TRANSFER_AREA_CAP}")
         coeffs = _transfer_coefficients(width, height, boundary)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ParameterError(f"unknown method {method!r}; choose auto, brute or transfer")
     return PartitionPolynomial(width, height, boundary, _trim(coeffs))
 
 

@@ -450,8 +450,9 @@ def _row_states(positions: int, cyclic: bool) -> Tuple[int, ...]:
 def _row_adjacency(
     states: Sequence[int], positions: int, cyclic: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The neighbour lists of ``_row_neighbours`` as arrays: each row's
-    neighbour count, and all lists end to end."""
+    """The rows that may lie next to each row, ascending (no tile of one
+    within distance 1 of a tile of the other, a symmetric relation), as
+    arrays: each row's neighbour count, and all lists end to end."""
     s = np.array(states, dtype=np.int32)  # at most 21 positions, as below
     spread = s | s << 1 | s >> 1
     if cyclic:
@@ -470,13 +471,6 @@ def _split(degree: np.ndarray, flat: np.ndarray) -> List[List[int]]:
     items = flat.tolist()
     ends = np.cumsum(degree).tolist()
     return [items[end - d : end] for end, d in zip(ends, degree.tolist())]
-
-
-def _row_neighbours(states: Sequence[int], positions: int, cyclic: bool) -> List[List[int]]:
-    """Indices of the rows that may lie next to each row, ascending: no
-    tile of one within distance 1 of a tile of the other (a symmetric
-    relation)."""
-    return _split(*_row_adjacency(states, positions, cyclic))
 
 
 @lru_cache(maxsize=16)

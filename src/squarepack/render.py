@@ -24,14 +24,10 @@ STICK_COLOR = "#2f9e44"
 BACKGROUND = "#f5f2ea"
 GRID_COLOR = "#cccccc"
 
-_PARITY_RGB = {
-    (0, 0): (59, 120, 216),
-    (1, 0): (26, 47, 107),
-    (0, 1): (246, 166, 35),
-    (1, 1): (208, 52, 44),
-}
-_STICK_RGB = (47, 158, 68)
-_BACKGROUND_RGB = (245, 242, 234)
+# the PPM raster's bytes of the same colours
+_PARITY_RGB = {parity: bytes.fromhex(color[1:]) for parity, color in PARITY_COLORS.items()}
+_STICK_RGB = bytes.fromhex(STICK_COLOR[1:])
+_BACKGROUND_RGB = bytes.fromhex(BACKGROUND[1:])
 # pixels of the largest PPM raster: 4096 x 4096, 48 MiB of RGB
 PPM_PIXEL_CAP = 1 << 24
 
@@ -112,7 +108,7 @@ def render_ppm(
         for yy in range(max(y0, 0), min(y1, height_px)):
             row = rows[yy]
             for xx in range(max(x0, 0), min(x1, width_px)):
-                row[3 * xx : 3 * xx + 3] = bytes(rgb)
+                row[3 * xx : 3 * xx + 3] = rgb
 
     for cx, cy in sorted(config.occupied):
         rgb = _PARITY_RGB[tile_parity_class((cx, cy)).as_tuple()]
@@ -174,6 +170,6 @@ def render_image(
             with open(path, "wb") as fh:
                 fh.write(data)
         else:
-            raise ValueError(f"unknown style {style!r}")
+            raise ParameterError(f"unknown style {style!r}; choose svg or ppm")
     except OSError as exc:
         raise IoError(f"cannot write image to {path}: {exc}") from exc

@@ -29,22 +29,23 @@ Lemire's bounded integers on buffered 32-bit halves). Chains therefore
 equal those of the installed numpy's Generator; a numpy release that
 changed that stream would fail the oracle test in tests/test_sampler.py
 rather than drift silently. Two engines hold the occupancy as one int,
-one bit per site, take the same draws and produce identical chains. The
-scalar engine runs grids of at most SCALAR_ENGINE_MAX_SITES (36) sites:
-its heat bath is one dict lookup per sublattice, keyed by the occupancy
-outside it, and its translations walk one move table indexed by the
-proposal. The bitboard engine updates a whole sublattice with a few
-shift and mask operations and runs every larger grid. Its translations
-read two tables built once per chain, at set-up when the chain proposes
-moves and at the first call otherwise: the target site of each
-proposal (-1 off the grid) and the 3x3 stencil mask around each site;
-a proposal is a byte test on its source, one table read and one mask
-test. On a 2-vCPU VM (python 3.11.7) a scalar sweep() + state_key()
-step takes about 1.6 us on the 4x4 torus and on the 4x6 free rectangle
-(heat bath 0.6 us, translations and draws 0.3 us each) and 3.0 us on
-the 6x6 torus; the bitboard engine takes 5.6 to 9 us on these grids,
-and about 19-31 us a sweep on the 24x24 grids of criterion 9 at
-translation fraction 0.1 (46-53 us when each proposal built its stencil).
+one bit per site, take the same draws and produce identical chains.
+Both read one geometry table, built at most once, at set-up: the 3x3
+block mask around each site and the target site of each proposal (-1
+off the grid). The scalar engine runs grids of at most
+SCALAR_ENGINE_MAX_SITES (36) sites: its heat bath is one dict lookup per
+sublattice, keyed by the occupancy outside it, and its translations
+walk one move table, indexed by the proposal, that it builds from the
+blocks and targets. The bitboard engine updates a whole sublattice with
+a few shift and mask operations and runs every larger grid; it builds
+the table only when the chain proposes moves, and a proposal is then a
+byte test on its source, one target read and one block test. On a
+2-vCPU VM (python 3.11.7) a scalar sweep() + state_key() step takes
+about 1.6 us on the 4x4 torus and on the 4x6 free rectangle (heat bath
+0.6 us, translations and draws 0.3 us each) and 3.0 us on the 6x6
+torus; the bitboard engine takes 5.6 to 9 us on these grids, and about
+19-31 us a sweep on the 24x24 grids of criterion 9 at translation
+fraction 0.1 (46-53 us when each proposal built its block).
 """
 
 from __future__ import annotations
@@ -208,16 +209,35 @@ class _Geometry:
             flat[cy::2, cx::2].ravel() for cy in (0, 1) for cx in (0, 1)
         ]
 
-    def target(self, i: int, d: int) -> Optional[Tuple[int, int]]:
-        """Grid point reached from site i in direction d, or None off the grid."""
-        y, x = divmod(i, self.nx)
-        dx, dy = DIRECTIONS[d]
-        tx, ty = x + dx, y + dy
+    def blocks_and_targets(self) -> Tuple[List[int], List[int]]:
+        """The 3x3 block around each site as an occupancy mask, wrapping
+        round on a torus and clipped to the grid on a rectangle, and the
+        target site of each proposal q = 4 * site + direction, -1 when
+        the move leaves the grid.
+
+        A block is the product of its columns' bits in row 0 and its
+        rows' first bits; the rows are disjoint, so nothing carries.
+        """
+        nx, ny = self.nx, self.ny
+
+        # bit k * stride for each cell k within 1 of c on one axis
+        def near(c: int, size: int, stride: int) -> int:
+            cells = {c - 1, c, c + 1}
+            if self.periodic:
+                cells = {k % size for k in cells}
+            return sum(1 << k * stride for k in cells if 0 <= k < size)
+
+        rows = [near(y, ny, nx) for y in range(ny)]
+        columns = [near(x, nx, 1) for x in range(nx)]
+        blocks = [r * c for r in rows for c in columns]
+        y, x = np.divmod(np.arange(self.n_sites), nx)
+        step = np.array(DIRECTIONS)
+        tx, ty = x[:, None] + step[:, 0], y[:, None] + step[:, 1]
         if self.periodic:
-            return tx % self.nx, ty % self.ny
-        if 0 <= tx < self.nx and 0 <= ty < self.ny:
-            return tx, ty
-        return None
+            target = ty % ny * nx + tx % nx
+        else:
+            target = np.where((tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny), ty * nx + tx, -1)
+        return blocks, target.ravel().tolist()
 
     def from_configuration(self, cfg: Configuration) -> List[int]:
         ox, oy = self.origin
@@ -388,41 +408,29 @@ class _ScalarEngine:
     are caches, and the chain is the same with or without the cap.
     Translations walk ``moves``, one (source bit, source | target bit,
     mask of cells that must be empty) per proposal q = 4 * site +
-    direction; an off-grid move's mask is its source bit, so it never
-    fires. Both kinds of table grow too fast for large grids.
+    direction, read from the geometry's blocks and targets (empty when
+    the chain proposes no moves); an off-grid move's mask is its source
+    bit, so it never fires. Both kinds of table grow too fast for large
+    grids.
     """
 
-    def __init__(self, geom: _Geometry, initial: List[int]):
+    def __init__(self, geom: _Geometry, initial: List[int], translates: bool):
         self.geom = geom
-        nx, ny = geom.nx, geom.ny
         full = (1 << geom.n_sites) - 1
-
-        def block(x: int, y: int) -> int:
-            mask = 0
-            for qx in (x - 1, x, x + 1):
-                for qy in (y - 1, y, y + 1):
-                    if geom.periodic:
-                        mask |= 1 << ((qy % ny) * nx + qx % nx)
-                    elif 0 <= qx < nx and 0 <= qy < ny:
-                        mask |= 1 << (qy * nx + qx)
-            return mask
-
+        blocks, targets = geom.blocks_and_targets()
         self.sites: List[List[Tuple[int, int]]] = [
-            [(1 << i, block(i % nx, i // nx) & ~(1 << i)) for i in idx.tolist()]
-            for idx in geom.class_indices
+            [(1 << i, blocks[i] ^ 1 << i) for i in idx.tolist()] for idx in geom.class_indices
         ]
         self.free_of: List[Dict[int, int]] = [{} for _ in self.sites]
         others = [full ^ _mask(idx, geom.n_sites) for idx in geom.class_indices]
         self.classes = list(zip(others, self.free_of, self.sites))
         self.moves: List[Tuple[int, int, int]] = []
-        for i in range(geom.n_sites):
-            bit = 1 << i
-            for d in range(4):
-                t = geom.target(i, d)
-                if t is None:
-                    self.moves.append((bit, bit, bit))
-                else:
-                    self.moves.append((bit, bit | 1 << (t[1] * nx + t[0]), block(*t) & ~bit))
+        if translates:
+            bits = [1 << (q >> 2) for q in range(len(targets))]
+            self.moves = [
+                (bit, bit | 1 << t, blocks[t] ^ bit) if t >= 0 else (bit, bit, bit)
+                for bit, t in zip(bits, targets)
+            ]
         self.occ = _mask(initial, geom.n_sites)
 
     def heat_bath(self, accept: int) -> None:
@@ -457,14 +465,11 @@ class _BitboardEngine:
     dilation, the new occupancy is a | (class & ~D & U), where U has bit
     i set when uniform i is below the occupation probability. D is
     separable, h = a | E(a) | W(a), D = h | N(h) | S(h). A translation
-    tests the 3x3 stencil around its target, one of three base stencils
-    (first column, interior, last column) shifted into place; the
-    stencils of all sites and the targets of all proposals are tables,
-    built at the first call (``Chain`` makes that call at set-up when it
-    proposes moves).
+    reads its target and the 3x3 block around it from the geometry's
+    tables, built at set-up when the chain proposes moves.
     """
 
-    def __init__(self, geom: _Geometry, initial: List[int]):
+    def __init__(self, geom: _Geometry, initial: List[int], translates: bool):
         self.geom = geom
         nx, n = geom.nx, geom.n_sites
         self.occ = _mask(initial, n)
@@ -479,18 +484,9 @@ class _BitboardEngine:
         for idx in geom.class_indices:
             members = _mask(idx, n)
             self.classes.append((members, full ^ members))
-        # 3x3 blocks on rows 0-2 around columns 0, 1 and nx - 1; torus
-        # blocks wrap in x, rectangle blocks are clipped
-        self.stencils = [
-            sum(
-                1 << (row * nx + qx % nx)
-                for row in range(3)
-                for qx in (cx - 1, cx, cx + 1)
-                if geom.periodic or 0 <= qx < nx
-            )
-            for cx in (0, 1, nx - 1)
-        ]
-        self.move_tables: Optional[Tuple[List[int], List[int]]] = None
+        # on a 32x256 grid the blocks hold about 6 MB: none when the
+        # chain proposes no moves
+        self.blocks, self.targets = geom.blocks_and_targets() if translates else ([], [])
 
     def heat_bath(self, accept: int) -> None:
         nx, n = self.geom.nx, self.geom.n_sites
@@ -512,38 +508,8 @@ class _BitboardEngine:
             occ = a | free ^ (free & d)
         self.occ = occ
 
-    def _translation_tables(self) -> Tuple[List[int], List[int]]:
-        """The target site of each proposal q = 4 * site + direction, -1
-        when the move leaves the grid, and the 3x3 stencil around each
-        site as a mask: the base stencil of its column (first, interior
-        or last) shifted into place, wrapping round on a torus.
-
-        Stencil bits at or above n_sites may be set on a rectangle; the
-        occupancy they are tested against has none there.
-        """
-        geom = self.geom
-        nx, ny, n = geom.nx, geom.ny, geom.n_sites
-        y, x = np.divmod(np.arange(n), nx)
-        step = np.array(DIRECTIONS)
-        tx, ty = x[:, None] + step[:, 0], y[:, None] + step[:, 1]
-        if geom.periodic:
-            target = ty % ny * nx + tx % nx
-        else:
-            target = np.where((tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny), ty * nx + tx, -1)
-        column = np.where(x == 0, 0, np.where(x == nx - 1, 2, 1))
-        shift = (y - 1) * nx + np.where(column == 1, x - 1, 0)
-        bases = [self.stencils[c] for c in column.tolist()]
-        if geom.periodic:
-            shifts = (shift % n).tolist()
-            masks = [b << s | b >> (n - s) for b, s in zip(bases, shifts)]
-        else:
-            masks = [b << s if s >= 0 else b >> -s for b, s in zip(bases, shift.tolist())]
-        return target.ravel().tolist(), masks
-
     def translations(self, proposals: List[int]) -> None:
-        if self.move_tables is None:  # built at set-up when the chain proposes moves
-            self.move_tables = self._translation_tables()
-        targets, stencils = self.move_tables
+        blocks, targets = self.blocks, self.targets
         occ = self.occ
         # a bit test on the mask costs O(n_sites); most proposals stop
         # at an empty source, so test those on a byte per site
@@ -556,8 +522,8 @@ class _BitboardEngine:
             if j < 0:
                 continue
             bit = 1 << i
-            # the source lies in the stencil; nothing else may
-            if occ & stencils[j] != bit:
+            # the source lies in the target's block; nothing else may
+            if occ & blocks[j] != bit:
                 continue
             occ ^= bit | 1 << j
             occupied[i], occupied[j] = 0, 1
@@ -576,17 +542,15 @@ class Chain:
         if engine is None:
             engine = "scalar" if self.geom.n_sites <= SCALAR_ENGINE_MAX_SITES else "bitboard"
         if engine not in ENGINES:
-            raise ValueError(
+            raise ParameterError(
                 f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}"
             )
         initial = self.geom.from_configuration(params.initial_configuration())
-        self.engine_name = engine
-        self.engine = ENGINES[engine](self.geom, initial)
         self.step = 0
         self.p_occ = params.lam / (1.0 + params.lam)
         self.n_trans = int(round(params.translation_move_fraction * self.geom.n_sites))
-        if self.n_trans:
-            self.engine.translations([])  # builds the bitboard engine's move tables
+        self.engine_name = engine
+        self.engine = ENGINES[engine](self.geom, initial, self.n_trans > 0)
         n = self.geom.n_sites
         self._draws = iter(SweepDraws(params.seed, n, self.n_trans, 4 * n, self.p_occ))
 

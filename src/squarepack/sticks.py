@@ -440,12 +440,10 @@ def classify_phase(
     return "undetermined"
 
 
-def stick_census(config: Configuration, sticks: Optional[Sequence[Stick]] = None) -> dict:
+def stick_census(config: Configuration) -> dict:
     """Per-type counts and length histograms, JSON-friendly."""
-    if sticks is None:
-        sticks = extract_sticks(config)
     census = {p: {"count": 0, "lengths": defaultdict(int)} for p in PHASES}
-    for s in sticks:
+    for s in extract_sticks(config):
         census[s.type]["count"] += 1
         census[s.type]["lengths"][s.length] += 1
     return {

@@ -22,6 +22,7 @@ from squarepack.lattice import (
     iter_valid_masks,
     model_sites,
 )
+from squarepack.sampler import DIRECTIONS
 from squarepack.sticks import DEFAULT_N, PHASES, Rect, Stick
 
 
@@ -1062,6 +1063,33 @@ def disagreement_set_by_centers(a, b):
     return a.occupied ^ b.occupied
 
 
+def target(geom, i, d):
+    """Grid point reached from site i of the sampler's site grid ``geom``
+    in direction ``sampler.DIRECTIONS[d]``, or None off the grid."""
+    y, x = divmod(i, geom.nx)
+    dx, dy = DIRECTIONS[d]
+    tx, ty = x + dx, y + dy
+    if geom.periodic:
+        return tx % geom.nx, ty % geom.ny
+    if 0 <= tx < geom.nx and 0 <= ty < geom.ny:
+        return tx, ty
+    return None
+
+
+def block_by_cells(geom, x, y):
+    """Mask of the 3x3 block around grid point (x, y), cell by cell:
+    wrapped round on a torus, clipped to the grid on a rectangle."""
+    nx, ny = geom.nx, geom.ny
+    mask = 0
+    for qx in (x - 1, x, x + 1):
+        for qy in (y - 1, y, y + 1):
+            if geom.periodic:
+                mask |= 1 << ((qy % ny) * nx + qx % nx)
+            elif 0 <= qx < nx and 0 <= qy < ny:
+                mask |= 1 << (qy * nx + qx)
+    return mask
+
+
 class ScalarEngineBySites:
     """The scalar sweep engine as it was before it walked flat tables:
     per-site king-neighbour masks, per-(site, direction) targets and
@@ -1072,26 +1100,17 @@ class ScalarEngineBySites:
     def __init__(self, geom, occ):
         self.geom = geom
         self.occ = occ
-        nx, ny = geom.nx, geom.ny
-
-        def block(x, y):
-            mask = 0
-            for qx in (x - 1, x, x + 1):
-                for qy in (y - 1, y, y + 1):
-                    if geom.periodic:
-                        mask |= 1 << ((qy % ny) * nx + qx % nx)
-                    elif 0 <= qx < nx and 0 <= qy < ny:
-                        mask |= 1 << (qy * nx + qx)
-            return mask
-
+        nx = geom.nx
         self.nbr_masks, self.move_target, self.block_masks = [], [], []
         for i in range(geom.n_sites):
             y, x = divmod(i, nx)
             src = 1 << i
-            self.nbr_masks.append(block(x, y) & ~src)
-            targets = [geom.target(i, d) for d in range(4)]
+            self.nbr_masks.append(block_by_cells(geom, x, y) & ~src)
+            targets = [target(geom, i, d) for d in range(4)]
             self.move_target.append([None if t is None else t[1] * nx + t[0] for t in targets])
-            self.block_masks.append([None if t is None else block(*t) & ~src for t in targets])
+            self.block_masks.append(
+                [None if t is None else block_by_cells(geom, *t) & ~src for t in targets]
+            )
 
     def heat_bath(self, accept):
         occ = self.occ
@@ -1122,41 +1141,23 @@ class ScalarEngineBySites:
         self.occ = occ
 
 
-def _stencil_at(engine, tx, ty):
-    """The bitboard engine's 3x3 block around grid point (tx, ty), built
-    from its three base stencils per call, as its translations did
-    before they read tables. Bits at or above n_sites may be set."""
-    geom = engine.geom
-    nx = geom.nx
-    if tx == 0:
-        base, shift = engine.stencils[0], (ty - 1) * nx
-    elif tx == nx - 1:
-        base, shift = engine.stencils[2], (ty - 1) * nx
-    else:
-        base, shift = engine.stencils[1], (ty - 1) * nx + tx - 1
-    if geom.periodic:
-        shift %= geom.n_sites
-        return base << shift | base >> (geom.n_sites - shift)
-    return base << shift if shift >= 0 else base >> -shift
-
-
 def bitboard_translations_by_stencils(engine, proposals):
     """Occupancy mask after the proposals on a bitboard engine's state,
-    each proposal's target by ``divmod`` and ``geom.target`` and its
-    stencil built per proposal; the engine is left unchanged."""
+    each proposal's target by ``divmod`` and ``target`` and the block
+    around it built cell by cell; the engine is left unchanged."""
     occ = engine.occ
-    nx = engine.geom.nx
+    geom = engine.geom
     for q in proposals:
         i, d = divmod(q, 4)
         if not occ >> i & 1:
             continue
-        t = engine.geom.target(i, d)
+        t = target(geom, i, d)
         if t is None:
             continue
         bit = 1 << i
-        if occ & _stencil_at(engine, *t) != bit:
+        if occ & block_by_cells(geom, *t) != bit:
             continue
-        occ ^= bit | 1 << (t[1] * nx + t[0])
+        occ ^= bit | 1 << (t[1] * geom.nx + t[0])
     return occ
 
 

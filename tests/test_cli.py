@@ -357,6 +357,35 @@ def test_render_four_parity_colors(tmp_path, capsys):
         assert color in svg
 
 
+def test_render_ppm_tile_pixels_have_their_parity_svg_color():
+    from squarepack.render import BACKGROUND, PARITY_COLORS, render_ppm
+
+    # one tile of each parity class (centre - 1 mod 2), drawn without sticks
+    tiles = {(1, 1): (0, 0), (4, 1): (1, 0), (1, 4): (0, 1), (4, 4): (1, 1)}
+    cfg = create_configuration(8, 6, "free", list(tiles))
+    cell = 3
+    magic, size, depth, pixels = render_ppm(cfg, cell=cell, stick_overlay=False).split(b"\n", 3)
+    width_px = int(size.split()[0])
+
+    def color(x, row):
+        offset = 3 * (row * width_px + x)
+        return "#" + pixels[offset : offset + 3].hex()
+
+    for (cx, cy), parity in tiles.items():
+        # the pixel right of and below the tile's centre; y grows upward
+        assert color(cx * cell, (cfg.height - cy) * cell) == PARITY_COLORS[parity]
+    assert color(0, 0) == BACKGROUND
+
+
+def test_render_image_unknown_style_is_a_parameter_error(tmp_path):
+    from squarepack.render import render_image
+
+    path = tmp_path / "img.gif"
+    with pytest.raises(errors.ParameterError, match="unknown style 'gif'"):
+        render_image(seed_phase_configuration(4, 4, "ver0"), str(path), style="gif")
+    assert not path.exists()
+
+
 def test_render_stick_overlay_count(tmp_path):
     from squarepack.render import render_svg
     from squarepack.sticks import extract_sticks

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squarepack.coupling import disagreement_set, king_clusters, radius_tail_experiment
+from squarepack.coupling import (
+    _directional_reach,
+    disagreement_set,
+    king_clusters,
+    radius_tail_experiment,
+)
 from squarepack.errors import ParameterError, RegionOutOfBounds, ShapeMismatch
 from squarepack.lattice import create_configuration
 from squarepack.sampler import ChainParams
@@ -187,3 +192,68 @@ def test_radius_tail_experiment_smoke():
         assert (direction in report.fits) == (fitted >= 2)
         if fitted >= 2:
             assert report.fits[direction]["points"] == fitted
+
+
+# -- reach -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize(
+    "line,span,reach",
+    [
+        # equal gaps: the torus unwraps after the first, at 3, so 0 sits
+        # at 6 of the unwrapped line, beyond the cap of 4
+        ([0, 3, 6], 9, [4, 4, 3]),
+        # the largest gap, 2 to 7, is cut: the line reads 7, 1, 2 as 0, 2, 3
+        ([1, 2, 7], 8, [2, 3, 3]),
+        # a full line has no gap: every member reaches half the span
+        (list(range(8)), 8, [4] * 8),
+    ],
+)
+def test_directional_reach_on_a_torus_line(line, span, reach, axis):
+    cluster = [(c, 5) if axis == 0 else (5, c) for c in line]
+    assert _directional_reach(cluster, axis, span, True) == reach
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cluster=st.lists(
+        st.tuples(st.integers(1, 11), st.integers(1, 7)), min_size=1, max_size=20, unique=True
+    ),
+    axis=st.sampled_from([0, 1]),
+)
+def test_directional_reach_on_a_rectangle_is_the_farther_line_end(cluster, axis):
+    # no wrap and no cap: max(x - min, max - x) over the member's line
+    expected = []
+    for p in cluster:
+        line = [q[axis] for q in cluster if q[1 - axis] == p[1 - axis]]
+        expected.append(max(p[axis] - min(line), max(line) - p[axis]))
+    span = 12 if axis == 0 else 8
+    assert sorted(_directional_reach(cluster, axis, span, False)) == sorted(expected)
+
+
+def test_radius_tail_experiment_free_boundary_smoke():
+    template = ChainParams(
+        width=16,
+        height=16,
+        lam=40.0,
+        seed=0,
+        sweeps=300,
+        burn_in=150,
+        thinning=10,
+        boundary="free",
+        initial="ver0",
+    )
+    report = radius_tail_experiment(template, (11, 12), phase=None)
+    # the sampled grid is the 15x15 interior lattice
+    assert (report.pairs_used, report.pairs_skipped) == (30, 0)
+    assert report.totals == 30 * 15 * 15
+    for direction in ("horizontal", "vertical"):
+        hist = report.counts[direction]
+        # a line of 15 sites: no reach beyond 14, and none wraps
+        assert hist and max(hist) <= 14
+        tail = report.tail_counts(direction)
+        assert tail[0] == sum(hist.values())
+        assert all(a >= b for a, b in zip(tail, tail[1:]))
+        fitted = sum(d >= 1 and c >= 50 for d, c in enumerate(tail))
+        assert (direction in report.fits) == (fitted >= 2)

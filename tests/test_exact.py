@@ -5,7 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from squarepack import exact, lattice
-from squarepack.errors import NonpositiveFugacity, OddLength, OutOfFloatRange, TooLarge
+from squarepack.errors import (
+    NonpositiveFugacity,
+    OddLength,
+    OutOfFloatRange,
+    ParameterError,
+    TooLarge,
+)
 
 from oracles import (
     cyclic_independent_set_counts,
@@ -289,6 +295,11 @@ def test_partition_too_large():
     # within a raised area cap, but beyond the 64-bit masks
     with pytest.raises(TooLarge):
         exact.partition_polynomial(4, 18, "periodic", method="brute", area_cap=72)
+
+
+def test_unknown_method_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="unknown method 'nope'"):
+        exact.partition_polynomial(4, 4, "periodic", method="nope")
 
 
 def test_evaluations_and_report():

@@ -7,6 +7,10 @@ stays. Code that only tests call belongs in ``tests/oracles.py``; a new
 public name without a caller fails here until it gets one, moves, or is
 pinned with its reason.
 
+Top-level functions and classes with one leading underscore are held to
+the same rule, without pins: a private helper that only tests call is a
+test helper.
+
 The public methods and properties of the public classes are held to the
 same rule, with one difference: only an attribute access (``obj.name``)
 outside the method's own body reaches a method, since a bare name of the
@@ -55,21 +59,44 @@ def _defined(node):
     return set()
 
 
-def test_only_the_pinned_public_names_lack_a_caller_outside_the_tests():
-    public, referenced = set(), set()
+def _scan():
+    """The top-level definitions of ``src/`` as (node, names defined)
+    pairs, and the names referenced from ``src/`` outside their own
+    definition, from ``scripts/`` or from ``perfbench/``."""
+    defined, referenced = [], set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
             names = _defined(node)
-            public |= {n for n in names if not n.startswith("_")}
+            defined.append((node, names))
             # a definition does not reach itself
             referenced |= _references(node, frozenset(names))
     for folder in ("scripts", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             referenced |= _references(ast.parse(path.read_text()))
+    return defined, referenced
+
+
+def test_only_the_pinned_public_names_lack_a_caller_outside_the_tests():
+    defined, referenced = _scan()
+    public = {n for _, names in defined for n in names if not n.startswith("_")}
     unreached = public - referenced
     assert not unreached - set(TEST_ONLY), "reached only from tests; move to tests/oracles.py"
     assert not set(TEST_ONLY) - unreached, "pinned but now reached, or gone: unpin"
     assert all(TEST_ONLY.values())
+
+
+def test_private_functions_and_classes_have_a_caller_outside_the_tests():
+    defined, referenced = _scan()
+    private = {
+        node.name
+        for node, _ in defined
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    assert private
+    unreached = private - referenced
+    assert not unreached, "reached only from tests; move to tests/oracles.py or delete"
 
 
 def _attributes(node, own=frozenset()):

@@ -21,9 +21,11 @@ from squarepack.sampler import (
 from oracles import (
     ScalarEngineBySites,
     bitboard_translations_by_stencils,
+    block_by_cells,
     ensemble,
     pairwise_valid,
     sweep_by_generator,
+    target,
     translation_by_cells,
 )
 from strategies import random_valid_config
@@ -121,7 +123,7 @@ def engine_calls(draw):
     width, height, boundary = draw(st.sampled_from(ORACLE_GRIDS))
     geom = sampler._Geometry(width, height, boundary)
     n = geom.n_sites
-    off_grid = [4 * i + d for i in range(n) for d in range(4) if geom.target(i, d) is None]
+    off_grid = [4 * i + d for i in range(n) for d in range(4) if target(geom, i, d) is None]
     proposal = st.integers(0, 4 * n - 1)
     if off_grid:
         proposal |= st.sampled_from(off_grid)
@@ -452,14 +454,37 @@ def test_translation_tables_match_stencil_loop(boundary, data):
     assert engine.occ == expected
 
 
-def test_translation_tables_built_at_set_up_when_the_chain_moves_tiles():
-    still = Chain(params(width=8, height=8, translation_move_fraction=0.0))
-    assert still.engine.move_tables is None
-    still.sweep(3)
-    assert still.engine.move_tables is None
-    assert Chain(params(width=8, height=8)).engine.move_tables is not None
-    still.engine.translations([5])
-    assert still.engine.move_tables is not None
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("width,height", [(4, 4), (4, 6), *TABLE_GRIDS])
+def test_blocks_and_targets_match_cell_loop(width, height, boundary):
+    geom = sampler._Geometry(width, height, boundary)
+    blocks, targets = geom.blocks_and_targets()
+    nx = geom.nx
+    assert blocks == [block_by_cells(geom, i % nx, i // nx) for i in range(geom.n_sites)]
+    expected = [target(geom, i, d) for i in range(geom.n_sites) for d in range(4)]
+    assert targets == [-1 if t is None else t[1] * nx + t[0] for t in expected]
+
+
+def test_translation_tables_built_at_set_up_when_the_chain_moves_tiles(monkeypatch):
+    built = []
+    tables = sampler._Geometry.blocks_and_targets
+    monkeypatch.setattr(
+        sampler._Geometry, "blocks_and_targets", lambda geom: built.append(geom) or tables(geom)
+    )
+    # the scalar engine's heat bath reads the blocks, so it builds the
+    # table once either way; neither engine of a still chain makes moves
+    for engine, still_builds in (("scalar", 1), ("bitboard", 0)):
+        built.clear()
+        still = Chain(params(width=6, height=6, translation_move_fraction=0.0), engine=engine)
+        assert len(built) == still_builds
+        assert getattr(still.engine, "moves" if engine == "scalar" else "targets") == []
+        moving = Chain(params(width=6, height=6), engine=engine)
+        assert len(built) == still_builds + 1
+        still.sweep(3)
+        moving.sweep(3)
+        assert len(built) == still_builds + 1
+        reference = Chain(params(width=6, height=6), engine="scalar").sweep(3)
+        assert moving.state_key() == reference.state_key()
 
 
 def test_engine_choice():
@@ -468,6 +493,11 @@ def test_engine_choice():
     assert Chain(params(width=8, height=8, boundary="free")).engine_name == "bitboard"
     with pytest.raises(ValueError, match="scalar, bitboard"):
         Chain(params(), engine="numpy")
+
+
+def test_unknown_engine_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="unknown engine 'x'"):
+        Chain(params(), engine="x")
 
 
 def test_determinism_same_seed():
