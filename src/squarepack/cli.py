@@ -254,38 +254,19 @@ def _load_sample_spec(path: str) -> dict:
 
 
 def _cmd_sample(args) -> int:
+    # the flags give the spec's fields, and each spec field but three is
+    # the ChainParams field of its name
     if args.spec:
         spec = _load_sample_spec(args.spec)
-        params = ChainParams(
-            width=spec["width"],
-            height=spec["height"],
-            lam=spec["lambda"],
-            seed=spec["seed"],
-            sweeps=spec["sweeps"],
-            boundary=spec.get("boundary", "periodic"),
-            burn_in=spec.get("burn_in", 0),
-            thinning=spec.get("thinning", 1),
-            translation_move_fraction=spec.get("translation_move_fraction", 0.25),
-            initial=spec.get("initial"),
-        )
-        names = spec.get("observables", ["tile_density"])
-        keep = spec.get("keep_samples", False)
+    elif args.width is None or args.height is None:
+        raise SpecError("sample needs --spec or --width/--height")
     else:
-        if args.width is None or args.height is None:
-            raise SpecError("sample needs --spec or --width/--height")
-        params = ChainParams(
-            width=args.width,
-            height=args.height,
-            lam=args.lam,
-            seed=args.seed,
-            sweeps=args.sweeps,
-            boundary=args.boundary,
-            burn_in=args.burn_in,
-            thinning=args.thinning,
-            initial=args.initial,
-        )
-        names = args.observables
-        keep = args.keep_samples
+        spec = {"lambda": args.lam, "observables": args.observables, "keep_samples": args.keep_samples}
+        for name in ("width", "height", "seed", "sweeps", "boundary", "burn_in", "thinning", "initial"):
+            spec[name] = getattr(args, name)
+    names = spec.pop("observables", ["tile_density"])
+    keep = spec.pop("keep_samples", False)
+    params = ChainParams(lam=spec.pop("lambda"), **spec)
     unknown = [n for n in names if n not in OBSERVABLES]
     if unknown:
         raise SpecError(f"unknown observables: {unknown}")

@@ -8,16 +8,17 @@ set preserves the product measure; finite clusters therefore bound how
 far information can travel, and the directional reach of clusters
 measures the anisotropic correlation structure of a phase.
 
-``king_clusters`` lists the clusters ordered by their least member
-(tuple order, x first), a function of the point set alone.
+``_king_labels`` labels the clusters of a point set once, as arrays:
+``king_clusters`` lists them ordered by their least member (tuple order,
+x first), and ``radius_tail_experiment`` takes each point's reach along
+x and along y from the labels with ``_line_reach``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +40,43 @@ def disagreement_set(a: Configuration, b: Configuration) -> FrozenSet[Point]:
     return frozenset(zip(xs.tolist(), ys.tolist()))
 
 
+def _king_labels(
+    x: np.ndarray, y: np.ndarray, width: Optional[int], height: Optional[int], periodic: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The order ``perm`` that sorts the distinct points (x[i], y[i]) by x
+    then y, and in that order each point's cluster label: the index of its
+    cluster's least member.
+
+    The points are labelled on a dense index grid: their bounding box with
+    a margin of one, or the torus when periodic, where they must lie in
+    the fundamental domain (else RegionOutOfBounds). Each point is joined
+    to the points at the four forward king offsets, wrapping on a torus.
+    """
+    if periodic and (width is None or height is None):
+        raise ParameterError("king clusters on a torus need its width and height")
+    perm = np.lexsort((y, x))
+    x, y = x[perm], y[perm]
+    n = len(x)
+    if not n:
+        return perm, perm  # no points, no labels
+    if periodic:
+        if x.min() < 0 or y.min() < 0 or x.max() >= width or y.max() >= height:
+            raise RegionOutOfBounds(f"points outside the {width}x{height} torus")
+        gx, gy, shape = x, y, (width, height)
+    else:
+        gx, gy = x - (x.min() - 1), y - (y.min() - 1)
+        shape = (int(gx.max()) + 2, int(gy.max()) + 2)
+    index = np.full(shape, -1, dtype=np.int64)
+    index[gx, gy] = np.arange(n)
+    qx = gx + np.array([1, 1, 1, 0])[:, None]
+    qy = gy + np.array([-1, 0, 1, 1])[:, None]
+    if periodic:
+        qx, qy = qx % width, qy % height
+    v = index[qx, qy]
+    hit = v >= 0
+    return perm, component_labels(n, np.nonzero(hit)[1], v[hit])
+
+
 def king_clusters(
     points: Iterable[Point],
     width: Optional[int] = None,
@@ -46,91 +84,52 @@ def king_clusters(
     periodic: bool = False,
 ) -> List[FrozenSet[Point]]:
     """Connected components under 8-neighbor adjacency, ordered by their
-    least member.
-
-    The points are labelled on a dense index grid: their bounding box with
-    a margin of one, or the torus when periodic, where they must lie in
-    the fundamental domain (else RegionOutOfBounds). Each point is joined
-    to the points at the four forward king offsets, wrapping on a torus,
-    and labelled by ``component_labels``.
-    """
+    least member, as ``_king_labels`` finds them. A torus needs its width
+    and height (else ParameterError)."""
     pts = list(set(points))
-    n = len(pts)
-    if not n:
-        return []
-    xy = np.fromiter(chain.from_iterable(pts), dtype=np.int64, count=2 * n)
-    perm = np.lexsort((xy[1::2], xy[::2]))
-    x, y = xy[::2][perm], xy[1::2][perm]
-    if periodic:
-        if x.min() < 0 or y.min() < 0 or x.max() >= width or y.max() >= height:
-            raise RegionOutOfBounds(f"points outside the {width}x{height} torus")
-        shape = (width, height)
-    else:
-        x, y = x - (x.min() - 1), y - (y.min() - 1)
-        shape = (int(x.max()) + 2, int(y.max()) + 2)
-    index = np.full(shape, -1, dtype=np.int64)
-    index[x, y] = np.arange(n)
-    qx = x + np.array([1, 1, 1, 0])[:, None]
-    qy = y + np.array([-1, 0, 1, 1])[:, None]
-    if periodic:
-        qx, qy = qx % width, qy % height
-    v = index[qx, qy]
-    hit = v >= 0
-    u, v = np.nonzero(hit)[1], v[hit]
-    label = component_labels(n, u, v)
-    # a root is its cluster's least index, so the points' sort order
+    xy = np.fromiter(chain.from_iterable(pts), dtype=np.int64, count=2 * len(pts))
+    perm, label = _king_labels(xy[::2], xy[1::2], width, height, periodic)
+    # a label is its cluster's least index, so the points' sort order
     # orders the clusters by least member
     order = np.argsort(label, kind="stable")
     members = [pts[i] for i in perm[order].tolist()]
-    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), n]
+    cuts = [*np.flatnonzero(np.diff(label[order], prepend=-1)).tolist(), len(pts)]
     return [frozenset(members[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
 # -- directional reach tails ---------------------------------------------------
 
 
-def _axis_reach(positions: Sequence[int], span: int, periodic: bool) -> Dict[int, int]:
-    """Farthest displacement from each position to any other, one axis.
+def _line_reach(
+    label: np.ndarray, line: np.ndarray, pos: np.ndarray, span: int, periodic: bool
+) -> np.ndarray:
+    """Each point's reach along one axis, in the points' order: its
+    farthest displacement in ``pos`` to a point of its cluster ``label``
+    on its ``line`` (the coordinate across the axis), so 0 when alone.
 
-    Returns {position: reach}. Toroidal sets are unwrapped through the
-    largest residue gap; a set meeting every residue saturates at
-    span // 2 (the toroidal diameter).
+    On a rectangle that is max(pos - min, max - pos) over the group. On a
+    torus of period ``span`` each group's line is cut after its first
+    largest gap in sorted order, and the reach is capped at span // 2,
+    which every point of a full line reaches.
     """
-    coords = sorted(set(positions))
-    if not periodic:
-        lo, hi = coords[0], coords[-1]
-        return {c: max(c - lo, hi - c) for c in coords}
-    if len(coords) == span:
-        return {c: span // 2 for c in coords}
-    gap_end = max(
-        range(len(coords)),
-        key=lambda i: (coords[(i + 1) % len(coords)] - coords[i]) % span,
-    )
-    start = coords[(gap_end + 1) % len(coords)]
-    cap = span // 2
-    shifted = {(c - start) % span: c for c in coords}
-    hi = max(shifted)
-    return {c: min(max(s, hi - s), cap) for s, c in shifted.items()}
-
-
-def _directional_reach(
-    cluster: Sequence[Point], axis: int, span: int, periodic: bool
-) -> List[int]:
-    """Per-member reach along one axis through purely axis-aligned targets.
-
-    The horizontal reach of a member u is the largest |x_v - x_u| over
-    cluster members v in the same row as u (vertical reach analogously),
-    probing the displacement sets with zero transverse offset. Members
-    with no axis-aligned partner report 0.
-    """
-    lines: Dict[int, List[int]] = defaultdict(list)
-    other = 1 - axis
-    for p in cluster:
-        lines[p[other]].append(p[axis])
-    out: List[int] = []
-    for positions in lines.values():
-        out.extend(_axis_reach(positions, span, periodic).get(c, 0) for c in positions)
-    return out
+    order = np.lexsort((pos, line, label))
+    lab, ln, s = label[order], line[order], pos[order]
+    # a group starts at a new label or line; labels are never negative
+    new = (np.diff(lab, prepend=-1) != 0) | (np.diff(ln, prepend=ln[:1]) != 0)
+    first, group = np.flatnonzero(new), np.cumsum(new) - 1
+    if periodic:
+        # the next point of each group in cyclic order, and the gap to it
+        after = np.arange(1, len(s) + 1)
+        after[first - 1] = np.roll(first, 1)
+        gap = (s[after] - s) % span
+        widest = np.flatnonzero(gap == np.maximum.reduceat(gap, first)[group])
+        start = s[after[widest[np.searchsorted(widest, first)]]]
+        s = (s - start[group]) % span
+    lo, hi = np.minimum.reduceat(s, first)[group], np.maximum.reduceat(s, first)[group]
+    reach = np.maximum(s - lo, hi - s)
+    if periodic:
+        reach = np.minimum(reach, span // 2)
+    return reach[np.argsort(order)]
 
 
 @dataclass
@@ -201,10 +200,10 @@ def radius_tail_experiment(
     chain_a = Chain(replace(template, seed=seeds[0], initial=init))
     chain_b = Chain(replace(template, seed=seeds[1], initial=init))
     periodic = template.boundary == "periodic"
-    counts = {"horizontal": defaultdict(int), "vertical": defaultdict(int)}
-    totals = 0
+    # a reach is at most the span of the sampled grid's lines
+    axes = (("horizontal", template.width), ("vertical", template.height))
+    hists = {direction: np.zeros(span + 1, dtype=np.int64) for direction, span in axes}
     used = skipped = 0
-    sites = chain_a.geom.n_sites
     # the chains' PCG64 streams are independent, so interleaving their
     # sweeps leaves each chain as it would be alone
     for cfg_a, cfg_b in zip(iter_samples(chain_a), iter_samples(chain_b)):
@@ -216,27 +215,23 @@ def radius_tail_experiment(
                 skipped += 1
                 continue
         used += 1
-        totals += sites
-        delta = disagreement_set(cfg_a, cfg_b)
-        for cluster in king_clusters(
-            delta, template.width, template.height, periodic
-        ):
-            members = sorted(cluster)
-            for r in _directional_reach(members, 0, template.width, periodic):
-                counts["horizontal"][r] += 1
-            for r in _directional_reach(members, 1, template.height, periodic):
-                counts["vertical"][r] += 1
+        y, x = np.nonzero(cfg_a.occupancy_grid() ^ cfg_b.occupancy_grid())
+        perm, label = _king_labels(x, y, template.width, template.height, periodic)
+        x, y = x[perm], y[perm]
+        for (direction, span), line, pos in zip(axes, (y, x), (x, y)):
+            reach = _line_reach(label, line, pos, span, periodic)
+            hists[direction] += np.bincount(reach, minlength=span + 1)
     report = TailReport(
         params={**template.describe(), "seeds": list(seeds), "phase": phase},
-        counts={k: dict(v) for k, v in counts.items()},
-        totals=totals,
+        counts={k: {r: int(c) for r, c in enumerate(h) if c} for k, h in hists.items()},
+        totals=used * chain_a.geom.n_sites,
         pairs_used=used,
         pairs_skipped=skipped,
     )
     for direction in ("horizontal", "vertical"):
         # no pair used leaves every tail empty
         tail = report.tail_counts(direction)
-        curve = {d: c / totals for d, c in enumerate(tail) if d >= 1 and c >= 50}
+        curve = {d: c / report.totals for d, c in enumerate(tail) if d >= 1 and c >= 50}
         if len(curve) >= 2:
             xi, err = fit_decay_length(curve, floor=0.0)
             report.fits[direction] = {

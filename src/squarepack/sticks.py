@@ -416,7 +416,9 @@ def classify_phase(
     strict majority of the qualifying sticks, else "undetermined". The
     threshold b defaults from lam when given, else to a quarter of the
     smaller dimension. N must be at least 3, b positive, and lam, when
-    given, positive and finite.
+    given, positive and finite. In fully_packed mode only sticks strictly
+    inside the region qualify: those on its boundary lines, where the
+    sample meets the fixed exterior, say nothing of the sample's phase.
     """
     check_n(n)
     if lam is not None:
@@ -428,10 +430,14 @@ def classify_phase(
             b = max(2, min(config.width, config.height) // 4)
     if b <= 0:
         raise ParameterError(f"threshold b must be positive, got {b}")
-    types = [
-        _phase_index(vertical, fixed[length >= b])
-        for vertical, (fixed, _, length, _) in zip((True, False), _memo(config).runs)
-    ]
+    types = []
+    for vertical, (fixed, _, length, _), span in zip(
+        (True, False), _memo(config).runs, (config.width, config.height)
+    ):
+        keep = length >= b
+        if config.boundary == "fully_packed":
+            keep &= (0 < fixed) & (fixed < span)
+        types.append(_phase_index(vertical, fixed[keep]))
     counts = np.bincount(np.concatenate(types), minlength=len(PHASES))
     total = int(counts.sum())
     best = int(counts.argmax())

@@ -722,6 +722,48 @@ def king_clusters_by_union_find(points, width=None, height=None, periodic=False)
     return [frozenset(g) for g in groups.values()]
 
 
+def _axis_reach(positions, span, periodic):
+    """Farthest displacement from each position to any other, one axis.
+
+    Returns {position: reach}. Toroidal sets are unwrapped through the
+    largest residue gap; a set meeting every residue saturates at
+    span // 2 (the toroidal diameter).
+    """
+    coords = sorted(set(positions))
+    if not periodic:
+        lo, hi = coords[0], coords[-1]
+        return {c: max(c - lo, hi - c) for c in coords}
+    if len(coords) == span:
+        return {c: span // 2 for c in coords}
+    gap_end = max(
+        range(len(coords)),
+        key=lambda i: (coords[(i + 1) % len(coords)] - coords[i]) % span,
+    )
+    start = coords[(gap_end + 1) % len(coords)]
+    cap = span // 2
+    shifted = {(c - start) % span: c for c in coords}
+    hi = max(shifted)
+    return {c: min(max(s, hi - s), cap) for s, c in shifted.items()}
+
+
+def _directional_reach(cluster, axis, span, periodic):
+    """Per-member reach along one axis through purely axis-aligned targets.
+
+    The horizontal reach of a member u is the largest |x_v - x_u| over
+    cluster members v in the same row as u (vertical reach analogously),
+    probing the displacement sets with zero transverse offset. Members
+    with no axis-aligned partner report 0. One Python walk per line of
+    the cluster.
+    """
+    lines = defaultdict(list)
+    other = 1 - axis
+    for p in cluster:
+        lines[p[other]].append(p[axis])
+    out = []
+    for positions in lines.values():
+        out.extend(_axis_reach(positions, span, periodic).get(c, 0) for c in positions)
+    return out
+
 def sticks_by_edges(config, edges):
     """Maximal straight runs of a stick edge set, grouped edge by edge:
     vertical lines then horizontal ones, each by its coordinate and along
@@ -758,11 +800,16 @@ def sticks_by_edges(config, edges):
     return sticks
 
 
-def phase_by_sticks(sticks, b):
+def phase_by_sticks(config, sticks, b):
     """Type holding a strict majority of the sticks of length >= b, else
-    "undetermined"."""
+    "undetermined"; in fully_packed mode, of those strictly inside the
+    config's box only."""
     counts = {p: 0 for p in PHASES}
     long_sticks = [s for s in sticks if s.length >= b]
+    if config.boundary == "fully_packed":
+        inside = {"vertical": lambda x, y: 0 < x < config.width,
+                  "horizontal": lambda x, y: 0 < y < config.height}
+        long_sticks = [s for s in long_sticks if inside[s.orientation](*s.anchor)]
     for s in long_sticks:
         counts[s.type] += 1
     best = max(PHASES, key=counts.get)

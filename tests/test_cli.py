@@ -210,6 +210,34 @@ def test_sample_deterministic(tmp_path, capsys):
     assert report["params"]["seed"] == 5
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {},
+        {"boundary": "free", "burn_in": 7, "thinning": 3, "initial": "hor1"},
+        {"boundary": "fully_packed", "initial": "empty", "observables": ["parity_density"]},
+        {"keep_samples": True, "observables": ["tile_count", "phase"]},
+    ],
+)
+def test_sample_flags_and_spec_give_the_same_bytes(tmp_path, capsys, fields):
+    spec = {"width": 6, "height": 8, "lambda": 3.0, "seed": 9, "sweeps": 40, **fields}
+    spec_path = tmp_path / "run.json"
+    spec_path.write_text(json.dumps(spec))
+    flags = []
+    for name, value in spec.items():
+        flag = "--" + name.replace("_", "-")
+        if name == "observables":
+            flags += [flag, *value]
+        elif name == "keep_samples":
+            flags.append(flag)
+        else:
+            flags.append(f"{flag}={value}")
+    by_spec, by_flags = tmp_path / "spec.json", tmp_path / "flags.json"
+    assert run_cli(["sample", "--spec", str(spec_path), "--out", str(by_spec)], capsys)[0] == 0
+    assert run_cli(["sample", *flags, "--out", str(by_flags)], capsys)[0] == 0
+    assert by_flags.read_bytes() == by_spec.read_bytes()
+
+
 def test_sample_spec_missing_fields(tmp_path, capsys):
     spec_path = tmp_path / "bad.json"
     spec_path.write_text(json.dumps({"width": 4}))
@@ -547,6 +575,36 @@ def test_components_has_no_window_cap_option(capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "UsageError"
     assert "--window-cap" in error["message"]
+
+
+@st.composite
+def components_runs(draw):
+    """A ``components`` argument vector: window sides from -2 to 6 (an
+    8x6 window takes some 24 s), stick caps M from -2 to 7 and
+    fugacities of every kind, each flag given zero to three times."""
+    side = st.integers(-2, 6)
+    argv = ["components", f"--width={draw(side)}", f"--height={draw(side)}"]
+    argv += [f"--M={m}" for m in draw(st.lists(st.integers(-2, 7), max_size=3))]
+    argv += [f"--lambda={lam}" for lam in draw(st.lists(FUZZ_FUGACITIES, max_size=3))]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(components_runs())
+def test_components_fuzz_prints_json_or_a_json_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--threads=1"])
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert err == ""
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["catalog_size"] == payload["components"]
+    else:
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] in SQUAREPACK_ERRORS
 
 
 def test_components_window_refused_by_configuration_count(capsys):

@@ -1,20 +1,23 @@
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squarepack.coupling import (
-    _directional_reach,
+    _king_labels,
+    _line_reach,
     disagreement_set,
     king_clusters,
     radius_tail_experiment,
 )
 from squarepack.errors import ParameterError, RegionOutOfBounds, ShapeMismatch
-from squarepack.lattice import create_configuration
-from squarepack.sampler import ChainParams
+from squarepack.lattice import BOUNDARIES, create_configuration
+from squarepack.sampler import PHASE_SEEDS, ChainParams
 
-from oracles import king_clusters_bfs, king_clusters_by_union_find
+from oracles import _directional_reach, king_clusters_bfs, king_clusters_by_union_find
 
 
 def cfg(occ, w=8, h=8, boundary="periodic"):
@@ -118,6 +121,13 @@ def test_king_clusters_reject_points_off_the_torus():
         king_clusters({(0, -1)}, 8, 8, periodic=True)
 
 
+@pytest.mark.parametrize("points", [set(), {(0, 0)}, {(0, 0), (3, 2)}])
+@pytest.mark.parametrize("dims", [(None, None), (8, None), (None, 8)])
+def test_king_clusters_on_a_torus_need_its_dimensions(points, dims):
+    with pytest.raises(ParameterError, match="width and height"):
+        king_clusters(points, *dims, periodic=True)
+
+
 # -- tail experiment ---------------------------------------------------------------
 
 
@@ -194,7 +204,27 @@ def test_radius_tail_experiment_smoke():
             assert report.fits[direction]["points"] == fitted
 
 
+@pytest.mark.parametrize("lam", [40.0, 130.0])
+@pytest.mark.parametrize("size", [16, 32])
+@pytest.mark.parametrize("phase", PHASE_SEEDS)
+def test_phase_matched_tails_keep_the_fully_packed_seed(phase, size, lam):
+    # zero sweeps measure the seeds themselves, which sit in their own
+    # phase: the sticks on the box's boundary lines must not relabel them
+    template = ChainParams(
+        width=size, height=size, lam=lam, seed=0, sweeps=0, boundary="fully_packed"
+    )
+    report = radius_tail_experiment(template, (1, 2), phase=phase)
+    assert (report.pairs_used, report.pairs_skipped) == (1, 0)
+
+
 # -- reach -----------------------------------------------------------------------
+
+
+def reach_by_arrays(cluster, axis, span, periodic):
+    """``_line_reach`` of one cluster's members, in their order."""
+    xy = np.array(cluster, dtype=np.int64).reshape(-1, 2)
+    label = np.zeros(len(xy), dtype=np.int64)
+    return _line_reach(label, xy[:, 1 - axis], xy[:, axis], span, periodic).tolist()
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -208,11 +238,16 @@ def test_radius_tail_experiment_smoke():
         ([1, 2, 7], 8, [2, 3, 3]),
         # a full line has no gap: every member reaches half the span
         (list(range(8)), 8, [4] * 8),
+        (list(range(7)), 7, [3] * 7),
+        # a 2-wide torus: both members are one step apart either way
+        ([0, 1], 2, [1, 1]),
+        ([1], 2, [0]),
     ],
 )
 def test_directional_reach_on_a_torus_line(line, span, reach, axis):
     cluster = [(c, 5) if axis == 0 else (5, c) for c in line]
     assert _directional_reach(cluster, axis, span, True) == reach
+    assert reach_by_arrays(cluster, axis, span, True) == reach
 
 
 @settings(max_examples=100, deadline=None)
@@ -230,6 +265,43 @@ def test_directional_reach_on_a_rectangle_is_the_farther_line_end(cluster, axis)
         expected.append(max(p[axis] - min(line), max(line) - p[axis]))
     span = 12 if axis == 0 else 8
     assert sorted(_directional_reach(cluster, axis, span, False)) == sorted(expected)
+    assert reach_by_arrays(cluster, axis, span, False) == expected
+
+
+@st.composite
+def reach_point_sets(draw):
+    """(points, width, height, boundary): sites of a torus, or of the
+    (width + 1) x (height + 1) grid that a rectangle mode's occupancy grid
+    spans, with odd and 2-wide spans, lone points, and drawn full rows or
+    columns."""
+    boundary = draw(st.sampled_from(BOUNDARIES))
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    extra = 0 if boundary == "periodic" else 1
+    xs, ys = range(w + extra), range(h + extra)
+    points = draw(st.sets(st.tuples(st.sampled_from(xs), st.sampled_from(ys)), max_size=80))
+    for y in draw(st.sets(st.sampled_from(ys), max_size=2)):
+        points |= {(x, y) for x in xs}
+    for x in draw(st.sets(st.sampled_from(xs), max_size=2)):
+        points |= {(x, y) for y in ys}
+    return points, w, h, boundary
+
+
+@settings(max_examples=400, deadline=None)
+@given(reach_point_sets())
+def test_reach_histograms_match_the_cluster_by_cluster_oracle(case):
+    # radius_tail_experiment's path: one labelling, one reach pass per axis
+    points, w, h, boundary = case
+    periodic = boundary == "periodic"
+    x = np.array([p[0] for p in points], dtype=np.int64)
+    y = np.array([p[1] for p in points], dtype=np.int64)
+    perm, label = _king_labels(x, y, w, h, periodic)
+    x, y = x[perm], y[perm]
+    for axis, line, pos, span in ((0, y, x, w), (1, x, y, h)):
+        ours = Counter(_line_reach(label, line, pos, span, periodic).tolist())
+        expected = Counter()
+        for cluster in king_clusters(points, w, h, periodic):
+            expected.update(_directional_reach(sorted(cluster), axis, span, periodic))
+        assert ours == expected, axis
 
 
 def test_radius_tail_experiment_free_boundary_smoke():

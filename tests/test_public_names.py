@@ -131,3 +131,22 @@ def test_public_methods_have_a_caller_outside_the_tests():
     assert methods
     unreached = {m for m in methods if m.rpartition(".")[2] not in referenced}
     assert not unreached, "reached only from tests; move to tests/oracles.py"
+
+
+def test_src_imports_are_read_where_imported():
+    # a name imported and never read is a leftover of code that moved;
+    # __init__.py imports to re-export, and annotations is a future flag
+    unread = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.name}: {name}" for name in sorted(imported - read - {"annotations"})]
+    assert unread == []

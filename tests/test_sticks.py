@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from squarepack.errors import DimensionError, ParameterError, WrapError
 from squarepack.lattice import BOUNDARIES, create_configuration
-from squarepack.sampler import Chain, ChainParams
+from squarepack.sampler import PHASE_SEEDS, Chain, ChainParams, seed_phase_configuration
 from squarepack.sticks import (
     PHASES,
     Rect,
@@ -143,7 +143,7 @@ def _match_edge_runs(cfg):
     assert extract_sticks(cfg) == reference
     assert extract_sticks(cfg, edges) == reference
     for b in STICK_THRESHOLDS:
-        assert classify_phase(cfg, b) == phase_by_sticks(reference, b), b
+        assert classify_phase(cfg, b) == phase_by_sticks(cfg, reference, b), b
     return reference
 
 
@@ -243,7 +243,7 @@ def test_extract_sticks_of_an_edited_detected_set(data):
             extract_sticks(cfg, edited)
     assert extract_sticks(cfg, edges) == extract_sticks(cfg) == full
     assert full == sticks_by_edges(cfg, edges)
-    assert classify_phase(cfg, 2) == phase_by_sticks(full, 2)
+    assert classify_phase(cfg, 2) == phase_by_sticks(cfg, full, 2)
 
 
 def test_extract_sticks_list_is_the_callers_own():
@@ -502,6 +502,18 @@ def test_classify_phase_symmetries():
     assert classify_phase(cfg.transpose(), b=4) == "hor0"
     assert classify_phase(cfg.translate(1, 0), b=4) == "ver1"
     assert classify_phase(cfg.transpose().translate(0, 1), b=4) == "hor1"
+
+
+@pytest.mark.parametrize("lam", [None, 40.0, 130.0])
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("size", [16, 32])
+@pytest.mark.parametrize("phase", PHASE_SEEDS)
+def test_classify_phase_labels_each_seed_its_own(phase, size, boundary, lam):
+    # a fully_packed seed has short sticks of the other orientation on the
+    # box's boundary lines, where its columns or rows meet the exterior;
+    # the lam-derived threshold of 2 admits them
+    cfg = seed_phase_configuration(size, size, phase, boundary=boundary)
+    assert classify_phase(cfg, lam=lam) == phase
 
 
 def test_classify_phase_empty_undetermined():
