@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ParameterError, RegionOutOfBounds, ShapeMismatch
+from .errors import ParameterError, RegionOutOfBounds, ShapeMismatch, TooLarge
 from .lattice import Configuration, Point, component_labels
 from .observables import fit_decay_length
 from .sampler import PHASE_SEEDS, Chain, ChainParams, iter_samples
@@ -47,10 +47,11 @@ def _king_labels(
     then y, and in that order each point's cluster label: the index of its
     cluster's least member.
 
-    The points are labelled on a dense index grid: their bounding box with
-    a margin of one, or the torus when periodic, where they must lie in
-    the fundamental domain (else RegionOutOfBounds). Each point is joined
-    to the points at the four forward king offsets, wrapping on a torus.
+    Each point is joined to the points at the four forward king offsets:
+    on a torus through a dense index grid, where the points must lie in
+    the fundamental domain (else RegionOutOfBounds); elsewhere by a search
+    of sorted keys x * span + y, in memory linear in the points (TooLarge
+    where a key would not fit int64).
     """
     if periodic and (width is None or height is None):
         raise ParameterError("king clusters on a torus need its width and height")
@@ -59,20 +60,22 @@ def _king_labels(
     n = len(x)
     if not n:
         return perm, perm  # no points, no labels
+    dx, dy = np.array([1, 1, 1, 0])[:, None], np.array([-1, 0, 1, 1])[:, None]
     if periodic:
         if x.min() < 0 or y.min() < 0 or x.max() >= width or y.max() >= height:
             raise RegionOutOfBounds(f"points outside the {width}x{height} torus")
-        gx, gy, shape = x, y, (width, height)
+        index = np.full((width, height), -1, dtype=np.int64)
+        index[x, y] = np.arange(n)
+        v = index[(x + dx) % width, (y + dy) % height]
     else:
-        gx, gy = x - (x.min() - 1), y - (y.min() - 1)
-        shape = (int(gx.max()) + 2, int(gy.max()) + 2)
-    index = np.full(shape, -1, dtype=np.int64)
-    index[gx, gy] = np.arange(n)
-    qx = gx + np.array([1, 1, 1, 0])[:, None]
-    qy = gy + np.array([-1, 0, 1, 1])[:, None]
-    if periodic:
-        qx, qy = qx % width, qy % height
-    v = index[qx, qy]
+        # keys ascend in the points' order, a free key below and above each column
+        span = int(y.max()) - int(y.min()) + 3
+        if (int(x.max()) - int(x.min()) + 2) * span > np.iinfo(np.int64).max:
+            raise TooLarge("the points lie too far apart for int64 keys")
+        key = (x - x.min()) * span + (y - y.min() + 1)
+        want = key + dx * span + dy
+        v = np.searchsorted(key, want).clip(max=n - 1)
+        v[key[v] != want] = -1
     hit = v >= 0
     return perm, component_labels(n, np.nonzero(hit)[1], v[hit])
 

@@ -8,10 +8,11 @@ tile of the finite-volume model always covers four region faces.
 Two enumeration paths are provided and must agree coefficient-wise:
 brute force counts the tiles of every configuration, listed as masks
 grown row by row in numpy arrays (``lattice.iter_mask_blocks``), and a
-row-transfer recursion sums over row sequences. They share only the row
-states and their neighbour lists. The transfer packs each row's
-polynomial into one int, so a row step is one shifted sum per row
-state. It walks only half of the rows: a row sequence is two walks that
+row-transfer recursion sums over row sequences. They share only the
+flat row tables of ``lattice._row_tables``. The transfer packs each
+row's polynomial into one int of an object array, so a row step is one
+``np.add.reduceat`` over the neighbour lists and a shift by each row's
+tiles. It walks only half of the rows: a row sequence is two walks that
 meet at its middle row, and since the neighbour relation is symmetric
 both halves are read from one walk, joined by squaring each row's
 packed int (at most one big-int product per row state and start). On
@@ -52,7 +53,7 @@ from .lattice import (
     _check_dims,
     _reversed_bits,
     _row_tables,
-    _split,
+    _successors,
     iter_mask_blocks,
     model_sites,
 )
@@ -252,21 +253,26 @@ def _limb(degree: np.ndarray, first: np.ndarray, flat: np.ndarray, nrows: int) -
     return int(log2 + math.log2(counts.sum())) + 2
 
 
-def _walk(vec: List[int], neighbours: List[List[int]], shifts: List[int], steps: int) -> List[int]:
-    """``steps`` row steps of packed polynomials: each row's entry
-    becomes the sum over its neighbours, shifted up by its tiles."""
+def _walk(
+    vec: np.ndarray, first: np.ndarray, flat: np.ndarray, shifts: np.ndarray, steps: int
+) -> np.ndarray:
+    """``steps`` row steps of packed polynomials, an object array of ints
+    over the rows of (first, flat): each row's entry becomes the sum over
+    its neighbours, shifted up by its tiles."""
     for _ in range(steps):
-        vec = [sum(map(vec.__getitem__, nb)) << k for nb, k in zip(neighbours, shifts)]
+        # no segment of flat is empty: every row has the empty row as a neighbour
+        vec = np.add.reduceat(vec[flat], first)
+        np.left_shift(vec, shifts, out=vec)
     return vec
 
 
 def _torus_total(
-    width: int, height: int, values: np.ndarray, neighbours: List[List[int]], shifts: List[int], limb: int
+    width: int, height: int, first: np.ndarray, flat: np.ndarray, shifts: np.ndarray, limb: int
 ) -> int:
     """The packed torus polynomial, cut at a start row and at the middle
     row height/2 rows on (see ``_transfer_coefficients``)."""
     # largest orbits first: the middle rows of orbit k join k + 1 starts
-    orbits, label = _dihedral_orbits(values, width)
+    orbits, label = _dihedral_orbits(_row_tables(width, True)[0], width)
     half = height // 2
     nbytes = -(-((half // 2) * (width // 2) + 1) * limb // 8)
     field = 8 * nbytes
@@ -275,25 +281,26 @@ def _torus_total(
     total = 0
     for lo in range(0, len(orbits), group):
         starts = orbits[lo : lo + group]
-        vec = [0] * len(values)
+        vec = np.zeros(len(first), dtype=object)
         for j, (start, _) in enumerate(starts):
             vec[start] = 1 << j * field
-        vec = _walk(vec, neighbours, shifts, half - 1)
+        # g[s] of each middle row s, named vec so the next group's start frees it
+        vec = np.add.reduceat(_walk(vec, first, flat, shifts, half - 1)[flat], first)
         size = len(starts) * nbytes
         spans = [(a, a + nbytes) for a in range(0, size, nbytes)]
         # each start's closed walks through middle rows of its own orbit
         # and of later ones, which count twice
         sums = [0] * len(starts)
-        for s, k in enumerate(label):
+        for k, gs, shift in zip(label, vec, shifts.tolist()):
             k -= lo
             if k < 0:
                 continue
-            raw = sum(map(vec.__getitem__, neighbours[s])).to_bytes(size, "little")
+            raw = gs.to_bytes(size, "little")
             for j, (a, b) in enumerate(spans[: k + 1]):
                 g = int.from_bytes(raw[a:b], "little")
-                sums[j] += g * g << shifts[s] + (j < k)
+                sums[j] += g * g << shift + (j < k)
         for (start, weight), x in zip(starts, sums):
-            total += weight * x << shifts[start]
+            total += weight * x << int(shifts[start])
     return total
 
 
@@ -339,11 +346,11 @@ def _transfer_coefficients(width: int, height: int, boundary: str) -> List[int]:
     periodic = boundary == "periodic"
     positions = width if periodic else width - 1
     nrows = height if periodic else height - 1
-    values, counts, neighbours, degree, first, flat = _row_tables(positions, periodic)
+    values, counts, degree, first, flat = _row_tables(positions, periodic)
     limb = _limb(degree, first, flat, nrows)
-    shifts = [c * limb for c in counts.tolist()]
+    shifts = counts.astype(np.int64) * limb
     if periodic:
-        total = _torus_total(width, height, values, neighbours, shifts, limb)
+        total = _torus_total(width, height, first, flat, shifts, limb)
     else:
         # rows ascend in their reversed patterns, so the mirror image of
         # row i is the row at the rank of its pattern among them
@@ -352,15 +359,14 @@ def _transfer_coefficients(width: int, height: int, boundary: str) -> List[int]:
         keep = mirror >= np.arange(len(v))
         rep = np.cumsum(keep) - 1
         rep = np.minimum(rep, rep[mirror])  # the kept row of each pair
-        kept = np.flatnonzero(keep)
-        pairs = (mirror[kept] != kept).tolist()
-        kept = kept.tolist()
-        nbs = _split(degree[keep], rep[flat[np.repeat(keep, degree)]])
-        top = _walk([1 << shifts[i] for i in kept], nbs, [shifts[i] for i in kept], nrows // 2 - 1)
-        total = 0
-        for nb, i, pair in zip(nbs, kept, pairs):
-            n = sum(map(top.__getitem__, nb))
-            total += n * n << shifts[i] + pair
+        # the kept rows' neighbour lists, each neighbour as its pair's kept row
+        flat = rep[flat[np.repeat(keep, degree)]]
+        first = np.cumsum(degree[keep]) - degree[keep]
+        shifts = shifts[keep]
+        top = np.left_shift(np.ones(len(first), dtype=object), shifts)
+        top = _walk(top, first, flat, shifts, nrows // 2 - 1)
+        n = np.add.reduceat(top[flat], first)
+        total = int(np.left_shift(n * n, shifts + (mirror != np.arange(len(v)))[keep]).sum())
     low = (1 << limb) - 1
     return [total >> n * limb & low for n in range(width * height // 4 + 1)]
 
@@ -472,14 +478,12 @@ def _band_pairs(positions: int, rows: int) -> Tuple[np.ndarray, np.ndarray]:
     """Every run of rows + 1 cyclic row states, each next to the one
     before, as state indices (runs, rows + 1), and the tiles of the
     first ``rows`` states of each run."""
-    _, counts, _, degree, first, flat = _row_tables(positions, True)
+    _, counts, degree, first, flat = _row_tables(positions, True)
     runs = np.arange(len(counts))[:, None]
     for _ in range(rows):
         last = runs[:, -1]
         deg = degree[last]
-        ends = np.cumsum(deg)
-        nxt = flat[np.arange(ends[-1]) + np.repeat(first[last] - ends + deg, deg)]
-        runs = np.column_stack([np.repeat(runs, deg, axis=0), nxt])
+        runs = np.column_stack([np.repeat(runs, deg, axis=0), _successors(first, flat, last, deg)])
     return runs, counts[runs[:, :-1]].sum(axis=1)
 
 
@@ -506,7 +510,7 @@ def _check_band_size(width: int, height: int, k: int, l: int, cells: int) -> Non
         rows, step = step, rows + step
     size = (width * height // 4 + 1) * rows * rows
     if size <= BAND_SIZE_CAP:
-        _, _, _, degree, first, flat = _row_tables(width, True)
+        _, _, degree, first, flat = _row_tables(width, True)
         per_run = cells * (k + 1) * (l + 1)
         runs = degree.astype(np.float64)
         for _ in range(l - 1):

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -447,12 +447,15 @@ def _row_states(positions: int, cyclic: bool) -> Tuple[int, ...]:
     return tuple(s[np.argsort(_reversed_bits(s, positions))].tolist())
 
 
-def _row_adjacency(
-    states: Sequence[int], positions: int, cyclic: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The rows that may lie next to each row, ascending (no tile of one
-    within distance 1 of a tile of the other, a symmetric relation), as
-    arrays: each row's neighbour count, and all lists end to end."""
+@lru_cache(maxsize=16)
+def _row_tables(positions: int, cyclic: bool):
+    """Row states as uint64 patterns, their tile counts, and each row's
+    neighbours end to end, ascending: row i's are flat[first[i] :
+    first[i] + degree[i]]. Two rows are neighbours when no tile of one
+    lies within distance 1 of a tile of the other, a symmetric relation;
+    the empty row is a neighbour of every row. Read-only, as every
+    caller shares them."""
+    states = _row_states(positions, cyclic)
     s = np.array(states, dtype=np.int32)  # at most 21 positions, as below
     spread = s | s << 1 | s >> 1
     if cyclic:
@@ -463,25 +466,19 @@ def _row_adjacency(
         fits = (s[None, :] & spread[lo : lo + step, None]) == 0
         degree.append(np.count_nonzero(fits, axis=1))
         flat.append(np.flatnonzero(fits) % len(s))
-    return np.concatenate(degree), np.concatenate(flat)
-
-
-def _split(degree: np.ndarray, flat: np.ndarray) -> List[List[int]]:
-    """Lists of degree[i] entries each, cut from flat in order."""
-    items = flat.tolist()
-    ends = np.cumsum(degree).tolist()
-    return [items[end - d : end] for end, d in zip(ends, degree.tolist())]
-
-
-@lru_cache(maxsize=16)
-def _row_tables(positions: int, cyclic: bool):
-    """Row states as uint64 patterns, their tile counts, their neighbour
-    lists, and those flattened: flat[first[i] : first[i] + degree[i]]."""
-    states = _row_states(positions, cyclic)
-    degree, flat = _row_adjacency(states, positions, cyclic)
+    degree, flat = np.concatenate(degree), np.concatenate(flat)
     values = np.array(states, dtype=np.uint64)
-    counts = np.array([bin(v).count("1") for v in states], dtype=np.int16)
-    return values, counts, _split(degree, flat), degree, np.cumsum(degree) - degree, flat
+    tables = values, np.bitwise_count(values).astype(np.int16), degree, np.cumsum(degree) - degree, flat
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _successors(first: np.ndarray, flat: np.ndarray, last: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """The neighbours of each row of ``last`` end to end, in that order,
+    deg = degree[last] of them each."""
+    ends = np.cumsum(deg)
+    return flat[np.arange(ends[-1]) + np.repeat(first[last] - ends + deg, deg)]
 
 
 def _row_layout(width: int, height: int, boundary: str) -> Tuple[bool, int, int]:
@@ -507,10 +504,10 @@ def iter_mask_blocks(
     concatenate to the order of iter_valid_masks.
     """
     cyclic, positions, nrows = _row_layout(width, height, boundary)
-    values, counts, neighbours, degree, first, flat = _row_tables(positions, cyclic)
+    values, counts, degree, first, flat = _row_tables(positions, cyclic)
     for start in range(len(values)) if starts is None else starts:
         closes = np.zeros(len(values), dtype=bool)
-        closes[neighbours[start]] = True
+        closes[flat[first[start] : first[start] + degree[start]]] = True
         pending = [(1, values[start : start + 1], counts[start : start + 1], np.array([start]))]
         while pending:
             row, masks, tiles, last = pending.pop()
@@ -519,15 +516,14 @@ def iter_mask_blocks(
                 yield masks[keep], tiles[keep]
                 continue
             deg = degree[last]
-            ends = np.cumsum(deg)
-            if ends[-1] > _BLOCK and len(last) > 1:
+            if deg.sum() > _BLOCK and len(last) > 1:
                 # expand the head now and the rest after it, keeping the order
-                cut = max(1, int(np.searchsorted(ends, _BLOCK, side="right")))
+                cut = max(1, int(np.searchsorted(np.cumsum(deg), _BLOCK, side="right")))
                 pending.append((row, masks[cut:], tiles[cut:], last[cut:]))
                 pending.append((row, masks[:cut], tiles[:cut], last[:cut]))
                 continue
             # children in parent order, each parent's in neighbour order
-            nxt = flat[np.arange(ends[-1]) + np.repeat(first[last] - ends + deg, deg)]
+            nxt = _successors(first, flat, last, deg)
             masks = np.repeat(masks, deg) | values[nxt] << np.uint64(row * positions)
             pending.append((row + 1, masks, np.repeat(tiles, deg) + counts[nxt], nxt))
 

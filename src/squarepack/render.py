@@ -32,6 +32,31 @@ _BACKGROUND_RGB = bytes.fromhex(BACKGROUND[1:])
 PPM_PIXEL_CAP = 1 << 24
 
 
+def _shapes(config: Configuration, stick_overlay: bool):
+    """Boxes (x0, y0, x1, y1, parity) in lattice units: each tile's square
+    with its parity class, then each stick's segment with parity None.
+
+    On a torus a box is drawn also at its translates by the width or the
+    height either way, or both, where the box itself, without stroke
+    width, meets the open picture along each axis it moves on: a tile or
+    stick across the seam shows on both sides, and a full-cycle stick on
+    the picture's edge gets no copy on the opposite edge.
+    """
+    boxes = [
+        (cx - 1, cy - 1, cx + 1, cy + 1, tile_parity_class((cx, cy)).as_tuple())
+        for cx, cy in sorted(config.occupied)
+    ]
+    for s in extract_sticks(config) if stick_overlay else ():
+        (x, y), vertical = s.anchor, s.orientation == "vertical"
+        boxes.append((x, y, x + s.length * (not vertical), y + s.length * vertical, None))
+    w, h = config.width, config.height
+    moves = 3 if config.boundary == "periodic" else 1
+    for x0, y0, x1, y1, parity in boxes:
+        for dx in [d for d in (0, -w, w)[:moves] if d == 0 or x0 + d < w and x1 + d > 0]:
+            for dy in [d for d in (0, -h, h)[:moves] if d == 0 or y0 + d < h and y1 + d > 0]:
+                yield x0 + dx, y0 + dy, x1 + dx, y1 + dy, parity
+
+
 def render_svg(
     config: Configuration,
     *,
@@ -63,26 +88,19 @@ def render_svg(
             f'<line x1="0" y1="{y}" x2="{width_px}" y2="{y}" '
             f'stroke="{GRID_COLOR}" stroke-width="0.5"/>'
         )
-    for cx, cy in sorted(config.occupied):
-        color = PARITY_COLORS[tile_parity_class((cx, cy)).as_tuple()]
-        x, y = px(cx - 1, cy + 1)
-        parts.append(
-            f'<rect x="{x}" y="{y}" width="{2 * cell}" height="{2 * cell}" '
-            f'fill="{color}" stroke="#222222" stroke-width="0.6"/>'
-        )
-    if stick_overlay:
-        for s in extract_sticks(config):
-            sx, sy = s.anchor
-            if s.orientation == "vertical":
-                x1, y1 = px(sx, sy)
-                x2, y2 = px(sx, sy + s.length)
-            else:
-                x1, y1 = px(sx, sy)
-                x2, y2 = px(sx + s.length, sy)
+    for x0, y0, x1, y1, parity in _shapes(config, stick_overlay):
+        if parity is None:
+            (x0, y0), (x1, y1) = px(x0, y0), px(x1, y1)
             parts.append(
-                f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
                 f'stroke="{STICK_COLOR}" stroke-width="{max(2, cell // 5)}" '
                 'stroke-linecap="round"/>'
+            )
+        else:
+            x, y = px(x0, y1)
+            parts.append(
+                f'<rect x="{x}" y="{y}" width="{2 * cell}" height="{2 * cell}" '
+                f'fill="{PARITY_COLORS[parity]}" stroke="#222222" stroke-width="0.6"/>'
             )
     parts.append("</svg>")
     return "\n".join(parts)
@@ -110,36 +128,14 @@ def render_ppm(
             for xx in range(max(x0, 0), min(x1, width_px)):
                 row[3 * xx : 3 * xx + 3] = rgb
 
-    for cx, cy in sorted(config.occupied):
-        rgb = _PARITY_RGB[tile_parity_class((cx, cy)).as_tuple()]
-        # tile spans [cx-1, cx+1] x [cy-1, cy+1]; flip y for raster rows
-        fill(
-            (cx - 1) * cell,
-            (h - cy - 1) * cell,
-            (cx + 1) * cell,
-            (h - cy + 1) * cell,
-            rgb,
-        )
-    if stick_overlay:
-        thick = max(1, cell // 4)
-        for s in extract_sticks(config):
-            sx, sy = s.anchor
-            if s.orientation == "vertical":
-                fill(
-                    sx * cell - thick,
-                    (h - sy - s.length) * cell,
-                    sx * cell + thick,
-                    (h - sy) * cell,
-                    _STICK_RGB,
-                )
-            else:
-                fill(
-                    sx * cell,
-                    (h - sy) * cell - thick,
-                    (sx + s.length) * cell,
-                    (h - sy) * cell + thick,
-                    _STICK_RGB,
-                )
+    thick = max(1, cell // 4)
+    for x0, y0, x1, y1, parity in _shapes(config, stick_overlay):
+        # flip y for raster rows; a stick's stroke widens it across its length
+        if parity is None:
+            tx, ty, rgb = thick * (x0 == x1), thick * (y0 == y1), _STICK_RGB
+        else:
+            tx, ty, rgb = 0, 0, _PARITY_RGB[parity]
+        fill(x0 * cell - tx, (h - y1) * cell - ty, x1 * cell + tx, (h - y0) * cell + ty, rgb)
     buf.extend(f"P6\n{width_px} {height_px}\n255\n".encode())
     for row in rows:
         buf.extend(row)

@@ -220,6 +220,14 @@ def transfer_coefficients_by_orbits(width, height, boundary):
     return [total >> n * limb & low for n in range(width * height // 4 + 1)]
 
 
+def split_rows(degree, flat):
+    """Lists of degree[i] entries each, cut from flat in order: the
+    neighbour lists of flat row tables, one Python list per row."""
+    items = flat.tolist()
+    ends = np.cumsum(degree).tolist()
+    return [items[end - d : end] for end, d in zip(ends, degree.tolist())]
+
+
 def transfer_coefficients_by_full_walk(width, height, boundary):
     """Packed-int row transfer over all rows: a torus walks its start
     orbits together, each in a field of the full polynomial width, and
@@ -228,7 +236,8 @@ def transfer_coefficients_by_full_walk(width, height, boundary):
     periodic = boundary == "periodic"
     positions = width if periodic else width - 1
     nrows = height if periodic else height - 1
-    values, counts, neighbours, degree, first, flat = lattice._row_tables(positions, periodic)
+    values, counts, degree, first, flat = lattice._row_tables(positions, periodic)
+    neighbours = split_rows(degree, flat)
     limb = exact._limb(degree, first, flat, nrows)
     shifts = [c * limb for c in counts.tolist()]
     n_max = width * height // 4
@@ -260,7 +269,7 @@ def transfer_coefficients_by_full_walk(width, height, boundary):
         kept = np.flatnonzero(keep).tolist()
         vec = walk(
             [1 << shifts[i] for i in kept],
-            lattice._split(degree[keep], rep[flat[np.repeat(keep, degree)]]),
+            split_rows(degree[keep], rep[flat[np.repeat(keep, degree)]]),
             [shifts[i] for i in kept],
         )
         total = sum(vec) + sum(x for x, i in zip(vec, kept) if mirror[i] != i)

@@ -1,9 +1,10 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
-from squarepack import exact
+from squarepack import exact, lattice
 from squarepack.errors import (
     BlockConditionViolated,
     GeometryMismatch,
@@ -25,6 +26,7 @@ from oracles import (
     eval_local_by_unique,
     reflection_pair_patterns,
     reflection_positivity_by_configurations,
+    row_neighbours_by_rows,
 )
 
 
@@ -291,6 +293,22 @@ def test_pattern_values_match_unique_reference(dims, k, l, seed, monkeypatch):
     assert set(counting) == {k == 1}
     monkeypatch.setattr(exact, "_eval_local", eval_local_by_unique)
     assert got == values()
+
+
+# -- the band transfer's runs ---------------------------------------------------
+
+
+@pytest.mark.parametrize("positions", range(2, 9))
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_band_pairs_list_every_run_of_neighbouring_rows_in_order(positions, rows):
+    states = lattice._row_states(positions, True)
+    fits = [set(nb) for nb in row_neighbours_by_rows(states, positions, True)]
+    want = [(s,) for s in range(len(states))]
+    for _ in range(rows):
+        want = [run + (t,) for run, t in product(want, range(len(states))) if t in fits[run[-1]]]
+    runs, tiles = exact._band_pairs(positions, rows)
+    assert list(map(tuple, runs.tolist())) == want
+    assert tiles.tolist() == [sum(bin(states[s]).count("1") for s in run[:-1]) for run in want]
 
 
 # -- admission by the band transfer's size -------------------------------------

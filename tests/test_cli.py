@@ -424,6 +424,69 @@ def test_render_stick_overlay_count(tmp_path):
     assert svg.count('stroke="#2f9e44"') == n_sticks
 
 
+def _ppm_color(data):
+    """The colour of pixel (column, row) of a binary PPM raster."""
+    _, size, _, pixels = data.split(b"\n", 3)
+    width_px = int(size.split()[0])
+    return lambda x, row: "#" + pixels[3 * (row * width_px + x) : 3 * (row * width_px + x) + 3].hex()
+
+
+def _chain_sample(boundary, seed):
+    from squarepack.sampler import Chain, ChainParams
+
+    return Chain(ChainParams(8, 6, 4.0, seed=seed, sweeps=0, boundary=boundary)).sweep(20).configuration()
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "free", "fully_packed"])
+@pytest.mark.parametrize("seed", range(4))
+def test_render_ppm_face_centres_have_their_cover_color(boundary, seed):
+    # on a torus the tiles on the seam show on both sides of the picture
+    from squarepack.lattice import FACE_MARGIN, face_cover
+    from squarepack.render import BACKGROUND, PARITY_COLORS, render_ppm
+
+    cfg, cell, m = _chain_sample(boundary, seed), 4, FACE_MARGIN
+    color = _ppm_color(render_ppm(cfg, cell=cell, stick_overlay=False))
+    cover = face_cover(cfg)
+    for fy in range(cfg.height):
+        for fx in range(cfg.width):
+            code = int(cover[fy + m, fx + m])
+            want = BACKGROUND if code < 0 else PARITY_COLORS[divmod(code, 2)]
+            assert color(fx * cell + cell // 2, (cfg.height - fy - 1) * cell + cell // 2) == want
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "free", "fully_packed"])
+@pytest.mark.parametrize("seed", range(4))
+def test_render_ppm_stick_edge_midpoints_have_the_stick_color(boundary, seed):
+    from squarepack.render import STICK_COLOR, render_ppm
+    from squarepack.sticks import detect_stick_edges
+
+    cfg, cell = _chain_sample(boundary, seed), 4
+    color = _ppm_color(render_ppm(cfg, cell=cell))
+    width_px, height_px = cfg.width * cell, cfg.height * cell
+    for kind, x, y in detect_stick_edges(cfg):
+        if kind == "v":
+            px, row = x * cell, (cfg.height - y - 1) * cell + cell // 2
+        else:
+            px, row = x * cell + cell // 2, (cfg.height - y) * cell
+        if 0 <= px < width_px and 0 <= row < height_px:
+            assert color(px, row) == STICK_COLOR, (kind, x, y)
+
+
+def test_render_torus_tile_on_the_seam_drawn_on_both_sides():
+    from squarepack.render import PARITY_COLORS, render_ppm, render_svg
+
+    # the tile at (0, 2) covers the faces x = 3 and x = 0, y = 1 and 2
+    cfg, cell = create_configuration(4, 4, "periodic", [(0, 2)]), 2
+    color = _ppm_color(render_ppm(cfg, cell=cell))
+    painted = PARITY_COLORS[(1, 1)]
+    for fx in (3, 0):
+        for fy in (1, 2):
+            assert color(fx * cell + 1, (4 - fy - 1) * cell + 1) == painted
+    svg = render_svg(cfg, cell=cell)
+    assert svg.count(f'fill="{painted}"') == 2
+    assert f'<rect x="6" y="2" width="4" height="4" fill="{painted}"' in svg
+
+
 def test_render_bytes_independent_of_hash_seed(tmp_path):
     from squarepack.sampler import Chain, ChainParams
 

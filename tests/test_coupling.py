@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,7 @@ from squarepack.coupling import (
     king_clusters,
     radius_tail_experiment,
 )
-from squarepack.errors import ParameterError, RegionOutOfBounds, ShapeMismatch
+from squarepack.errors import ParameterError, RegionOutOfBounds, ShapeMismatch, TooLarge
 from squarepack.lattice import BOUNDARIES, create_configuration
 from squarepack.sampler import PHASE_SEEDS, ChainParams
 
@@ -97,6 +98,48 @@ def test_king_clusters_match_oracles_in_order(case):
     # the BFS starts each cluster at its least member, in sorted order
     assert ours == king_clusters_bfs(points, w, h, periodic)
     assert set(ours) == set(king_clusters_by_union_find(points, w, h, periodic))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_king_clusters_of_sparse_rectangle_points_match_oracles(seed):
+    # clumps far apart, each a few king steps across, and lone points
+    rng = random.Random(seed)
+    points = set()
+    for _ in range(rng.randrange(1, 6)):
+        cx, cy = rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6)
+        points |= {
+            (cx + rng.randrange(-3, 4), cy + rng.randrange(-3, 4))
+            for _ in range(rng.randrange(1, 16))
+        }
+    ours = king_clusters(points)
+    assert ours == king_clusters_bfs(points)
+    assert set(ours) == set(king_clusters_by_union_find(points))
+
+
+def test_king_clusters_far_apart_take_memory_linear_in_the_points():
+    tracemalloc.start()
+    try:
+        clusters = king_clusters({(0, 0), (3000, 3000)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clusters == [frozenset({(0, 0)}), frozenset({(3000, 3000)})]
+    assert peak < 1 << 20
+
+
+def test_king_clusters_keys_at_the_int64_range():
+    top = 2**63 - 1
+    assert king_clusters({(top, top), (top - 1, top - 1), (top, top - 5)}) == [
+        frozenset({(top - 1, top - 1), (top, top)}),
+        frozenset({(top, top - 5)}),
+    ]
+    assert king_clusters({(-top, -top), (1 - top, -top)}) == [
+        frozenset({(-top, -top), (1 - top, -top)})
+    ]
+    # keys that would not fit int64
+    for points in ({(-(2**62), 0), (2**62, 0)}, {(0, -(2**62)), (0, 2**62)}):
+        with pytest.raises(TooLarge):
+            king_clusters(points)
 
 
 def test_king_clusters_narrow_torus_and_empty():

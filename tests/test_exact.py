@@ -206,8 +206,8 @@ def _record_walks(monkeypatch):
     walks = []
     walk = exact._walk
 
-    def recording(vec, neighbours, shifts, steps):
-        out = walk(vec, neighbours, shifts, steps)
+    def recording(vec, first, flat, shifts, steps):
+        out = walk(vec, first, flat, shifts, steps)
         walks.append((sum(1 for x in vec if x), max(x.bit_length() for x in out)))
         return out
 
@@ -238,7 +238,7 @@ def test_torus_walk_14x40_groups_within_the_budget(monkeypatch):
         exact, "_walk", lambda vec, *_: walks.append(sum(1 for x in vec if x)) or vec
     )
     exact._transfer_coefficients(14, 40, "periodic")
-    _, _, _, degree, first, flat = lattice._row_tables(14, True)
+    _, _, degree, first, flat = lattice._row_tables(14, True)
     # a start's field holds, in whole bytes, the at most 10 * 7 tiles of
     # the 19 rows between it and the middle row
     field = -(-(10 * 7 + 1) * exact._limb(degree, first, flat, 40) // 8) * 8
@@ -250,7 +250,7 @@ def test_torus_walk_14x40_groups_within_the_budget(monkeypatch):
 @pytest.mark.parametrize("positions", range(1, 15))
 @pytest.mark.parametrize("cyclic", [True, False])
 def test_limb_holds_every_row_sequence_count(positions, cyclic):
-    _, _, _, degree, first, flat = lattice._row_tables(positions, cyclic)
+    _, _, degree, first, flat = lattice._row_tables(positions, cyclic)
     for nrows, count in enumerate(row_sequence_counts(positions, cyclic, 40), start=1):
         limb = exact._limb(degree, first, flat, nrows)
         assert count.bit_length() <= limb <= count.bit_length() + 2, nrows
@@ -258,7 +258,7 @@ def test_limb_holds_every_row_sequence_count(positions, cyclic):
 
 def test_limb_of_a_long_torus():
     # 290 rows of 14 sites: counts far beyond the float range
-    _, _, _, degree, first, flat = lattice._row_tables(14, True)
+    _, _, degree, first, flat = lattice._row_tables(14, True)
     count = row_sequence_counts(14, True, 290)[-1]
     assert count.bit_length() > 1024
     assert count.bit_length() <= exact._limb(degree, first, flat, 290) <= count.bit_length() + 2

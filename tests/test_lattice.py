@@ -262,14 +262,14 @@ def test_start_row_pool_has_at_most_one_worker_per_start_row(monkeypatch):
 def test_row_neighbours_on_wide_rows(positions, cyclic):
     # more than 2048 states: the compatibility matrix is built in slices
     states = lattice._row_states(positions, cyclic)
-    neighbours = lattice._row_tables(positions, cyclic)[2]
-    assert len(states) > 2048 and len(neighbours) == len(states)
+    _, _, degree, first, flat = lattice._row_tables(positions, cyclic)
+    assert len(states) > 2048 and len(degree) == len(states)
     for i in range(0, len(states), 97):
         cells = {x for x in range(positions) if states[i] >> x & 1}
         near = {(x + d) % positions if cyclic else x + d for x in cells for d in (-1, 0, 1)}
         blocked = sum(1 << x for x in near if 0 <= x < positions)
         expected = [j for j, t in enumerate(states) if not t & blocked]
-        assert neighbours[i] == expected
+        assert flat[first[i] : first[i] + degree[i]].tolist() == expected
 
 
 @pytest.mark.parametrize("positions", range(1, 18))
@@ -277,12 +277,21 @@ def test_row_neighbours_on_wide_rows(positions, cyclic):
 def test_row_tables_match_per_row_reference(positions, cyclic):
     states = lattice._row_states(positions, cyclic)
     assert states == row_states_by_strings(positions, cyclic)
-    values, counts, neighbours, degree, first, flat = lattice._row_tables(positions, cyclic)
-    assert neighbours == row_neighbours_by_rows(states, positions, cyclic)
+    values, counts, degree, first, flat = lattice._row_tables(positions, cyclic)
+    neighbours = row_neighbours_by_rows(states, positions, cyclic)
     assert values.tolist() == list(states)
     assert counts.tolist() == [bin(v).count("1") for v in states]
     assert degree.tolist() == [len(nb) for nb in neighbours]
     assert [flat[f : f + d].tolist() for f, d in zip(first, degree)] == neighbours
+
+
+def test_row_tables_are_read_only():
+    # cached: a write would reach every later walk
+    tables = lattice._row_tables(6, True)
+    assert len(tables) == 5
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 @settings(max_examples=200, deadline=None)
