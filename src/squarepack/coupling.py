@@ -47,11 +47,11 @@ def _king_labels(
     then y, and in that order each point's cluster label: the index of its
     cluster's least member.
 
-    Each point is joined to the points at the four forward king offsets:
-    on a torus through a dense index grid, where the points must lie in
-    the fundamental domain (else RegionOutOfBounds); elsewhere by a search
-    of sorted keys x * span + y, in memory linear in the points (TooLarge
-    where a key would not fit int64).
+    Each point is joined to the points at the four forward king offsets,
+    wrapping on a torus, where the points must lie in the fundamental
+    domain (else RegionOutOfBounds), by a search of their sorted keys
+    x * span + y, in memory linear in the points (TooLarge where a key
+    would not fit int64, on a torus of more than 2^63 sites).
     """
     if periodic and (width is None or height is None):
         raise ParameterError("king clusters on a torus need its width and height")
@@ -64,18 +64,19 @@ def _king_labels(
     if periodic:
         if x.min() < 0 or y.min() < 0 or x.max() >= width or y.max() >= height:
             raise RegionOutOfBounds(f"points outside the {width}x{height} torus")
-        index = np.full((width, height), -1, dtype=np.int64)
-        index[x, y] = np.arange(n)
-        v = index[(x + dx) % width, (y + dy) % height]
+        extent, span = int(width), int(height)
+        qx, qy = (x + dx) % width, (y + dy) % height
     else:
-        # keys ascend in the points' order, a free key below and above each column
-        span = int(y.max()) - int(y.min()) + 3
-        if (int(x.max()) - int(x.min()) + 2) * span > np.iinfo(np.int64).max:
-            raise TooLarge("the points lie too far apart for int64 keys")
-        key = (x - x.min()) * span + (y - y.min() + 1)
-        want = key + dx * span + dy
-        v = np.searchsorted(key, want).clip(max=n - 1)
-        v[key[v] != want] = -1
+        # a free key below and above each column
+        extent, span = int(x.max()) - int(x.min()) + 2, int(y.max()) - int(y.min()) + 3
+        x, y = x - x.min(), y - y.min() + 1
+        qx, qy = x + dx, y + dy
+    if extent * span > np.iinfo(np.int64).max:
+        raise TooLarge("the points' keys would not fit int64")
+    # keys ascend in the points' order, each below extent * span
+    key, want = x * span + y, qx * span + qy
+    v = np.searchsorted(key, want).clip(max=n - 1)
+    v[key[v] != want] = -1
     hit = v >= 0
     return perm, component_labels(n, np.nonzero(hit)[1], v[hit])
 

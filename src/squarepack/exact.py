@@ -221,7 +221,7 @@ def _brute_coefficients(width: int, height: int, boundary: str) -> List[int]:
 
 def _dihedral_orbits(
     states: Sequence[int], positions: int
-) -> Tuple[List[Tuple[int, int]], List[int]]:
+) -> Tuple[List[Tuple[int, int]], np.ndarray]:
     """(index of one row, orbit size) for each orbit of the cyclic rows
     under rotation and mirroring, largest orbits first, and each row's
     orbit as its place in that list."""
@@ -233,10 +233,9 @@ def _dihedral_orbits(
     for i, least in enumerate(images.min(axis=(0, 1)).tolist()):
         members.setdefault(least, []).append(i)
     orbits = sorted(members.values(), key=len, reverse=True)
-    label = [0] * len(s)
+    label = np.zeros(len(s), dtype=np.int64)
     for k, rows in enumerate(orbits):
-        for i in rows:
-            label[i] = k
+        label[rows] = k
     return [(rows[0], len(rows)) for rows in orbits], label
 
 
@@ -266,13 +265,12 @@ def _walk(
     return vec
 
 
-def _torus_total(
-    width: int, height: int, first: np.ndarray, flat: np.ndarray, shifts: np.ndarray, limb: int
-) -> int:
+def _torus_total(width: int, height: int, shifts: np.ndarray, limb: int) -> int:
     """The packed torus polynomial, cut at a start row and at the middle
     row height/2 rows on (see ``_transfer_coefficients``)."""
+    values, _, degree, first, flat = _row_tables(width, True)
     # largest orbits first: the middle rows of orbit k join k + 1 starts
-    orbits, label = _dihedral_orbits(_row_tables(width, True)[0], width)
+    orbits, label = _dihedral_orbits(values, width)
     half = height // 2
     nbytes = -(-((half // 2) * (width // 2) + 1) * limb // 8)
     field = 8 * nbytes
@@ -284,17 +282,18 @@ def _torus_total(
         vec = np.zeros(len(first), dtype=object)
         for j, (start, _) in enumerate(starts):
             vec[start] = 1 << j * field
-        # g[s] of each middle row s, named vec so the next group's start frees it
-        vec = np.add.reduceat(_walk(vec, first, flat, shifts, half - 1)[flat], first)
+        # g[s] of each middle row s that this group joins (orbit lo or
+        # later), named vec so the next group's start frees it
+        rows = np.flatnonzero(label >= lo)
+        deg = degree[rows]
+        vec = _walk(vec, first, flat, shifts, half - 1)
+        vec = np.add.reduceat(vec[_successors(first, flat, rows, deg)], np.cumsum(deg) - deg)
         size = len(starts) * nbytes
         spans = [(a, a + nbytes) for a in range(0, size, nbytes)]
         # each start's closed walks through middle rows of its own orbit
         # and of later ones, which count twice
         sums = [0] * len(starts)
-        for k, gs, shift in zip(label, vec, shifts.tolist()):
-            k -= lo
-            if k < 0:
-                continue
+        for k, gs, shift in zip((label[rows] - lo).tolist(), vec, shifts[rows].tolist()):
             raw = gs.to_bytes(size, "little")
             for j, (a, b) in enumerate(spans[: k + 1]):
                 g = int.from_bytes(raw[a:b], "little")
@@ -350,7 +349,7 @@ def _transfer_coefficients(width: int, height: int, boundary: str) -> List[int]:
     limb = _limb(degree, first, flat, nrows)
     shifts = counts.astype(np.int64) * limb
     if periodic:
-        total = _torus_total(width, height, first, flat, shifts, limb)
+        total = _torus_total(width, height, shifts, limb)
     else:
         # rows ascend in their reversed patterns, so the mirror image of
         # row i is the row at the rank of its pattern among them

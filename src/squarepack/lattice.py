@@ -467,8 +467,8 @@ def _row_tables(positions: int, cyclic: bool):
         degree.append(np.count_nonzero(fits, axis=1))
         flat.append(np.flatnonzero(fits) % len(s))
     degree, flat = np.concatenate(degree), np.concatenate(flat)
-    values = np.array(states, dtype=np.uint64)
-    tables = values, np.bitwise_count(values).astype(np.int16), degree, np.cumsum(degree) - degree, flat
+    counts = np.array([v.bit_count() for v in states], dtype=np.int16)
+    tables = np.array(states, dtype=np.uint64), counts, degree, np.cumsum(degree) - degree, flat
     for table in tables:
         table.flags.writeable = False
     return tables

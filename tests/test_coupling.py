@@ -127,6 +127,23 @@ def test_king_clusters_far_apart_take_memory_linear_in_the_points():
     assert peak < 1 << 20
 
 
+def test_king_clusters_on_a_huge_torus_take_memory_linear_in_the_points():
+    # a torus of 10^12 sites: (0, 0) and the far corner meet across both seams
+    side = 10**6
+    points = {(0, 0), (side - 1, side - 1), (side // 2, 0)}
+    tracemalloc.start()
+    try:
+        clusters = king_clusters(points, side, side, periodic=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clusters == [frozenset({(0, 0), (side - 1, side - 1)}), frozenset({(side // 2, 0)})]
+    assert peak < 1 << 20
+    # a torus of 2^64 sites has keys beyond int64
+    with pytest.raises(TooLarge):
+        king_clusters({(0, 0)}, 2**32, 2**32, periodic=True)
+
+
 def test_king_clusters_keys_at_the_int64_range():
     top = 2**63 - 1
     assert king_clusters({(top, top), (top - 1, top - 1), (top, top - 5)}) == [
