@@ -53,9 +53,9 @@ from .lattice import (
     _check_dims,
     _reversed_bits,
     _row_tables,
+    _site_layout,
     _successors,
     iter_mask_blocks,
-    model_sites,
 )
 
 DEFAULT_AREA_CAP = 36
@@ -342,9 +342,7 @@ def _transfer_coefficients(width: int, height: int, boundary: str) -> List[int]:
     the walk keeps one row of each mirror pair, and the middle row of a
     pair counts twice.
     """
-    periodic = boundary == "periodic"
-    positions = width if periodic else width - 1
-    nrows = height if periodic else height - 1
+    periodic, positions, nrows = _site_layout(width, height, boundary)
     values, counts, degree, first, flat = _row_tables(positions, periodic)
     limb = _limb(degree, first, flat, nrows)
     shifts = counts.astype(np.int64) * limb
@@ -383,7 +381,7 @@ def partition_polynomial(
     method: 'auto' (brute force within the area cap, else row transfer),
     'brute', or 'transfer'.
     """
-    model_sites(width, height, boundary)  # validates dims
+    _check_dims(width, height, boundary)
     area = width * height
     if method == "auto":
         method = "brute" if area <= area_cap else "transfer"

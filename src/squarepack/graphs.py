@@ -33,13 +33,16 @@ import numpy as np
 from .errors import ParameterError, SpecError, TooLarge, check_fugacity
 from .exact import _transfer_coefficients
 from .lattice import (
+    _grid_of_sites,
     _row_layout,
+    _site_layout,
     FACE_MARGIN,
     component_labels,
     edge_sides,
     grid_face_cover,
     iter_mask_blocks,
     map_start_rows,
+    stick_edge_grids,
 )
 
 # configurations of a window: 8x6 has 159,651, 10x6 4,005,785, 8x8 12,727,570
@@ -61,16 +64,12 @@ def _edge_kinds(width: int, height: int, cover: np.ndarray):
     # outside the window nothing is vacant
     pad = [(0, 0)] * (cover.ndim - 2) + [(m, m)] * 2
     vacant_faces = np.pad(region_vacant, pad)
-    left, below, here, x0, y0 = edge_sides(width, height, "fully_packed", cover, -1)
+    ver, hor, x0, y0 = stick_edge_grids(width, height, "fully_packed", cover)
     vac_left, vac_below, vac_here, _, _ = edge_sides(
         width, height, "fully_packed", vacant_faces, False
     )
-
-    def marks(before, vacant_before):
-        stick = (before >= 0) & (here >= 0) & (before != here)
-        return np.where(vacant_before | vac_here, np.int8(2), stick.view(np.int8))
-
-    kinds = np.stack([marks(left, vac_left), marks(below, vac_below)], axis=-1)
+    sides = ((vac_left, ver), (vac_below, hor))
+    kinds = np.stack([np.where(v | vac_here, np.int8(2), e.view(np.int8)) for v, e in sides], -1)
     return np.swapaxes(kinds, -3, -2), region_vacant, x0, y0
 
 
@@ -204,14 +203,14 @@ def _harvest_pass(width: int, height: int, masks: np.ndarray, seen: Dict) -> Non
     first edge).
     """
     w, h = width, height
+    _, sx, sy = _site_layout(w, h, "fully_packed")
     bits = np.unpackbits(
         masks.astype("<u8").view(np.uint8).reshape(-1, 8),
         axis=1,
-        count=(w - 1) * (h - 1),
+        count=sx * sy,
         bitorder="little",
     )
-    grids = np.zeros((len(masks), h + 1, w + 1), dtype=bool)
-    grids[:, 1:h, 1:w] = bits.reshape(-1, h - 1, w - 1)
+    grids = _grid_of_sites(bits.reshape(-1, sy, sx).view(bool), "fully_packed")
     kinds, region_vacant, x0, y0 = _edge_kinds(w, h, grid_face_cover(w, h, "fully_packed", grids))
     nb, nx, ny, _ = kinds.shape
     col = ny + 1

@@ -40,10 +40,6 @@ Point = Tuple[int, int]
 
 BOUNDARIES = ("periodic", "free", "fully_packed")
 
-_NEIGHBOR_OFFSETS = tuple(
-    (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
-)
-
 
 @dataclass(frozen=True)
 class ParityClass:
@@ -72,31 +68,45 @@ def _check_dims(width: int, height: int, boundary: str) -> None:
         )
 
 
-def _exterior_conflict(center: Point, width: int, height: int) -> bool:
-    """True if a tile at ``center`` overlaps the fully-packed exterior.
+def _site_layout(width: int, height: int, boundary: str) -> Tuple[bool, int, int]:
+    """(cyclic, nx, ny): whether the model sites wrap round, and the
+    sites per row and rows of them. A torus's sites are all its residues,
+    its whole center grid; a rectangle's are the interior points of its
+    closed center grid, at offset 1. DimensionError for invalid
+    dimensions."""
+    _check_dims(width, height, boundary)
+    if boundary == "periodic":
+        return True, width, height
+    return False, width - 1, height - 1
 
-    Exterior tiles sit at every (odd, odd) point outside the open
-    rectangle; overlap means ell-infinity distance <= 1.
-    """
-    x, y = center
-    for ex in (x - 1, x, x + 1):
-        if ex % 2 == 0:
-            continue
-        for ey in (y - 1, y, y + 1):
-            if ey % 2 == 0:
-                continue
-            if not (1 <= ex <= width - 1 and 1 <= ey <= height - 1):
-                return True
-    return False
+
+def _sites_of(grid: np.ndarray, boundary: str) -> np.ndarray:
+    """The model sites of center grids laid out as ``occupancy_grid``'s,
+    under any leading axes: a view of shape (..., ny, nx)."""
+    return grid if boundary == "periodic" else grid[..., 1:-1, 1:-1]
+
+
+def _grid_of_sites(sites: np.ndarray, boundary: str) -> np.ndarray:
+    """Center grids of arrays over the model sites, under any leading
+    axes, the inverse of ``_sites_of``: a torus's sites are its grid, and
+    a rectangle's sit inside zeros."""
+    if boundary == "periodic":
+        return sites
+    *lead, ny, nx = sites.shape
+    grid = np.zeros((*lead, ny + 2, nx + 2), dtype=sites.dtype)
+    grid[..., 1:-1, 1:-1] = sites
+    return grid
 
 
 @dataclass(frozen=True)
 class Configuration:
     """Immutable, validated hard-square configuration.
 
-    A configuration built by ``_from_grid`` holds its occupancy grid and
-    fills ``occupied`` only when it is first read; comparison, hashing,
-    repr and copying read it like any other field.
+    Every configuration holds its occupancy grid, read-only and laid out
+    as ``occupancy_grid`` returns it, from construction on: the
+    constructor fills it from the centers and validates on it. One made
+    by ``_from_grid`` builds ``occupied`` only when it is first read;
+    comparison, hashing, repr and copying read it like any other field.
     """
 
     width: int
@@ -106,50 +116,67 @@ class Configuration:
 
     # -- construction ---------------------------------------------------
 
-    @staticmethod
-    def _normalize(width, height, boundary, occupied) -> FrozenSet[Point]:
-        if boundary == "periodic":
-            return frozenset((x % width, y % height) for x, y in occupied)
-        return frozenset((int(x), int(y)) for x, y in occupied)
-
     def __post_init__(self):
-        _check_dims(self.width, self.height, self.boundary)
-        object.__setattr__(
-            self,
-            "occupied",
-            self._normalize(self.width, self.height, self.boundary, self.occupied),
-        )
-        self._validate()
-
-    def _validate(self) -> None:
+        """Normalize the centers, fill the grid from them and check it.
+        Under fully_packed boundary a tile overlaps the exterior exactly
+        when its center lies on the rectangle's boundary, off the model
+        sites; two tiles overlap exactly when one 2x2 window of centers
+        holds both, the windows of a torus wrapping round."""
         w, h = self.width, self.height
-        occ = self.occupied
-        if self.boundary != "periodic":
-            for x, y in occ:
-                if not (0 <= x <= w and 0 <= y <= h):
-                    raise DimensionError(
-                        f"center {(x, y)} outside the closed {w}x{h} rectangle"
-                    )
-        if self.boundary == "fully_packed":
-            for c in occ:
-                if _exterior_conflict(c, w, h):
-                    raise BoundaryConflict(
-                        f"tile at {c} overlaps the fully-packed exterior"
-                    )
+        _check_dims(w, h, self.boundary)
         periodic = self.boundary == "periodic"
-        for x, y in occ:
-            for dx, dy in _NEIGHBOR_OFFSETS:
-                nb = ((x + dx) % w, (y + dy) % h) if periodic else (x + dx, y + dy)
-                if nb in occ:
-                    raise OverlapError(f"tiles at {(x, y)} and {nb} overlap")
+        if periodic:
+            occ = frozenset((x % w, y % h) for x, y in self.occupied)
+        else:
+            occ = frozenset((int(x), int(y)) for x, y in self.occupied)
+        object.__setattr__(self, "occupied", occ)
+        grid = np.zeros((h, w) if periodic else (h + 1, w + 1), dtype=bool)
+        try:
+            xy = np.fromiter(chain.from_iterable(occ), np.int64, 2 * len(occ)).reshape(-1, 2)
+        except OverflowError:  # torus centers are reduced; a rectangle's may be huge
+            raise DimensionError(f"a center lies far outside the closed {w}x{h} rectangle")
+        if not periodic:
+            outside = np.flatnonzero(((xy < 0) | (xy > (w, h))).any(axis=1))
+            if len(outside):
+                center = tuple(xy[outside[0]].tolist())
+                raise DimensionError(f"center {center} outside the closed {w}x{h} rectangle")
+        grid[xy[:, 1], xy[:, 0]] = True
+        grid.flags.writeable = False
+        object.__setattr__(self, "_grid", grid)
+        if self.boundary == "fully_packed":
+            off = self._tile_off_the_sites()
+            if off is not None:
+                raise BoundaryConflict(f"tile at {off} overlaps the fully-packed exterior")
+        g = grid.view(np.uint8)
+        if periodic:
+            g = np.concatenate([g, g[:1]])
+            g = np.concatenate([g, g[:, :1]], axis=1)
+        windows = g[:-1, :-1] + g[:-1, 1:] + g[1:, :-1] + g[1:, 1:]
+        if windows.max() > 1:
+            y, x = np.argwhere(windows > 1)[0].tolist()
+            rows, cols = grid.shape
+            a, b = [
+                ((x + i) % cols, (y + j) % rows)
+                for j, i in np.argwhere(g[y : y + 2, x : x + 2])[:2].tolist()
+            ]
+            raise OverlapError(f"tiles at {a} and {b} overlap")
+
+    def _tile_off_the_sites(self) -> Optional[Point]:
+        """A tile whose center is not a model site, or None: on a
+        rectangle, one on its boundary."""
+        off = self._grid.copy()
+        _sites_of(off, self.boundary)[...] = False
+        if not np.count_nonzero(off):
+            return None
+        y, x = np.argwhere(off)[0].tolist()
+        return (x, y)
 
     def __getattr__(self, name):
         # called only for attributes not found: the center set of a
-        # grid-backed configuration before its first read
-        grid = self.__dict__.get("_grid") if name == "occupied" else None
-        if grid is None:
+        # configuration made by _from_grid, before its first read
+        if name != "occupied":
             raise AttributeError(name)
-        ys, xs = np.nonzero(grid)
+        ys, xs = np.nonzero(self._grid)
         occupied = frozenset(zip(xs.tolist(), ys.tolist()))
         object.__setattr__(self, "occupied", occupied)
         return occupied
@@ -157,8 +184,7 @@ class Configuration:
     def __setstate__(self, state) -> None:
         # pickle and deepcopy hand over a writable copy of the grid
         self.__dict__.update(state)
-        if "_grid" in state:
-            state["_grid"].flags.writeable = False
+        state["_grid"].flags.writeable = False
 
     # -- basic queries ---------------------------------------------------
 
@@ -169,44 +195,27 @@ class Configuration:
 
     @property
     def tile_count(self) -> int:
-        grid = self.__dict__.get("_grid")
-        return len(self.occupied) if grid is None else int(np.count_nonzero(grid))
+        return int(np.count_nonzero(self._grid))
 
     def occupancy_grid(self) -> np.ndarray:
         """Boolean grid indexed [y, x] over the center lattice.
 
         Shape is (height, width) for periodic and
         (height + 1, width + 1) for the rectangle modes. A fresh copy of
-        the grid the configuration keeps from its first call (or holds
-        from the start, when grid-backed).
+        the grid the configuration holds.
         """
-        grid = self.__dict__.get("_grid")
-        if grid is None:
-            extra = 0 if self.boundary == "periodic" else 1
-            grid = np.zeros((self.height + extra, self.width + extra), dtype=bool)
-            xy = np.fromiter(chain.from_iterable(self.occupied), dtype=np.int64)
-            grid[xy[1::2], xy[::2]] = True
-            grid.flags.writeable = False
-            object.__setattr__(self, "_grid", grid)
-        return grid.copy()
+        return self._grid.copy()
 
     def translate(self, dx: int, dy: int) -> "Configuration":
         """Translate all centers; periodic only (rectangles lose validity)."""
         if self.boundary != "periodic":
             raise DimensionError("translation is defined for periodic configurations")
-        moved = frozenset(
-            ((x + dx) % self.width, (y + dy) % self.height) for x, y in self.occupied
-        )
-        return Configuration(self.width, self.height, self.boundary, moved)
+        moved = np.roll(self._grid, (dy, dx), axis=(0, 1))
+        return _from_grid(self.width, self.height, self.boundary, moved)
 
     def transpose(self) -> "Configuration":
         """Exchange the x and y axes."""
-        return Configuration(
-            self.height,
-            self.width,
-            self.boundary,
-            frozenset((y, x) for x, y in self.occupied),
-        )
+        return _from_grid(self.height, self.width, self.boundary, self._grid.T.copy())
 
 
 def create_configuration(
@@ -243,10 +252,7 @@ def face_cover(config: Configuration) -> np.ndarray:
     marks an uncovered face. On a torus the margin wraps; under
     fully_packed boundary the exterior tiles cover it.
     """
-    grid = config.__dict__.get("_grid")
-    if grid is None:
-        grid = config.occupancy_grid()
-    return grid_face_cover(config.width, config.height, config.boundary, grid)
+    return grid_face_cover(config.width, config.height, config.boundary, config._grid)
 
 
 @lru_cache(maxsize=32)
@@ -317,6 +323,16 @@ def edge_sides(width: int, height: int, boundary: str, faces: np.ndarray, fill):
     return left, below, faces, -m, -m
 
 
+
+def stick_edge_grids(width: int, height: int, boundary: str, cover: np.ndarray):
+    """Boolean grids of the vertical and horizontal stick edges among the
+    edges that ``edge_sides`` scans, for face covers under any leading
+    axes, and the corner (x0, y0) of entry [..., 0, 0]."""
+    left, below, here, x0, y0 = edge_sides(width, height, boundary, cover, -1)
+    # codes are -1 (uncovered) to 3, so a ^ b > 0 exactly when both faces
+    # are covered, by tiles of distinct parities
+    return (left ^ here) > 0, (below ^ here) > 0, x0, y0
+
 def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Least node of each node's connected component, for the nodes
     0 .. n - 1 joined by the edges (u[i], v[i]).
@@ -346,13 +362,8 @@ def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def encode(config: Configuration) -> str:
     """Render as a header line plus one text row per center row, top first."""
-    if config.boundary == "periodic":
-        xs, ys = range(config.width), range(config.height)
-    else:
-        xs, ys = range(config.width + 1), range(config.height + 1)
-    lines = [f"{config.width} {config.height} {config.boundary}"]
-    for y in reversed(ys):
-        lines.append("".join("o" if (x, y) in config.occupied else "." for x in xs))
+    rows = np.where(config._grid[::-1], "o", ".").tolist()
+    lines = [f"{config.width} {config.height} {config.boundary}", *map("".join, rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -418,20 +429,6 @@ def from_json(text: str) -> Configuration:
 _BLOCK = 1 << 16  # partial configurations per row step
 
 
-@lru_cache(maxsize=32)
-def model_sites(width: int, height: int, boundary: str) -> Tuple[Point, ...]:
-    """Candidate centers of the finite-volume model, raster order.
-
-    All residues for the torus; interior lattice points for the rectangle
-    modes (free and fully-packed boundary conditions admit the same
-    interior configurations when the dimensions are even).
-    """
-    _check_dims(width, height, boundary)
-    if boundary == "periodic":
-        return tuple((x, y) for y in range(height) for x in range(width))
-    return tuple((x, y) for y in range(1, height) for x in range(1, width))
-
-
 def _reversed_bits(s: np.ndarray, positions: int) -> np.ndarray:
     """Each pattern read backwards: bit i moves to bit positions - 1 - i."""
     bit = np.arange(positions)
@@ -482,14 +479,12 @@ def _successors(first: np.ndarray, flat: np.ndarray, last: np.ndarray, deg: np.n
 
 
 def _row_layout(width: int, height: int, boundary: str) -> Tuple[bool, int, int]:
-    """(cyclic rows, sites per row, rows) of the model sites, which fill
-    the mask bits row by row; TooLarge above 64 sites."""
-    sites = len(model_sites(width, height, boundary))
-    if sites > 64:
-        raise TooLarge(f"{sites} sites do not fit the 64-bit configuration masks")
-    if boundary == "periodic":
-        return True, width, height
-    return False, width - 1, height - 1
+    """``_site_layout``: the model sites fill the mask bits row by row,
+    so TooLarge above 64 sites."""
+    cyclic, nx, ny = _site_layout(width, height, boundary)
+    if nx * ny > 64:
+        raise TooLarge(f"{nx * ny} sites do not fit the 64-bit configuration masks")
+    return cyclic, nx, ny
 
 
 def iter_mask_blocks(
@@ -541,7 +536,8 @@ def map_start_rows(fn: Callable, width: int, height: int, boundary: str, threads
 def iter_valid_masks(width: int, height: int, boundary: str) -> Iterator[Tuple[int, int]]:
     """Yield (bitmask, tile_count) as Python ints for every valid configuration.
 
-    Bit i of the mask corresponds to model_sites(...)[i]. The order is
+    Bit i of the mask is model site i in raster order, the flat index of
+    the (ny, nx) sites of ``_site_layout``. The order is
     lexicographic over the sites, site 0 first and an empty site before
     an occupied one: ascending in the bit-reversed mask, as a site-by-site
     depth-first search that tries the empty branch first gives it. Raises

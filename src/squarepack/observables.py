@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InsufficientData, ParameterError
+from .errors import DimensionError, InsufficientData, ParameterError
 from .lattice import FACE_MARGIN, Configuration, face_cover
 
 BATCHES = 32
@@ -51,13 +51,17 @@ def parity_density(samples: Sequence[Configuration]) -> Dict[str, float]:
     Averages over the model sites of each sample; classes are keyed
     "xy" by the two residues. Also reports the even/odd x marginals.
     Counts are sums over the four residue-class slices of each sample's
-    occupancy grid.
+    occupancy grid. A tile off the model sites, on a rectangle's
+    boundary, is a DimensionError.
     """
     if not samples:
         raise InsufficientData("no samples")
     totals = {(i, j): 0.0 for i in (0, 1) for j in (0, 1)}
     sizes = {(i, j): 0 for i in (0, 1) for j in (0, 1)}
     for cfg in samples:
+        off = cfg._tile_off_the_sites()
+        if off is not None:
+            raise DimensionError(f"tile at {off} is not on a model site")
         grid = cfg.occupancy_grid()  # indexed [y, x]
         for (i, j), size in _residue_class_sizes(cfg.width, cfg.height, cfg.boundary).items():
             sizes[i, j] += size
@@ -156,6 +160,7 @@ def offset_row_vacancy_check(cfg: Configuration) -> List[dict]:
         if s.orientation == "vertical" and s.parity == 0
     ]
     w = cfg.width
+    periodic = cfg.boundary == "periodic"
     cover = face_cover(cfg)
     for (x, y) in sorted(cfg.occupied):
         if x % 2:
@@ -163,10 +168,14 @@ def offset_row_vacancy_check(cfg: Configuration) -> List[dict]:
         rows = (y - 1, y)
 
         def spans(stick):
-            sy = stick.anchor[1]
+            # the face rows y - 1 and y lie within the stick, which on a
+            # torus may wrap past y = 0
             if stick.wraps:
                 return True
-            return sy <= rows[0] and rows[1] + 1 <= sy + stick.length
+            below = rows[0] - stick.anchor[1]
+            if periodic:
+                below %= cfg.height
+            return 0 <= below and below + 2 <= stick.length
 
         left = [s for s in sticks if spans(s) and (s.anchor[0] - x) % w > w // 2]
         right = [s for s in sticks if spans(s) and 0 < (s.anchor[0] - x) % w <= w // 2]

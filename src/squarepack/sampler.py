@@ -58,7 +58,15 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from .errors import DimensionError, ParameterError, check_fugacity
-from .lattice import Configuration, _check_dims, _from_grid, create_configuration
+from .lattice import (
+    Configuration,
+    _check_dims,
+    _from_grid,
+    _grid_of_sites,
+    _site_layout,
+    _sites_of,
+    create_configuration,
+)
 from .observables import ObservableReport, parity_density, summarize_series
 from .sticks import classify_phase, stick_census
 
@@ -92,8 +100,7 @@ def seed_phase_configuration(
     """
     if phase not in PHASE_SEEDS:
         raise ParameterError(f"unknown phase {phase!r}")
-    if width % 2 or height % 2:
-        raise DimensionError("phase seeds need even dimensions")
+    _check_dims(width, height, boundary)
     transpose = phase.startswith("hor")
     w, h = (height, width) if transpose else (width, height)
     ncols = w // 2
@@ -101,18 +108,16 @@ def seed_phase_configuration(
         offsets = [i % 2 for i in range(ncols)]
     if len(offsets) != ncols:
         raise DimensionError(f"need {ncols} column offsets, got {len(offsets)}")
-    occ = []
-    for i, x in enumerate(range(1, w, 2)):
-        t = offsets[i] % 2
-        occ.extend((x, (1 + t + 2 * k) % h) for k in range(h // 2))
-    cfg = create_configuration(w, h, "periodic", occ)
+    # column i, at x = 2i + 1, holds the rows of parity 1 + offsets[i]
+    grid = np.zeros((h, w), dtype=bool)
+    grid[:, 1::2] = np.arange(h)[:, None] % 2 == (1 + np.asarray(offsets)) % 2
+    cfg = _from_grid(w, h, "periodic", grid)
     if transpose:
         cfg = cfg.transpose()
     if phase in ("ver1", "hor1"):
         cfg = cfg.translate(1, 0) if phase == "ver1" else cfg.translate(0, 1)
     if boundary != "periodic":
-        inside = [p for p in cfg.occupied if 0 < p[0] < width and 0 < p[1] < height]
-        cfg = create_configuration(width, height, boundary, inside)
+        cfg = _from_grid(width, height, boundary, _grid_of_sites(cfg._grid[1:, 1:], boundary))
     return cfg
 
 
@@ -186,23 +191,15 @@ class ChainParams:
 
 
 class _Geometry:
-    """Site grid of the sampled model.
-
-    Periodic mode samples all torus residues; the rectangle modes sample
-    the interior lattice points, matching the enumeration paths. Site
+    """Site grid of the sampled model: the model sites of
+    ``lattice._site_layout``, as the enumeration paths take them. Site
     (x, y) of the grid has flat index y * nx + x, which is also its bit
     in an occupancy mask.
     """
 
     def __init__(self, width: int, height: int, boundary: str):
         self.boundary = boundary
-        self.periodic = boundary == "periodic"
-        if self.periodic:
-            self.nx, self.ny = width, height
-            self.origin = (0, 0)
-        else:
-            self.nx, self.ny = width - 1, height - 1
-            self.origin = (1, 1)
+        self.periodic, self.nx, self.ny = _site_layout(width, height, boundary)
         self.n_sites = self.nx * self.ny
         flat = np.arange(self.n_sites).reshape(self.ny, self.nx)
         self.class_indices: List[np.ndarray] = [
@@ -240,16 +237,12 @@ class _Geometry:
         return blocks, target.ravel().tolist()
 
     def from_configuration(self, cfg: Configuration) -> List[int]:
-        ox, oy = self.origin
-        out = []
-        for x, y in cfg.occupied:
-            gx, gy = x - ox, y - oy
-            if not (0 <= gx < self.nx and 0 <= gy < self.ny):
-                raise DimensionError(
-                    f"initial tile at {(x, y)} outside the sampled site grid"
-                )
-            out.append(gy * self.nx + gx)
-        return out
+        """Flat indices of the configuration's tiles; DimensionError for
+        a tile off the sites."""
+        off = cfg._tile_off_the_sites()
+        if off is not None:
+            raise DimensionError(f"initial tile at {off} outside the sampled site grid")
+        return np.flatnonzero(_sites_of(cfg._grid, self.boundary)).tolist()
 
 
 def _mask(indices: Sequence[int], n_sites: int) -> int:
@@ -566,14 +559,12 @@ class Chain:
         return self
 
     def configuration(self) -> Configuration:
-        """The current state, grid-backed: its center set is built only
-        when ``occupied`` is first read."""
+        """The current state: its center set is built only when
+        ``occupied`` is first read."""
         geom = self.geom
-        grid = _unpack(self.engine.occ, geom.n_sites).view(bool).reshape(geom.ny, geom.nx)
-        if not geom.periodic:
-            # the interior sites, inside the closed rectangle's center grid
-            grid = np.pad(grid, 1)
-        return _from_grid(self.params.width, self.params.height, self.params.boundary, grid)
+        sites = _unpack(self.engine.occ, geom.n_sites).view(bool).reshape(geom.ny, geom.nx)
+        grid = _grid_of_sites(sites, geom.boundary)
+        return _from_grid(self.params.width, self.params.height, geom.boundary, grid)
 
     def state_key(self) -> int:
         """Occupancy bitmask; cheap identity of the current state."""
@@ -602,12 +593,8 @@ def iter_samples(chain: Chain) -> Iterator[Configuration]:
 
 
 def _tile_density(cfg: Configuration, params: ChainParams) -> float:
-    geom_sites = (
-        cfg.width * cfg.height
-        if cfg.boundary == "periodic"
-        else (cfg.width - 1) * (cfg.height - 1)
-    )
-    return cfg.tile_count / geom_sites
+    _, nx, ny = _site_layout(cfg.width, cfg.height, cfg.boundary)
+    return cfg.tile_count / (nx * ny)
 
 
 def _vacancy_density(cfg: Configuration, params: ChainParams) -> float:

@@ -36,7 +36,7 @@ from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import DimensionError, ParameterError, WrapError, check_fugacity
-from .lattice import Configuration, Point, edge_sides, face_cover
+from .lattice import Configuration, Point, face_cover, stick_edge_grids
 
 Edge = Tuple[str, int, int]  # ("v", x, y) from (x,y) to (x,y+1); ("h", x, y) to (x+1,y)
 
@@ -140,14 +140,8 @@ class _StickMemo:
 
 
 def _stick_edge_grids(config: Configuration) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """Boolean grids of vertical and horizontal stick edges over the edges
-    that ``edge_sides`` scans, and the corner (x0, y0) of entry [0, 0]."""
-    left, below, here, x0, y0 = edge_sides(
-        config.width, config.height, config.boundary, face_cover(config), -1
-    )
-    # codes are -1 (uncovered) to 3, so a ^ b > 0 exactly when both faces
-    # are covered, by tiles of distinct parities
-    return (left ^ here) > 0, (below ^ here) > 0, x0, y0
+    """``stick_edge_grids`` of the configuration's face cover."""
+    return stick_edge_grids(config.width, config.height, config.boundary, face_cover(config))
 
 
 def _memo(config: Configuration, grids=None) -> _StickMemo:

@@ -13,17 +13,110 @@ from typing import NamedTuple
 import numpy as np
 
 from squarepack import exact, lattice
-from squarepack.errors import DimensionError, GeometryMismatch, TooLarge, check_fugacity
+from squarepack.errors import (
+    BoundaryConflict,
+    DimensionError,
+    GeometryMismatch,
+    OverlapError,
+    ParameterError,
+    TooLarge,
+    check_fugacity,
+)
 from squarepack.graphs import ComponentRecord, _least_encoding, _slot_table
 from squarepack.lattice import (
     FACE_MARGIN,
+    _check_dims,
     create_configuration,
     iter_mask_blocks,
     iter_valid_masks,
-    model_sites,
 )
 from squarepack.sampler import DIRECTIONS
 from squarepack.sticks import DEFAULT_N, PHASES, Rect, Stick
+
+
+@lru_cache(maxsize=32)
+def model_sites(width, height, boundary):
+    """Candidate centers of the finite-volume model, raster order: all
+    residues of a torus, the interior lattice points of a rectangle
+    (free and fully-packed boundary conditions admit the same interior
+    configurations when the dimensions are even). Bit i of a
+    configuration mask is site i."""
+    _check_dims(width, height, boundary)
+    if boundary == "periodic":
+        return tuple((x, y) for y in range(height) for x in range(width))
+    return tuple((x, y) for y in range(1, height) for x in range(1, width))
+
+
+def _exterior_conflict(center, width, height):
+    """True if a tile at ``center`` overlaps the fully-packed exterior:
+    exterior tiles sit at every (odd, odd) point outside the open
+    rectangle, and overlap means ell-infinity distance <= 1."""
+    x, y = center
+    for ex in (x - 1, x, x + 1):
+        if ex % 2 == 0:
+            continue
+        for ey in (y - 1, y, y + 1):
+            if ey % 2 == 0:
+                continue
+            if not (1 <= ex <= width - 1 and 1 <= ey <= height - 1):
+                return True
+    return False
+
+
+def validate_by_tiles(width, height, boundary, occupied):
+    """Configuration validity tile by tile, as the constructor checked it
+    before it checked on the grid: DimensionError for a rectangle's
+    center outside the closed rectangle, then BoundaryConflict for a
+    tile against the fully-packed exterior, then OverlapError for two
+    tiles within distance 1 of each other. The centers are normalized
+    as the constructor normalizes them."""
+    _check_dims(width, height, boundary)
+    periodic = boundary == "periodic"
+    if periodic:
+        occ = {(x % width, y % height) for x, y in occupied}
+    else:
+        occ = {(int(x), int(y)) for x, y in occupied}
+        for x, y in occ:
+            if not (0 <= x <= width and 0 <= y <= height):
+                raise DimensionError(f"center {(x, y)} outside the closed rectangle")
+    if boundary == "fully_packed":
+        for c in occ:
+            if _exterior_conflict(c, width, height):
+                raise BoundaryConflict(f"tile at {c} overlaps the fully-packed exterior")
+    for x, y in occ:
+        for dx, dy in product((-1, 0, 1), repeat=2):
+            nb = (x + dx, y + dy)
+            if periodic:
+                nb = (nb[0] % width, nb[1] % height)
+            if (dx, dy) != (0, 0) and nb in occ:
+                raise OverlapError(f"tiles at {(x, y)} and {nb} overlap")
+
+
+def seed_phase_by_points(width, height, phase, offsets=None, boundary="periodic"):
+    """``sampler.seed_phase_configuration`` as it was built before it
+    filled a grid: the torus seed's centers listed column by column,
+    mapped point by point for the hor and the shifted phases, and kept
+    on a rectangle's interior."""
+    if phase not in PHASES:
+        raise ParameterError(f"unknown phase {phase!r}")
+    _check_dims(width, height, boundary)
+    transpose = phase.startswith("hor")
+    w, h = (height, width) if transpose else (width, height)
+    if offsets is None:
+        offsets = [i % 2 for i in range(w // 2)]
+    if len(offsets) != w // 2:
+        raise DimensionError(f"need {w // 2} column offsets, got {len(offsets)}")
+    occ = []
+    for i, x in enumerate(range(1, w, 2)):
+        t = offsets[i] % 2
+        occ.extend((x, (1 + t + 2 * k) % h) for k in range(h // 2))
+    if transpose:
+        occ = [(y, x) for x, y in occ]
+    dx, dy = {"ver1": (1, 0), "hor1": (0, 1)}.get(phase, (0, 0))
+    occ = [((x + dx) % width, (y + dy) % height) for x, y in occ]
+    if boundary != "periodic":
+        occ = [(x, y) for x, y in occ if 0 < x < width and 0 < y < height]
+    return create_configuration(width, height, boundary, occ)
 
 
 def mask_to_configuration(width, height, boundary, mask):
@@ -1111,6 +1204,33 @@ def parity_density_by_centers(samples):
     out["even_x"] = (totals[(0, 0)] + totals[(0, 1)]) / even_sites if even_sites else 0.0
     out["odd_x"] = (totals[(1, 0)] + totals[(1, 1)]) / odd_sites if odd_sites else 0.0
     return out
+
+
+def offset_row_vacancy_by_faces(config):
+    """``observables.offset_row_vacancy_check`` of a torus configuration
+    face by face: for every tile at even x, the nearest even x on either
+    side whose vertical edges in both face rows y - 1 and y, across the
+    seam when y = 0, are stick edges of ``stick_edges_by_faces``, and the
+    vacant faces between the two in those rows."""
+    w, h = config.width, config.height
+    edges = stick_edges_by_faces(config)
+    results = []
+    for x, y in sorted(config.occupied):
+        if x % 2:
+            continue
+        rows = ((y - 1) % h, y)
+        lines = [a for a in range(0, w, 2) if all(("v", a, r) in edges for r in rows)]
+        left = [a for a in lines if (a - x) % w > w // 2]
+        right = [a for a in lines if 0 < (a - x) % w <= w // 2]
+        if not left or not right:
+            results.append({"center": (x, y), "flanked": False, "vacancies": None})
+            continue
+        lx = max(left, key=lambda a: (a - x) % w)
+        rx = min(right, key=lambda a: (a - x) % w)
+        faces = [((lx + k) % w, r) for k in range((rx - lx) % w) for r in rows]
+        count = sum(is_face_vacant(config, face) for face in faces)
+        results.append({"center": (x, y), "flanked": True, "vacancies": count})
+    return results
 
 
 def disagreement_set_by_centers(a, b):

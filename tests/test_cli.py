@@ -20,6 +20,14 @@ from squarepack.sampler import OBSERVABLES, seed_phase_configuration
 
 from strategies import random_valid_config
 
+# the package as the tests import it, for the module entry point run in
+# a child process, with or without an installed copy
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -167,6 +175,7 @@ def test_chessboard_wide_torus_rejected_before_counting():
         capture_output=True,
         text=True,
         timeout=60,
+        env=CLI_ENV,
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -184,6 +193,7 @@ def test_brute_beyond_64_sites_rejected_before_enumeration():
         capture_output=True,
         text=True,
         timeout=60,
+        env=CLI_ENV,
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -499,7 +509,7 @@ def test_render_bytes_independent_of_hash_seed(tmp_path):
         subprocess.run(
             [sys.executable, "-m", "squarepack.cli", "render"]
             + ["--in", str(cfg_path), "--out", str(svg_path)],
-            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            env={**CLI_ENV, "PYTHONHASHSEED": hash_seed},
             check=True,
         )
         images.append(svg_path.read_bytes())
@@ -576,6 +586,7 @@ def test_components_cli_checks_bounds_before_the_harvest():
         capture_output=True,
         text=True,
         timeout=60,
+        env=CLI_ENV,
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -716,6 +727,7 @@ def test_cli_module_entrypoint():
         [sys.executable, "-m", "squarepack.cli", "exact1d", "--L", "2", "--lambda", "1"],
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
@@ -730,6 +742,7 @@ def test_closed_stdout_exits_without_traceback():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=CLI_ENV,
     )
     assert proc.stdout.readline() == "{\n"
     proc.stdout.close()

@@ -17,7 +17,7 @@ from squarepack.lattice import (
     grid_face_cover,
     iter_mask_blocks,
     iter_valid_masks,
-    model_sites,
+    stick_edge_grids,
     tile_parity_class,
 )
 from squarepack.sampler import Chain, ChainParams
@@ -29,6 +29,7 @@ from oracles import (
     grid_face_cover_by_codes,
     is_face_vacant,
     mask_to_configuration,
+    model_sites,
     stick_edges_by_faces,
 )
 from strategies import random_valid_config
@@ -111,3 +112,20 @@ def test_cached_face_cover_matches_per_call_codes_on_stacks(width, height, bound
             grid_face_cover(width, height, boundary, stack),
             grid_face_cover_by_codes(width, height, boundary, stack),
         )
+
+
+@pytest.mark.parametrize(
+    "width,height,boundary", [(6, 4, "periodic"), (4, 6, "free"), (6, 4, "fully_packed")]
+)
+def test_stick_edge_grids_of_a_stack_match_the_face_references(width, height, boundary):
+    configs = [
+        mask_to_configuration(width, height, boundary, mask)
+        for mask, _ in iter_valid_masks(width, height, boundary)
+    ]
+    # under two leading axes
+    covers = np.stack([face_cover(cfg) for cfg in configs])[:, None]
+    ver, hor, x0, y0 = stick_edge_grids(width, height, boundary, covers)
+    for cfg, v, h in zip(configs, ver[:, 0], hor[:, 0]):
+        found = {("v", x + x0, y + y0) for y, x in np.argwhere(v).tolist()}
+        found |= {("h", x + x0, y + y0) for y, x in np.argwhere(h).tolist()}
+        assert found == stick_edges_by_faces(cfg)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from squarepack import graphs
 from squarepack.errors import NonpositiveFugacity, SpecError, TooLarge
 from squarepack.graphs import enumerate_components, verify_counting_bounds
-from squarepack.lattice import create_configuration, model_sites
+from squarepack.lattice import create_configuration
 
 from oracles import (
     canonicalize,
@@ -21,6 +21,7 @@ from oracles import (
     least_encoding_by_head_strings,
     mask_to_configuration,
     max_stick_run,
+    model_sites,
     valid_masks_by_sites,
 )
 from strategies import random_valid_config, striped_config

@@ -6,17 +6,27 @@ import copy
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squarepack.coupling import disagreement_set
-from squarepack.lattice import BOUNDARIES, create_configuration, face_cover
+from squarepack.errors import DimensionError
+from squarepack.lattice import (
+    BOUNDARIES,
+    create_configuration,
+    decode,
+    encode,
+    face_cover,
+    from_json,
+    to_json,
+)
 from squarepack.observables import occupancy_stack, parity_density
 from squarepack.render import render_ppm, render_svg
-from squarepack.sampler import Chain, ChainParams
+from squarepack.sampler import Chain, ChainParams, seed_phase_configuration
 from squarepack.sticks import classify_phase
 
-from oracles import disagreement_set_by_centers, parity_density_by_centers
+from oracles import disagreement_set_by_centers, model_sites, parity_density_by_centers
 from strategies import random_valid_config
 
 
@@ -110,14 +120,35 @@ def test_set_built_keeps_a_read_only_grid(cfg):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(random_valid_config(), min_size=1, max_size=4))
 def test_parity_density_matches_center_oracle(samples):
-    assert parity_density(samples) == parity_density_by_centers(samples)
+    # a center on a rectangle's boundary is no model site
+    off = [
+        [p for p in cfg.occupied if p not in model_sites(cfg.width, cfg.height, cfg.boundary)]
+        for cfg in samples
+    ]
+    first = next((tiles for tiles in off if tiles), None)
+    if first is None:
+        assert parity_density(samples) == parity_density_by_centers(samples)
+        return
+    with pytest.raises(DimensionError) as info:
+        parity_density(samples)
+    assert any(str(p) in str(info.value) for p in first)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seeded_chains(), st.integers(1, 6))
-def test_parity_density_of_chains_matches_center_oracle(chain, sweeps):
-    samples = [chain.configuration(), chain.sweep(sweeps).configuration()]
-    assert parity_density(samples) == parity_density_by_centers(samples)
+def test_parity_density_rejects_tiles_off_the_model_sites():
+    corners = [(0, 0), (0, 4), (4, 0), (4, 4), (2, 2)]
+    with pytest.raises(DimensionError, match=r"\(0, 0\)"):
+        parity_density([create_configuration(4, 4, "free", corners)])
+    inside = create_configuration(4, 4, "free", [(2, 2)])
+    assert parity_density([inside])["00"] == 1.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), sweeps=st.integers(1, 6))
+def test_parity_density_of_chains_matches_center_oracle(data, sweeps):
+    for boundary in BOUNDARIES:
+        chain = data.draw(seeded_chains(boundaries=(boundary,)))
+        samples = [chain.configuration(), chain.sweep(sweeps).configuration()]
+        assert parity_density(samples) == parity_density_by_centers(samples)
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,3 +187,28 @@ def test_analysis_does_not_build_the_center_set():
     disagreement_set(a, b)
     occupancy_stack([a, b])
     assert _lazy(a) and _lazy(b)
+
+
+def _read_only_grid(cfg) -> bool:
+    grid = vars(cfg)["_grid"]
+    return not grid.flags.writeable and np.array_equal(grid, _set_built(cfg).occupancy_grid())
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_every_constructor_leaves_a_read_only_grid(boundary):
+    cfg = seed_phase_configuration(8, 6, "hor1", boundary=boundary)
+    chain = Chain(ChainParams(8, 6, 4.0, 3, sweeps=0, boundary=boundary)).sweep(5)
+    made = [
+        cfg,
+        create_configuration(8, 6, boundary, cfg.occupied),
+        decode(encode(cfg)),
+        from_json(to_json(cfg)),
+        chain.configuration(),
+        cfg.transpose(),
+        pickle.loads(pickle.dumps(cfg)),
+        copy.deepcopy(cfg),
+    ]
+    if boundary == "periodic":
+        made.append(cfg.translate(1, 3))
+    for made_cfg in made:
+        assert _read_only_grid(made_cfg)

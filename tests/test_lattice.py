@@ -24,7 +24,6 @@ from squarepack.lattice import (
     iter_mask_blocks,
     iter_valid_masks,
     map_start_rows,
-    model_sites,
     tile_parity_class,
     to_json,
 )
@@ -32,10 +31,12 @@ from squarepack.lattice import (
 from oracles import (
     face_cover_center,
     is_face_vacant,
+    model_sites,
     pairwise_valid,
     row_neighbours_by_rows,
     row_states_by_strings,
     valid_masks_by_sites,
+    validate_by_tiles,
 )
 from strategies import random_valid_config
 
@@ -163,6 +164,90 @@ def test_model_sites():
     assert len(model_sites(4, 4, "periodic")) == 16
     assert len(model_sites(4, 4, "free")) == 9
     assert len(model_sites(6, 4, "fully_packed")) == 15
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("width,height", [(4, 4), (6, 4), (4, 8), (10, 6)])
+def test_site_layout_places_the_model_sites(width, height, boundary):
+    cyclic, nx, ny = lattice._site_layout(width, height, boundary)
+    assert cyclic == (boundary == "periodic")
+    # site i in raster order is flat index i of the (ny, nx) sites
+    sites = np.arange(nx * ny).reshape(ny, nx) + 1
+    grid = lattice._grid_of_sites(sites, boundary)
+    ys, xs = np.nonzero(grid)
+    assert list(zip(xs.tolist(), ys.tolist())) == list(model_sites(width, height, boundary))
+    assert grid[ys, xs].tolist() == list(range(1, nx * ny + 1))
+    assert np.array_equal(lattice._sites_of(grid, boundary), sites)
+    # under leading axes, a stack of grids
+    stack = np.stack([sites, -sites, 0 * sites]).reshape(3, 1, ny, nx)
+    grids = lattice._grid_of_sites(stack, boundary)
+    assert grids.shape[:2] == (3, 1)
+    for g, one in zip(grids, stack):
+        assert np.array_equal(g[0], lattice._grid_of_sites(one[0], boundary))
+    assert np.array_equal(lattice._sites_of(grids, boundary), stack)
+
+
+@st.composite
+def point_sets(draw):
+    """Dimensions, a boundary mode and a few centers drawn near each
+    other, on and beyond a rectangle's boundary and past a torus's
+    seams: valid and invalid sets alike."""
+    width = draw(st.sampled_from([4, 6, 8]))
+    height = draw(st.sampled_from([4, 6, 8]))
+    boundary = draw(st.sampled_from(BOUNDARIES))
+    xs = st.integers(-2, width + 2) if boundary != "periodic" else st.integers(-width, 2 * width)
+    ys = st.integers(-2, height + 2) if boundary != "periodic" else st.integers(-height, 2 * height)
+    points = draw(st.lists(st.tuples(xs, ys), max_size=8))
+    return width, height, boundary, points
+
+
+def _error_class(fn, *args):
+    try:
+        fn(*args)
+    except (DimensionError, BoundaryConflict, OverlapError) as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(point_sets())
+def test_grid_validation_raises_as_the_tile_by_tile_oracle(case):
+    width, height, boundary, points = case
+    expected = _error_class(validate_by_tiles, width, height, boundary, points)
+    assert _error_class(create_configuration, width, height, boundary, points) is expected
+    if expected is None:
+        cfg = create_configuration(width, height, boundary, points)
+        assert cfg.tile_count == len(cfg.occupied)
+
+
+def test_grid_validation_on_random_point_sets():
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(3000):
+        width, height = rng.choice([4, 6, 8], size=2).tolist()
+        boundary = BOUNDARIES[rng.integers(3)]
+        lo = -width if boundary == "periodic" else -1
+        n = int(rng.integers(0, 2 + width * height // 6))
+        xs, ys = rng.integers(lo, width + 2, n), rng.integers(lo, height + 2, n)
+        points = list(zip(xs.tolist(), ys.tolist()))
+        expected = _error_class(validate_by_tiles, width, height, boundary, points)
+        assert _error_class(create_configuration, width, height, boundary, points) is expected
+        seen.add((boundary, expected))
+    # every mode met valid sets and each error it can raise: overlap on a
+    # torus, also off the rectangle when free, also the exterior when
+    # fully packed
+    assert len(seen) == 2 + 3 + 4
+
+
+def test_overlap_across_the_seam_names_both_tiles():
+    with pytest.raises(OverlapError, match=r"\(3, 5\) and \(0, 0\)|\(0, 0\) and \(3, 5\)"):
+        create_configuration(4, 6, "periodic", [(0, 0), (3, 5)])
+    with pytest.raises(BoundaryConflict, match=r"\(6, 3\)"):
+        create_configuration(6, 6, "fully_packed", [(3, 3), (6, 3)])
+    with pytest.raises(DimensionError, match=r"\(7, 3\)"):
+        create_configuration(6, 6, "free", [(3, 3), (7, 3)])
+    with pytest.raises(DimensionError):
+        create_configuration(6, 6, "free", [(2**70, 3)])
 
 
 def test_face_cover_fully_packed_exterior():

@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squarepack.errors import InsufficientData, ParameterError
-from squarepack.lattice import BOUNDARIES, create_configuration, model_sites
+from squarepack.lattice import BOUNDARIES, create_configuration
 from squarepack.observables import (
     _residue_class_sizes,
     autocorrelation_curve,
@@ -14,7 +16,10 @@ from squarepack.observables import (
     offset_row_vacancy_check,
     parity_density,
 )
-from squarepack.sampler import seed_phase_configuration
+from squarepack.sampler import Chain, ChainParams, iter_samples, seed_phase_configuration
+
+from oracles import model_sites, offset_row_vacancy_by_faces
+from strategies import random_valid_config, striped_config
 
 
 def test_batch_mean_stderr_iid():
@@ -139,3 +144,25 @@ def test_offset_row_vacancy_check_counts_four():
     assert flanked, "the offset tile must be flanked by even sticks"
     for r in flanked:
         assert r["vacancies"] >= 4
+
+
+def test_offset_row_vacancy_check_sees_sticks_across_the_seam():
+    # the fifth sample of this chain has even sticks at x = 2 and 12 that
+    # run from y = 12 past y = 0 to y = 2, flanking the tiles at (6, 1)
+    # and (8, 1)
+    params = ChainParams(
+        16, 16, 30.0, 0, sweeps=100, burn_in=200, thinning=20,
+        translation_move_fraction=0.1, initial="ver0",
+    )
+    samples = list(iter_samples(Chain(params)))
+    rows = {r["center"]: r for r in offset_row_vacancy_check(samples[4])}
+    for center in ((6, 1), (8, 1)):
+        assert rows[center]["flanked"] and rows[center]["vacancies"] >= 4
+    for cfg in samples:
+        assert offset_row_vacancy_check(cfg) == offset_row_vacancy_by_faces(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_valid_config(("periodic",)), striped_config(("periodic",))))
+def test_offset_row_vacancy_check_matches_face_oracle(cfg):
+    assert offset_row_vacancy_check(cfg) == offset_row_vacancy_by_faces(cfg)

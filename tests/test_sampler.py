@@ -24,7 +24,9 @@ from oracles import (
     block_by_cells,
     ensemble,
     pairwise_valid,
+    seed_phase_by_points,
     sweep_by_generator,
+    model_sites,
     target,
     translation_by_cells,
 )
@@ -80,6 +82,19 @@ def test_phase_seeds_in_every_boundary_mode(width, height, phase, boundary):
     assert chain.configuration().occupied == cfg.occupied
     chain.sweep(3)
     assert pairwise_valid(sorted(chain.configuration().occupied), width, height, boundary == "periodic")
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_phase_seeds_equal_the_point_built_oracle(boundary):
+    rng = np.random.default_rng(5)
+    for width, height in itertools.product((4, 6, 8, 10), (4, 6, 12)):
+        for phase in sampler.PHASE_SEEDS:
+            ncols = (height if phase.startswith("hor") else width) // 2
+            for offsets in (None, rng.integers(-3, 4, ncols).tolist()):
+                got = seed_phase_configuration(width, height, phase, offsets, boundary)
+                want = seed_phase_by_points(width, height, phase, offsets, boundary)
+                assert got == want
+                assert np.array_equal(got.occupancy_grid(), want.occupancy_grid())
 
 
 # -- kernel-level heat bath ------------------------------------------------------
@@ -342,8 +357,8 @@ def test_configuration_matches_state_key():
         chain = Chain(params(width=10, height=14, boundary=boundary, seed=4)).sweep(30)
         geom = chain.geom
         key = chain.state_key()
-        ox, oy = geom.origin
-        expected = {(i % geom.nx + ox, i // geom.nx + oy) for i in range(geom.n_sites) if key >> i & 1}
+        sites = model_sites(10, 14, boundary)
+        expected = {sites[i] for i in range(geom.n_sites) if key >> i & 1}
         assert chain.configuration().occupied == frozenset(expected)
 
 
