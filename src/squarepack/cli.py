@@ -110,8 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact2d", help="exact partition polynomial of a region")
     _add_common(p, "dims", "boundary", "out")
     p.add_argument("--lambda", dest="lambdas", type=float, action="append", default=[])
-    p.add_argument("--method", choices=("auto", "brute", "transfer"), default="auto")
-    p.add_argument("--area-cap", type=int, default=exact.DEFAULT_AREA_CAP)
+    p.add_argument("--method", choices=("transfer", "brute"), default="transfer")
 
     p = sub.add_parser("chessboard", help="chessboard seminorm of a face-vacancy event")
     _add_common(p, "dims", "lambda", "out")
@@ -192,13 +191,7 @@ def _cmd_exact1d(args) -> int:
 def _cmd_exact2d(args) -> int:
     for lam in args.lambdas:
         check_fugacity(lam)
-    poly = exact.partition_polynomial(
-        args.width,
-        args.height,
-        args.boundary,
-        method=args.method,
-        area_cap=args.area_cap,
-    )
+    poly = exact.partition_polynomial(args.width, args.height, args.boundary, method=args.method)
     report = poly.report(args.lambdas or [1.0])
     report["spec"] = {
         "width": args.width,

@@ -8,8 +8,11 @@ tile of the finite-volume model always covers four region faces.
 Two enumeration paths are provided and must agree coefficient-wise:
 brute force counts the tiles of every configuration, listed as masks
 grown row by row in numpy arrays (``lattice.iter_mask_blocks``), and a
-row-transfer recursion sums over row sequences. They share only the
-flat row tables of ``lattice._row_tables``. The transfer packs each
+row-transfer recursion sums over row sequences along the region's
+narrow side. They share only the flat row tables of
+``lattice._row_tables``, and brute force lists nothing until the
+transfer has counted at most LISTING_CAP configurations (the component
+harvest of ``graphs`` is admitted the same way). The transfer packs each
 row's polynomial into one int of an object array, so a row step is one
 ``np.add.reduceat`` over the neighbour lists and a shift by each row's
 tiles. It walks only half of the rows: a row sequence is two walks that
@@ -22,12 +25,13 @@ weighted by the orbit size; a rectangle walks one row of each mirror
 pair.
 
 Chessboard seminorms and disseminated products are a band transfer: a
-float row transfer along the torus's narrow side whose steps span one
-row of reflected blocks each, with the tile count kept as a polynomial
-degree and the fugacity applied in logs at the end. Reflection
-positivity is the same transfer over a block and its mirror image.
-Nothing here lists configurations; the tests keep per-configuration
-loops over the listed ensemble as the reference for both.
+float row transfer, along the torus side that needs the smaller arrays,
+whose steps span one row of reflected blocks each, with the tile count
+kept as a polynomial degree and the fugacity applied in logs at the
+end. Reflection positivity is the same transfer over a block and its
+mirror image. Nothing there lists configurations; the tests keep
+per-configuration loops over the listed ensemble as the reference for
+both.
 """
 
 from __future__ import annotations
@@ -52,15 +56,19 @@ from .lattice import (
     Point,
     _check_dims,
     _reversed_bits,
+    _row_layout,
     _row_tables,
     _site_layout,
     _successors,
     iter_mask_blocks,
 )
 
-DEFAULT_AREA_CAP = 36
+# sites along the row transfer's narrow side, and its area
 TRANSFER_WIDTH_CAP = 14
 TRANSFER_AREA_CAP = 4096
+# configurations that brute force or the component harvest lists: 8x6
+# free has 159,651, 10x6 free 4,005,785, the 8x8 torus 157,763,829
+LISTING_CAP = 1 << 18
 # entries of the band transfer's largest array, 8 bytes each; the 12x24
 # torus fits (7,568,932 floats), 14x14 does not (35,532,450)
 BAND_SIZE_CAP = 1 << 23
@@ -341,7 +349,18 @@ def _transfer_coefficients(width: int, height: int, boundary: str) -> List[int]:
     neighbour relation are mirror symmetric, so every partial vector is;
     the walk keeps one row of each mirror pair, and the middle row of a
     pair counts twice.
+
+    Rows run along the narrow side: the region is transposed when it is
+    wider than tall, which leaves its polynomial as it is. TooLarge when
+    that side exceeds TRANSFER_WIDTH_CAP or the area TRANSFER_AREA_CAP.
     """
+    if width > height:
+        width, height = height, width
+    if width > TRANSFER_WIDTH_CAP or width * height > TRANSFER_AREA_CAP:
+        raise TooLarge(
+            f"the row transfer admits a narrow side of {TRANSFER_WIDTH_CAP} sites and an "
+            f"area of {TRANSFER_AREA_CAP}, got the {width}x{height} region"
+        )
     periodic, positions, nrows = _site_layout(width, height, boundary)
     values, counts, degree, first, flat = _row_tables(positions, periodic)
     limb = _limb(degree, first, flat, nrows)
@@ -368,37 +387,32 @@ def _transfer_coefficients(width: int, height: int, boundary: str) -> List[int]:
     return [total >> n * limb & low for n in range(width * height // 4 + 1)]
 
 
-def partition_polynomial(
-    width: int,
-    height: int,
-    boundary: str = "periodic",
-    *,
-    method: str = "auto",
-    area_cap: int = DEFAULT_AREA_CAP,
-) -> PartitionPolynomial:
-    """Exact partition polynomial by brute force or row transfer.
+def _check_listing(width: int, height: int, boundary: str, lister: str) -> None:
+    """TooLarge, before ``lister`` lists a configuration, unless the
+    region's configurations fit the 64-bit masks and the row transfer
+    counts at most LISTING_CAP of them."""
+    _row_layout(width, height, boundary)
+    count = sum(_transfer_coefficients(width, height, boundary))
+    if count > LISTING_CAP:
+        raise TooLarge(
+            f"the {width}x{height} {boundary} region has {count} configurations, "
+            f"more than the {LISTING_CAP} that {lister} lists"
+        )
 
-    method: 'auto' (brute force within the area cap, else row transfer),
-    'brute', or 'transfer'.
-    """
+
+def partition_polynomial(
+    width: int, height: int, boundary: str = "periodic", *, method: str = "transfer"
+) -> PartitionPolynomial:
+    """Exact partition polynomial by the row transfer, or by brute force
+    (method 'brute'), its independent cross-check."""
     _check_dims(width, height, boundary)
-    area = width * height
-    if method == "auto":
-        method = "brute" if area <= area_cap else "transfer"
-    if method == "brute":
-        if area > area_cap:
-            raise TooLarge(f"area {area} exceeds brute-force cap {area_cap}")
-        coeffs = _brute_coefficients(width, height, boundary)
-    elif method == "transfer":
-        if width > TRANSFER_WIDTH_CAP:
-            raise TooLarge(
-                f"row-transfer path requires width <= {TRANSFER_WIDTH_CAP}, got {width}"
-            )
-        if area > TRANSFER_AREA_CAP:
-            raise TooLarge(f"area {area} exceeds transfer cap {TRANSFER_AREA_CAP}")
+    if method == "transfer":
         coeffs = _transfer_coefficients(width, height, boundary)
+    elif method == "brute":
+        _check_listing(width, height, boundary, "brute force")
+        coeffs = _brute_coefficients(width, height, boundary)
     else:
-        raise ParameterError(f"unknown method {method!r}; choose auto, brute or transfer")
+        raise ParameterError(f"unknown method {method!r}; choose transfer or brute")
     return PartitionPolynomial(width, height, boundary, _trim(coeffs))
 
 
@@ -484,42 +498,52 @@ def _band_pairs(positions: int, rows: int) -> Tuple[np.ndarray, np.ndarray]:
     return runs, counts[runs[:, :-1]].sum(axis=1)
 
 
-def _check_band_size(width: int, height: int, k: int, l: int, cells: int) -> None:
-    """TooLarge unless the band transfer of ``cells`` reflected k x l
-    blocks on the torus stays within BAND_SIZE_CAP, before it builds any
-    of its arrays.
-
-    The two largest are the bits the run table gathers, runs x cells x
-    points, and the kernel product, (area/4 + 1) x S^2 floats for the S
-    cyclic row states along the narrow side. S is a Lucas number, and
-    the runs of l + 1 rows are walks counted on the degree vector of the
-    row tables. Each is counted only while it stays within the cap, so a
-    refused size may be a lower bound.
-    """
-    _check_dims(width, height, "periodic")
-    torus = f"{width}x{height}"
-    if height < width:
-        width, height, k, l = height, width, l, k
+def _band_size(positions: int, length: int, l: int, per_run: int, limit: int) -> int:
+    """Entries of the larger of the band transfer's two largest arrays,
+    with rows of ``positions`` sites, ``length`` of them, in bands of l:
+    the bits the run table gathers, runs x per_run, and the kernel
+    product, (area/4 + 1) x S^2 floats for the S cyclic row states. S is
+    a Lucas number, and the runs of l + 1 rows are walks counted on the
+    degree vector of the row tables. Each is counted only while it stays
+    within ``limit``, so a size beyond it may be a lower bound."""
     rows, step = 2, 1  # Lucas numbers L_0 and L_1
-    for _ in range(width):
-        if rows > BAND_SIZE_CAP:
+    for _ in range(positions):
+        if rows > limit:
             break
         rows, step = step, rows + step
-    size = (width * height // 4 + 1) * rows * rows
-    if size <= BAND_SIZE_CAP:
-        _, _, degree, first, flat = _row_tables(width, True)
-        per_run = cells * (k + 1) * (l + 1)
+    size = (positions * length // 4 + 1) * rows * rows
+    if size <= limit:
+        _, _, degree, first, flat = _row_tables(positions, True)
         runs = degree.astype(np.float64)
         for _ in range(l - 1):
-            if runs.sum() * per_run > BAND_SIZE_CAP:
+            if runs.sum() * per_run > limit:
                 break
             runs = np.add.reduceat(runs[flat], first)
         size = max(size, int(runs.sum()) * per_run)
+    return size
+
+
+def _check_band_size(width: int, height: int, k: int, l: int, cells: int) -> bool:
+    """Whether the band transfer of ``cells`` reflected k x l blocks on
+    the torus runs its rows along y, the query transposed, rather than
+    along x: the orientation of fewer array entries (``_band_size``), on
+    a tie the rows along the narrow side, along x on a square torus.
+    The narrow side is counted first, and the other only while it stays
+    below that. TooLarge, before any of the band's arrays is built, when
+    both need more than BAND_SIZE_CAP."""
+    _check_dims(width, height, "periodic")
+    per_run = cells * (k + 1) * (l + 1)
+    along_x, along_y = (width, height, l, per_run), (height, width, k, per_run)
+    narrow = height < width  # whether the rows along y are the narrow ones
+    first = _band_size(*(along_y if narrow else along_x), BAND_SIZE_CAP)
+    other = _band_size(*(along_x if narrow else along_y), min(first, BAND_SIZE_CAP))
+    size = min(first, other)
     if size > BAND_SIZE_CAP:
         raise TooLarge(
-            f"the band transfer on the {torus} torus needs at least {size} "
+            f"the band transfer on the {width}x{height} torus needs at least {size} "
             f"array entries, more than the {BAND_SIZE_CAP} it admits"
         )
+    return narrow != (other < first)
 
 
 def _log_disseminated(
@@ -532,7 +556,8 @@ def _log_disseminated(
     events: Mapping[Tuple[int, int], LocalFunction],
 ) -> Tuple[int, float]:
     """(sign, log |value|) of mu^per(prod over cells (i, j) of events[i, j]
-    at reflection (i, j)), by a row transfer along the narrow side.
+    at reflection (i, j)), by a row transfer along the side that
+    ``_check_band_size`` picks.
 
     Reflection row j spans the l rows of band j and the first row of band
     j + 1. The runs of l + 1 row states give every (band, next row) pair,
@@ -543,7 +568,8 @@ def _log_disseminated(
     only at the end, summed relative to the largest term as in log_tile,
     so no weight overflows or underflows at any fugacity.
     """
-    _check_band_size(width, height, k, l, len(events))
+    transpose = _check_band_size(width, height, k, l, len(events))
+    log_z = partition_polynomial(width, height).log_tile(lam)
     points = _block_points(corner, k, l)
     cells = list(events)
     # the block at the corner taken on the torus reflects onto the same
@@ -555,7 +581,7 @@ def _log_disseminated(
         dtype=np.int64,
     ).reshape(len(cells), len(points), 2) % (width, height)
     axis = 1
-    if height < width:  # rows along the narrow side: transpose the query
+    if transpose:
         width, height, l, axis = height, width, k, 0
         sites = sites[..., ::-1]
     band = np.array([cell[axis] for cell in cells], dtype=np.int64)
@@ -593,8 +619,6 @@ def _log_disseminated(
     total = float(np.sign(trace[n]) @ np.exp(logs - top))
     if total == 0.0:
         return 0, -math.inf
-    coefficients = _trim(_transfer_coefficients(width, height, "periodic"))
-    log_z = PartitionPolynomial(width, height, "periodic", coefficients).log_tile(lam)
     return (1 if total > 0 else -1), log_scale + top + math.log(abs(total)) - log_z
 
 

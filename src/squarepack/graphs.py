@@ -31,10 +31,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ParameterError, SpecError, TooLarge, check_fugacity
-from .exact import _transfer_coefficients
+from .exact import _check_listing
 from .lattice import (
     _grid_of_sites,
-    _row_layout,
     _site_layout,
     FACE_MARGIN,
     component_labels,
@@ -44,9 +43,6 @@ from .lattice import (
     map_start_rows,
     stick_edge_grids,
 )
-
-# configurations of a window: 8x6 has 159,651, 10x6 4,005,785, 8x8 12,727,570
-WINDOW_CONFIGURATION_CAP = 1 << 18
 
 
 def _edge_kinds(width: int, height: int, cover: np.ndarray):
@@ -333,8 +329,8 @@ def enumerate_components(
     component with a vertex outside the closed window is discarded as
     possibly extending outside (with a fully-packed exterior none
     arise). Completeness is relative to the window. A window of more
-    than 64 sites, or of more than WINDOW_CONFIGURATION_CAP
-    configurations, is TooLarge.
+    than 64 sites, or of more than ``exact.LISTING_CAP`` configurations,
+    is TooLarge.
 
     With ``threads`` > 1 the configurations are partitioned by their
     first row across a process pool and the catalogs merged in that
@@ -343,15 +339,7 @@ def enumerate_components(
     """
     if threads < 1:
         raise ParameterError(f"threads must be at least 1, got {threads}")
-    # count before listing: the row transfer along the narrow side (the
-    # transposed window has as many configurations)
-    _row_layout(width, height, "fully_packed")
-    count = sum(_transfer_coefficients(min(width, height), max(width, height), "fully_packed"))
-    if count > WINDOW_CONFIGURATION_CAP:
-        raise TooLarge(
-            f"{width}x{height} fully-packed window has {count} configurations, "
-            f"more than the {WINDOW_CONFIGURATION_CAP} that the harvest lists"
-        )
+    _check_listing(width, height, "fully_packed", "the component harvest")
     if threads == 1:
         return _harvest(width, height)
     harvest = partial(_harvest, width, height)

@@ -20,10 +20,10 @@ pairwise disjoint.
 from __future__ import annotations
 
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -98,6 +98,11 @@ def _grid_of_sites(sites: np.ndarray, boundary: str) -> np.ndarray:
     return grid
 
 
+def _is_integer_type(kind: type) -> bool:
+    """Python and numpy integers; not bool, which JSON's true becomes."""
+    return issubclass(kind, numbers.Integral) and kind is not bool
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Immutable, validated hard-square configuration.
@@ -125,22 +130,33 @@ class Configuration:
         w, h = self.width, self.height
         _check_dims(w, h, self.boundary)
         periodic = self.boundary == "periodic"
-        if periodic:
-            occ = frozenset((x % w, y % h) for x, y in self.occupied)
-        else:
-            occ = frozenset((int(x), int(y)) for x, y in self.occupied)
-        object.__setattr__(self, "occupied", occ)
-        grid = np.zeros((h, w) if periodic else (h + 1, w + 1), dtype=bool)
         try:
-            xy = np.fromiter(chain.from_iterable(occ), np.int64, 2 * len(occ)).reshape(-1, 2)
+            xs, ys = zip(*self.occupied, strict=True) if self.occupied else ((), ())
+        except (TypeError, ValueError):
+            raise DimensionError("every center must be a pair of coordinates") from None
+        kinds = set(map(type, xs)) | set(map(type, ys))
+        if not all(map(_is_integer_type, kinds)):
+            center = next(p for p in self.occupied if not all(_is_integer_type(type(v)) for v in p))
+            raise DimensionError(f"center {center!r} has a coordinate that is not an integer")
+        # an object array of Python ints where one exceeds int64
+        given = np.array([xs, ys], dtype=None if xs else np.int64)
+        xy = given % np.array([[w], [h]]) if periodic else given
+        try:
+            xy = xy.astype(np.int64)
         except OverflowError:  # torus centers are reduced; a rectangle's may be huge
             raise DimensionError(f"a center lies far outside the closed {w}x{h} rectangle")
         if not periodic:
-            outside = np.flatnonzero(((xy < 0) | (xy > (w, h))).any(axis=1))
+            outside = np.flatnonzero(((xy < 0) | (xy > [[w], [h]])).any(axis=0))
             if len(outside):
-                center = tuple(xy[outside[0]].tolist())
+                center = tuple(xy[:, outside[0]].tolist())
                 raise DimensionError(f"center {center} outside the closed {w}x{h} rectangle")
-        grid[xy[:, 1], xy[:, 0]] = True
+        if kinds <= {int} and np.array_equal(xy, given):
+            occ = frozenset(self.occupied)  # already plain int pairs on the sites
+        else:
+            occ = frozenset(zip(*xy.tolist()))
+        object.__setattr__(self, "occupied", occ)
+        grid = np.zeros((h, w) if periodic else (h + 1, w + 1), dtype=bool)
+        grid[xy[1], xy[0]] = True
         grid.flags.writeable = False
         object.__setattr__(self, "_grid", grid)
         if self.boundary == "fully_packed":

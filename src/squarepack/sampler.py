@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -63,6 +64,7 @@ from .lattice import (
     _check_dims,
     _from_grid,
     _grid_of_sites,
+    _is_integer_type,
     _site_layout,
     _sites_of,
     create_configuration,
@@ -137,6 +139,15 @@ class ChainParams:
     initial: Union[str, Configuration, None] = None  # "empty", a phase seed, or explicit
 
     def __post_init__(self):
+        for name in ("width", "height", "seed", "sweeps", "burn_in", "thinning"):
+            value = getattr(self, name)
+            if not _is_integer_type(type(value)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer as well
+        reals = (("lambda", self.lam), ("translation_move_fraction", self.translation_move_fraction))
+        for name, value in reals:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
         _check_dims(self.width, self.height, self.boundary)
         check_fugacity(self.lam)
         if self.sweeps < 0 or self.burn_in < 0:

@@ -680,7 +680,7 @@ def ensemble(width, height, boundary):
     return np.concatenate(masks), np.concatenate(tiles)
 
 
-def event_weight(width, height, boundary, lam, predicate, *, area_cap=exact.DEFAULT_AREA_CAP):
+def event_weight(width, height, boundary, lam, predicate, *, area_cap=36):
     """Total weight sum_{sigma in E} lam^(-vacancies/4) over the region,
     configuration by configuration; ``predicate`` receives each valid
     Configuration and selects the event E."""

@@ -365,8 +365,12 @@ def test_reflection_positivity_constant_function():
 
 @pytest.mark.parametrize("lam", [1e-300, 1e300])
 def test_reflection_positivity_constant_function_at_extreme_fugacity(lam):
-    # each weight is taken relative to the largest, so none overflows
-    assert reflection_positivity_value(4, 4, lam, (0, 0), 2, 4, lambda p: 1.0) == 1.0
+    # each weight is taken relative to the largest, so none overflows; the
+    # block doubled along x and along y both run 3-row bands, and their
+    # rescaled float products round alike
+    along_x = reflection_positivity_value(4, 4, lam, (0, 0), 2, 4, lambda p: 1.0)
+    assert along_x == pytest.approx(1.0, rel=1e-12)
+    assert along_x == reflection_positivity_value(4, 4, lam, (0, 0), 4, 2, lambda p: 1.0)
 
 
 def test_reflection_positivity_occupancy_indicator():
@@ -398,8 +402,8 @@ def test_reflection_positivity_random_pm_one(seed):
     assert val >= -1e-12
 
 
-# torus and block, doubled along x or y; 6x4 and 8x4 run transposed, and a
-# block as tall as the torus (8x2 on 8x4, transposed) is one band
+# torus and block, doubled along x or y; the band transfer runs its rows
+# across the doubled side, transposing the blocks doubled along x
 REFLECTION_BLOCKS = (
     (4, 4, 2, 4),
     (4, 4, 4, 2),
@@ -411,6 +415,7 @@ REFLECTION_BLOCKS = (
     (8, 4, 8, 2),
     (4, 8, 2, 8),
     (6, 6, 6, 3),
+    (6, 6, 3, 6),
 )
 
 
@@ -429,6 +434,60 @@ def test_reflection_positivity_matches_per_configuration_reference(seed):
         ensemble.cache_clear()
     got = reflection_positivity_value(w, h, lam, corner, k, l, f)
     assert abs(got - want) <= 1e-12 * scale, (corner, lam)
+
+
+@pytest.mark.parametrize("seed", range(len(REFLECTION_BLOCKS) - 1))
+def test_reflection_positivity_agrees_in_both_orientations(monkeypatch, seed):
+    # the orientation the size check does not pick gives the same value; a
+    # block as tall as the torus (8x2 on 8x4, transposed) is then one band.
+    # The last block would need 31,227,168 entries the other way round.
+    rng = random.Random(seed)
+    w, h, k, l = REFLECTION_BLOCKS[seed]
+    corner = (rng.randrange(-w, 2 * w), rng.randrange(-h, 2 * h))
+    f = _random_local(block_points(corner, k, l), rng)
+    lam = TRANSFER_LAMBDAS[seed % len(TRANSFER_LAMBDAS)]
+    picked = reflection_positivity_value(w, h, lam, corner, k, l, f)
+    check = exact._check_band_size
+    monkeypatch.setattr(exact, "_check_band_size", lambda *args: not check(*args))
+    other = reflection_positivity_value(w, h, lam, corner, k, l, f)
+    assert other == pytest.approx(picked, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.3, 30.0])
+def test_reflection_positivity_runs_the_cheaper_orientation(lam):
+    # with rows along x the 3x6 block doubled along x is one band of 7-row
+    # runs, 31,227,168 entries, beyond the cap; along y it is 4-row runs,
+    # the band of the transposed query, so both give the same bytes (the
+    # per-configuration reference is REFLECTION_BLOCKS' last entry)
+    rng = random.Random(36)
+    corner = (rng.randrange(6), rng.randrange(6))
+    f = _random_local(block_points(corner, 3, 6), rng)
+
+    def f_transposed(pattern):
+        return f({(x, y): pattern[(y, x)] for x, y in block_points(corner, 3, 6)})
+
+    assert exact._check_band_size(6, 6, 3, 6, 2) is True
+    assert exact._check_band_size(6, 6, 6, 3, 2) is False
+    got = reflection_positivity_value(6, 6, lam, corner, 3, 6, f)
+    transposed = reflection_positivity_value(6, 6, lam, corner[::-1], 6, 3, f_transposed)
+    assert got == transposed
+
+
+def test_band_size_picks_the_smaller_orientation(monkeypatch):
+    # 4x8 with a 2x8 block: 4,622,346 entries with rows along x, 212,706
+    # along y; under a cap between the two only the second is admitted
+    monkeypatch.setattr(exact, "BAND_SIZE_CAP", 212_706)
+    assert exact._check_band_size(4, 8, 2, 8, 2) is True
+    monkeypatch.setattr(exact, "BAND_SIZE_CAP", 212_705)
+    with pytest.raises(TooLarge, match="at least 212706 array entries"):
+        exact._check_band_size(4, 8, 2, 8, 2)
+
+
+def test_unit_blocks_keep_rows_along_the_narrow_side():
+    # the narrow side is the cheaper one, and a square torus is a tie: along x
+    assert exact._check_band_size(8, 4, 1, 1, 32) is True
+    assert exact._check_band_size(4, 8, 1, 1, 32) is False
+    assert exact._check_band_size(6, 6, 1, 1, 36) is False
 
 
 def test_reflection_positivity_geometry_mismatch():

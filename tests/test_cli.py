@@ -62,11 +62,13 @@ def test_exact1d_odd_length_error(capsys):
         ["chessboard", "--width", "8", "--height", "8", "--area-cap", "64"],
         ["exact2d", "--width", "4", "--height", "4", "--threads", "2"],
         ["exact1d", "--lambda", "1"],
+        ["exact2d", "--width", "4", "--height", "4", "--area-cap", "36"],
+        ["exact2d", "--width", "4", "--height", "4", "--method", "auto"],
     ],
 )
 def test_parse_errors_are_json_errors(argv, capsys):
     # an unknown subcommand, a value argparse reads as an option, a
-    # malformed value, removed options and a missing one
+    # malformed value, removed options and choices, and a missing value
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert json.loads(err)["error"]["type"] == "UsageError"
@@ -99,6 +101,7 @@ def test_exact2d_report(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["coefficients"] == [1, 16, 56, 48, 12]
     assert report["spec"]["width"] == 4
+    assert report["spec"]["method"] == "transfer"
     assert report["evaluations"][0]["lambda"] == 2
 
 
@@ -185,11 +188,11 @@ def test_chessboard_wide_torus_rejected_before_counting():
 
 
 def test_brute_beyond_64_sites_rejected_before_enumeration():
-    # within the raised area cap, 72 torus sites exceed the 64-bit masks;
-    # a site-by-site search would list 2,446,240,685 configurations
+    # 72 torus sites exceed the 64-bit masks; a site-by-site search would
+    # list 2,446,240,685 configurations
     proc = subprocess.run(
         [sys.executable, "-m", "squarepack.cli", "exact2d", "--width", "4"]
-        + ["--height", "18", "--method", "brute", "--area-cap", "72"],
+        + ["--height", "18", "--method", "brute"],
         capture_output=True,
         text=True,
         timeout=60,
@@ -271,6 +274,44 @@ def test_sample_spec_rejected(tmp_path, capsys, spec, named):
     error = json.loads(err)["error"]
     assert error["type"] == "SpecError"
     assert named in error["message"]
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("sweeps", 1.5),
+        ("thinning", 2.5),
+        ("width", 8.0),
+        ("lambda", "2"),
+        ("seed", 1.5),
+        ("translation_move_fraction", None),
+        ("burn_in", True),
+    ],
+)
+def test_sample_spec_field_of_the_wrong_type(tmp_path, capsys, field, value):
+    spec = {"width": 4, "height": 4, "lambda": 2.0, "seed": 5, "sweeps": 5, field: value}
+    spec_path = tmp_path / "typed.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, err = run_cli(["sample", "--spec", str(spec_path)], capsys)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterError"
+    assert field in error["message"]
+
+
+@pytest.mark.parametrize("center", [[1.5, 2], [2.0, 2], [True, 2], ["1", 2]])
+def test_phase_of_a_json_configuration_with_a_non_integer_center(tmp_path, capsys, center):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"width": 4, "height": 4, "boundary": "periodic", "occupied": [center]})
+    )
+    code, out, err = run_cli(["phase", "--in", str(cfg_path)], capsys)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error["type"] == "DimensionError"
+    assert "not an integer" in error["message"]
 
 
 def test_threads_option_only_where_used():
@@ -878,8 +919,7 @@ def exact_runs(draw):
         f"--width={draw(st.integers(-2, 10))}",
         f"--height={draw(st.integers(-2, 10))}",
         f"--boundary={draw(st.sampled_from(['periodic', 'free', 'fully_packed']))}",
-        f"--method={draw(st.sampled_from(['auto', 'brute', 'transfer']))}",
-        f"--area-cap={draw(st.sampled_from([-1, 0, 16, 36, 48]))}",
+        f"--method={draw(st.sampled_from(['brute', 'transfer']))}",
     ]
     return argv + [f"--lambda={lam}" for lam in draw(st.lists(FUZZ_FUGACITIES, max_size=3))]
 

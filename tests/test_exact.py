@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from squarepack import exact, lattice
+from squarepack import exact, graphs, lattice
 from squarepack.errors import (
     NonpositiveFugacity,
     OddLength,
@@ -139,6 +139,10 @@ def test_partition_4x4_torus_against_mask_oracle():
         ((4, 8), "periodic"),
         ((6, 4), "free"),
         ((4, 6), "fully_packed"),
+        # wide regions the listing cap admits, which the transfer transposes
+        ((10, 4), "periodic"),
+        ((12, 4), "free"),
+        ((8, 6), "free"),
     ],
 )
 def test_brute_and_transfer_agree(dims, boundary):
@@ -215,7 +219,7 @@ def _record_walks(monkeypatch):
     return walks
 
 
-@pytest.mark.parametrize("dims,budget", [((10, 10), None), ((12, 4), 4096), ((8, 8), 1000)])
+@pytest.mark.parametrize("dims,budget", [((10, 10), None), ((12, 12), 4096), ((8, 8), 1000)])
 def test_torus_walk_keeps_packed_ints_within_the_budget(monkeypatch, dims, budget):
     w, h = dims
     want = exact._transfer_coefficients(w, h, "periodic")
@@ -266,10 +270,23 @@ def test_limb_of_a_long_torus():
 
 @pytest.mark.parametrize("dims", [(4, 10), (6, 8), (8, 10), (6, 12)])
 def test_torus_polynomial_invariant_under_transposition(dims):
+    # the transfer runs along the narrow side whichever way round the
+    # region comes; the reference walks every row along the wide side
     w, h = dims
-    wide = exact.partition_polynomial(w, h, "periodic", method="transfer")
-    tall = exact.partition_polynomial(h, w, "periodic", method="transfer")
-    assert wide.coefficients == tall.coefficients
+    for boundary in ("periodic", "free", "fully_packed"):
+        tall = exact.partition_polynomial(w, h, boundary)
+        wide = exact.partition_polynomial(h, w, boundary)
+        assert wide.coefficients == tall.coefficients, boundary
+        assert tall.coefficients == exact._trim(transfer_coefficients_by_full_walk(h, w, boundary))
+
+
+def test_wide_torus_runs_along_its_narrow_side():
+    # 16 sites exceed the transfer's width cap; the 4-wide side does not.
+    # The reference walks the 2,207 rows of 16 sites.
+    wide = exact.partition_polynomial(16, 4)
+    assert wide.coefficients == exact.partition_polynomial(4, 16).coefficients
+    assert wide.coefficients == exact._trim(transfer_coefficients_by_full_walk(16, 4, "periodic"))
+    assert sum(wide.coefficients) == 221_482_181
 
 
 def test_free_and_fully_packed_polynomials_coincide():
@@ -290,16 +307,50 @@ def test_a0_is_one_and_bounds():
 def test_partition_too_large():
     with pytest.raises(TooLarge):
         exact.partition_polynomial(10, 10, "periodic", method="brute")
+    # both sides beyond the transfer's width cap, and an area beyond its cap
+    with pytest.raises(TooLarge, match="got the 16x16 region"):
+        exact.partition_polynomial(16, 16, "periodic", method="transfer")
+    with pytest.raises(TooLarge, match="got the 4x1026 region"):
+        exact.partition_polynomial(1026, 4, "periodic", method="transfer")
+    # beyond the 64-bit masks
     with pytest.raises(TooLarge):
-        exact.partition_polynomial(16, 4, "periodic", method="transfer")
-    # within a raised area cap, but beyond the 64-bit masks
-    with pytest.raises(TooLarge):
-        exact.partition_polynomial(4, 18, "periodic", method="brute", area_cap=72)
+        exact.partition_polynomial(4, 18, "periodic", method="brute")
+
+
+@pytest.mark.parametrize(
+    "dims,boundary,count",
+    [((8, 8), "periodic", 157_763_829), ((10, 6), "free", 4_005_785), ((8, 8), "fully_packed", 12_727_570)],
+)
+def test_listing_cap_refuses_before_listing(monkeypatch, dims, boundary, count):
+    # 64 and 45 sites fit the masks; the transfer's count is refused
+    # before a configuration is listed, by brute force or the harvest
+    def unreachable(*args):
+        raise AssertionError("a configuration was listed")
+
+    monkeypatch.setattr(exact, "iter_mask_blocks", unreachable)
+    monkeypatch.setattr(graphs, "iter_mask_blocks", unreachable)
+    w, h = dims
+    with pytest.raises(TooLarge, match=f"has {count} configurations, more than the 262144"):
+        exact.partition_polynomial(w, h, boundary, method="brute")
+    if boundary == "fully_packed":
+        with pytest.raises(TooLarge, match=f"has {count} configurations"):
+            graphs.enumerate_components(w, h)
+
+
+def test_listing_cap_is_inclusive(monkeypatch):
+    # the 6x6 free region has 6,427 configurations
+    monkeypatch.setattr(exact, "LISTING_CAP", 6427)
+    assert sum(exact.partition_polynomial(6, 6, "free", method="brute").coefficients) == 6427
+    monkeypatch.setattr(exact, "LISTING_CAP", 6426)
+    with pytest.raises(TooLarge, match="has 6427 configurations"):
+        exact.partition_polynomial(6, 6, "free", method="brute")
 
 
 def test_unknown_method_is_a_parameter_error():
-    with pytest.raises(ParameterError, match="unknown method 'nope'"):
-        exact.partition_polynomial(4, 4, "periodic", method="nope")
+    # the caller picks no policy: 'auto' is not a method
+    for method in ("nope", "auto"):
+        with pytest.raises(ParameterError, match=f"unknown method '{method}'"):
+            exact.partition_polynomial(4, 4, "periodic", method=method)
 
 
 def test_evaluations_and_report():

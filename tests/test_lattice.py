@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +71,33 @@ def test_dimension_errors():
         create_configuration(5, 6, "free", [])
     with pytest.raises(DimensionError):
         create_configuration(4, 4, "moebius", [])
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("center", [(1.5, 2), (2.0, 2), (2, 2.0), (True, 2), ("1", 2), (None, 2)])
+def test_non_integer_centers_rejected(boundary, center):
+    # a torus would keep (1.5, 2) among its centers while its grid marks (1, 2)
+    with pytest.raises(DimensionError, match="not an integer"):
+        create_configuration(4, 4, boundary, [(1, 1), center])
+    payload = {"width": 4, "height": 4, "boundary": boundary, "occupied": [[1, 1], list(center)]}
+    with pytest.raises(DimensionError, match="not an integer"):
+        from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("centers", [[(1, 2, 3)], [(1, 1), (3, 3, 0)], [(1,)], [1]])
+def test_centers_that_are_not_pairs_rejected(centers):
+    with pytest.raises(DimensionError, match="pair of coordinates"):
+        create_configuration(8, 8, "periodic", centers)
+    payload = {"width": 8, "height": 8, "boundary": "free", "occupied": [[3, 3], [1, 2, 3]]}
+    with pytest.raises(DimensionError, match="pair of coordinates"):
+        from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_numpy_integer_centers_become_python_ints(boundary):
+    cfg = create_configuration(4, 4, boundary, [(np.int64(1), np.int32(1))])
+    assert cfg == create_configuration(4, 4, boundary, [(1, 1)])
+    assert {type(v) for center in cfg.occupied for v in center} == {int}
 
 
 def test_fully_packed_boundary_conflict():

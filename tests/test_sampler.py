@@ -222,6 +222,31 @@ def test_chain_params_rejects_unknown_initial_state(initial):
 
 
 @pytest.mark.parametrize(
+    "field,value",
+    [
+        ("width", 8.0),
+        ("height", True),
+        ("seed", 1.5),
+        ("sweeps", "10"),
+        ("burn_in", None),
+        ("thinning", 2.5),
+        ("lam", "2"),
+        ("lam", True),
+        ("translation_move_fraction", None),
+    ],
+)
+def test_chain_params_reject_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(ParameterError, match="must be an integer|must be a real number"):
+        params(**{field: value})
+
+
+def test_chain_params_accept_numpy_numbers():
+    chain = params(width=np.int64(4), seed=np.uint32(7), lam=np.float64(2.0), sweeps=np.int32(3))
+    plain = params(sweeps=3)
+    assert run_chain(chain, ["tile_density"]).to_json() == run_chain(plain, ["tile_density"]).to_json()
+
+
+@pytest.mark.parametrize(
     "width,height,boundary,initial",
     [
         (8, 8, "periodic", create_configuration(4, 4, "periodic", [(1, 1), (3, 3)])),
