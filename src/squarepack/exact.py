@@ -554,10 +554,11 @@ def _log_disseminated(
     k: int,
     l: int,
     events: Mapping[Tuple[int, int], LocalFunction],
+    transpose: bool,
 ) -> Tuple[int, float]:
     """(sign, log |value|) of mu^per(prod over cells (i, j) of events[i, j]
-    at reflection (i, j)), by a row transfer along the side that
-    ``_check_band_size`` picks.
+    at reflection (i, j)), by a row transfer along y when ``transpose``,
+    else along x: the side that ``_check_band_size`` picks.
 
     Reflection row j spans the l rows of band j and the first row of band
     j + 1. The runs of l + 1 row states give every (band, next row) pair,
@@ -568,7 +569,6 @@ def _log_disseminated(
     only at the end, summed relative to the largest term as in log_tile,
     so no weight overflows or underflows at any fugacity.
     """
-    transpose = _check_band_size(width, height, k, l, len(events))
     log_z = partition_polynomial(width, height).log_tile(lam)
     points = _block_points(corner, k, l)
     cells = list(events)
@@ -629,18 +629,12 @@ def chessboard_seminorm(query: SeminormQuery, lam: float) -> float:
     reflection positivity; tiny negative float residue is clamped to 0.
     """
     check_fugacity(lam)
-    nx, ny = query.width // query.block_width, query.height // query.block_height
+    w, h, k, l = query.width, query.height, query.block_width, query.block_height
+    nx, ny = w // k, h // l
     # admitted before its nx * ny cells are listed
-    _check_band_size(query.width, query.height, query.block_width, query.block_height, nx * ny)
-    sign, log_value = _log_disseminated(
-        query.width,
-        query.height,
-        lam,
-        query.corner,
-        query.block_width,
-        query.block_height,
-        {(i, j): query.event for i in range(nx) for j in range(ny)},
-    )
+    transpose = _check_band_size(w, h, k, l, nx * ny)
+    cells = {(i, j): query.event for i in range(nx) for j in range(ny)}
+    sign, log_value = _log_disseminated(w, h, lam, query.corner, k, l, cells, transpose)
     return math.exp(log_value / (nx * ny)) if sign > 0 else 0.0
 
 
@@ -665,8 +659,9 @@ def disseminated_expectation(
     for i, j in events:
         if not (0 <= i < nx and 0 <= j < ny):
             raise BlockConditionViolated(f"reflection index {(i, j)} out of range")
+    transpose = _check_band_size(width, height, block_width, block_height, len(events))
     sign, log_value = _log_disseminated(
-        width, height, lam, corner, block_width, block_height, events
+        width, height, lam, corner, block_width, block_height, events, transpose
     )
     return sign * math.exp(log_value)
 
@@ -697,8 +692,9 @@ def reflection_positivity_value(
             f"torus {width}x{height} is not the block {block_width}x{block_height} "
             "doubled along one axis"
         )
+    transpose = _check_band_size(width, height, block_width, block_height, 2)
     sign, log_value = _log_disseminated(
-        width, height, lam, corner, block_width, block_height, {(0, 0): f, mirror: f}
+        width, height, lam, corner, block_width, block_height, {(0, 0): f, mirror: f}, transpose
     )
     return sign * math.exp(log_value)
 

@@ -151,7 +151,9 @@ class Configuration:
                 center = tuple(xy[:, outside[0]].tolist())
                 raise DimensionError(f"center {center} outside the closed {w}x{h} rectangle")
         if kinds <= {int} and np.array_equal(xy, given):
-            occ = frozenset(self.occupied)  # already plain int pairs on the sites
+            # already plain int pairs on the sites: the sampler's case, where
+            # rebuilding the set from the grid coordinates costs a third more
+            occ = frozenset(self.occupied)
         else:
             occ = frozenset(zip(*xy.tolist()))
         object.__setattr__(self, "occupied", occ)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -365,12 +366,14 @@ def test_reflection_positivity_constant_function():
 
 @pytest.mark.parametrize("lam", [1e-300, 1e300])
 def test_reflection_positivity_constant_function_at_extreme_fugacity(lam):
-    # each weight is taken relative to the largest, so none overflows; the
-    # block doubled along x and along y both run 3-row bands, and their
-    # rescaled float products round alike
+    # each weight is taken relative to the largest, so none overflows and
+    # the value is 1 up to the rounding of the rescaled products: the 2x4
+    # and 4x2 blocks both run 3-row bands and round alike, within 8 ulp of
+    # 1, and the 6x3 block on 6x6 gives 1 exactly
     along_x = reflection_positivity_value(4, 4, lam, (0, 0), 2, 4, lambda p: 1.0)
-    assert along_x == pytest.approx(1.0, rel=1e-12)
+    assert abs(along_x - 1.0) <= 8 * sys.float_info.epsilon
     assert along_x == reflection_positivity_value(4, 4, lam, (0, 0), 4, 2, lambda p: 1.0)
+    assert reflection_positivity_value(6, 6, lam, (0, 0), 6, 3, lambda p: 1.0) == 1.0
 
 
 def test_reflection_positivity_occupancy_indicator():

@@ -143,6 +143,11 @@ def test_partition_4x4_torus_against_mask_oracle():
         ((10, 4), "periodic"),
         ((12, 4), "free"),
         ((8, 6), "free"),
+        # the largest torus the listing cap admits (164,557 configurations)
+        # and the wide free regions, each tall as well
+        ((4, 10), "periodic"),
+        ((4, 12), "free"),
+        ((6, 8), "free"),
     ],
 )
 def test_brute_and_transfer_agree(dims, boundary):
