@@ -22,18 +22,6 @@ from .errors import check_fugacity
 from .sampler import OBSERVABLES, ChainParams, run_chain
 
 
-def _threads(args) -> int:
-    """``--threads``, else the SQUAREPACK_THREADS environment variable,
-    else 1; a value that is not an integer is a ParameterError."""
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SQUAREPACK_THREADS")
-    try:
-        return int(env) if env else 1
-    except ValueError:
-        raise ParameterError(f"SQUAREPACK_THREADS must be an integer, got {env!r}") from None
-
-
 def _finite(value):
     """The payload with each non-finite float, an undefined statistic
     such as the stderr of a single batch, replaced by None."""
@@ -90,8 +78,6 @@ def _add_common(p: argparse.ArgumentParser, *names) -> None:
         p.add_argument("--seed", type=int, default=0)
     if "out" in names:
         p.add_argument("--out", default=None)
-    if "threads" in names:
-        p.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("components", help="enumerate window components, verify bounds")
-    _add_common(p, "dims", "out", "threads")
+    _add_common(p, "dims", "out")
     p.add_argument("--M", dest="m_values", type=int, action="append", default=[])
     p.add_argument("--lambda", dest="lambdas", type=float, action="append", default=[])
 
@@ -264,7 +250,7 @@ def _cmd_sample(args) -> int:
     if unknown:
         raise SpecError(f"unknown observables: {unknown}")
     report = run_chain(params, names, keep_samples=keep)
-    _emit(json.loads(report.to_json()), args.out)
+    _emit(report.to_dict(), args.out)
     return 0
 
 
@@ -319,7 +305,7 @@ def _cmd_components(args) -> int:
     m_values = args.m_values or [1, 2, 3]
     lambdas = args.lambdas or [100.0, 1e4]
     graphs.check_bound_grid(m_values, lambdas)  # before the harvest, which can be long
-    catalog = graphs.enumerate_components(args.width, args.height, threads=_threads(args))
+    catalog = graphs.enumerate_components(args.width, args.height)
     report = graphs.verify_counting_bounds(catalog, m_values, lambdas)
     report["spec"] = {
         "width": args.width,

@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ParameterError, SpecError, TooLarge, check_fugacity
+from .errors import SpecError, TooLarge, check_fugacity
 from .exact import _check_listing
 from .lattice import (
     _grid_of_sites,
@@ -40,7 +39,6 @@ from .lattice import (
     edge_sides,
     grid_face_cover,
     iter_mask_blocks,
-    map_start_rows,
     stick_edge_grids,
 )
 
@@ -162,12 +160,12 @@ class ComponentRecord:
 _PASS = 1 << 10  # configurations in one harvest pass; bounds its arrays
 
 
-def _mask_passes(width: int, height: int, starts) -> Iterable[np.ndarray]:
+def _mask_passes(width: int, height: int) -> Iterable[np.ndarray]:
     """The masks of iter_mask_blocks in order, regrouped into arrays of at
     most _PASS configurations."""
     held: List[np.ndarray] = []
     size = 0
-    for masks, _ in iter_mask_blocks(width, height, "fully_packed", starts):
+    for masks, _ in iter_mask_blocks(width, height, "fully_packed"):
         for lo in range(0, len(masks), _PASS):
             part = masks[lo : lo + _PASS]
             if size + len(part) > _PASS:
@@ -309,18 +307,7 @@ def _harvest_pass(width: int, height: int, masks: np.ndarray, seen: Dict) -> Non
         )
 
 
-def _harvest(width: int, height: int, starts=None) -> Dict[str, ComponentRecord]:
-    """Catalog of the configurations from the given first-row states (all
-    by default), in enumeration order."""
-    seen: Dict[bytes, ComponentRecord] = {}
-    for masks in _mask_passes(width, height, starts):
-        _harvest_pass(width, height, masks, seen)
-    return {rec.key: rec for rec in seen.values()}
-
-
-def enumerate_components(
-    width: int, height: int, *, threads: int = 1
-) -> Dict[str, ComponentRecord]:
+def enumerate_components(width: int, height: int) -> Dict[str, ComponentRecord]:
     """All distinct components from configurations of a fully-packed window.
 
     Enumerates every configuration of the width x height window under
@@ -331,26 +318,12 @@ def enumerate_components(
     arise). Completeness is relative to the window. A window of more
     than 64 sites, or of more than ``exact.LISTING_CAP`` configurations,
     is TooLarge.
-
-    With ``threads`` > 1 the configurations are partitioned by their
-    first row across a process pool and the catalogs merged in that
-    order, which gives the serial catalog, order included. A ``threads``
-    below 1 is a ParameterError.
     """
-    if threads < 1:
-        raise ParameterError(f"threads must be at least 1, got {threads}")
     _check_listing(width, height, "fully_packed", "the component harvest")
-    if threads == 1:
-        return _harvest(width, height)
-    harvest = partial(_harvest, width, height)
-    catalog: Dict[str, ComponentRecord] = {}
-    for part in map_start_rows(harvest, width, height, "fully_packed", threads):
-        for key, rec in part.items():
-            if key in catalog:
-                catalog[key].multiplicity += rec.multiplicity
-            else:
-                catalog[key] = rec
-    return catalog
+    seen: Dict[bytes, ComponentRecord] = {}
+    for masks in _mask_passes(width, height):
+        _harvest_pass(width, height, masks, seen)
+    return {rec.key: rec for rec in seen.values()}
 
 
 def check_bound_grid(m_values: Sequence[int], lambda_grid: Sequence[float]) -> None:

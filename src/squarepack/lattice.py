@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import json
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -419,16 +418,6 @@ def decode(text: str) -> Configuration:
     return create_configuration(width, height, boundary, occupied)
 
 
-def to_json(config: Configuration) -> str:
-    payload = {
-        "width": config.width,
-        "height": config.height,
-        "boundary": config.boundary,
-        "occupied": sorted(config.occupied),
-    }
-    return json.dumps(payload)
-
-
 def from_json(text: str) -> Configuration:
     try:
         payload = json.loads(text)
@@ -506,19 +495,18 @@ def _row_layout(width: int, height: int, boundary: str) -> Tuple[bool, int, int]
 
 
 def iter_mask_blocks(
-    width: int, height: int, boundary: str, starts: Optional[Iterable[int]] = None
+    width: int, height: int, boundary: str
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Valid configurations as blocks of (masks uint64, tile counts int16).
 
     A configuration grows one row of sites at a time into each row state
-    that fits next to its last row, from each first-row state in
-    ``starts`` (all by default) in turn, in blocks of at most 2^16; on a
-    torus the last row must also fit next to the first. The blocks
-    concatenate to the order of iter_valid_masks.
+    that fits next to its last row, from each first-row state in turn, in
+    blocks of at most 2^16; on a torus the last row must also fit next to
+    the first. The blocks concatenate to the order of iter_valid_masks.
     """
     cyclic, positions, nrows = _row_layout(width, height, boundary)
     values, counts, degree, first, flat = _row_tables(positions, cyclic)
-    for start in range(len(values)) if starts is None else starts:
+    for start in range(len(values)):
         closes = np.zeros(len(values), dtype=bool)
         closes[flat[first[start] : first[start] + degree[start]]] = True
         pending = [(1, values[start : start + 1], counts[start : start + 1], np.array([start]))]
@@ -539,16 +527,6 @@ def iter_mask_blocks(
             nxt = _successors(first, flat, last, deg)
             masks = np.repeat(masks, deg) | values[nxt] << np.uint64(row * positions)
             pending.append((row + 1, masks, np.repeat(tiles, deg) + counts[nxt], nxt))
-
-
-def map_start_rows(fn: Callable, width: int, height: int, boundary: str, threads: int):
-    """fn([start]) for every first-row state of iter_mask_blocks, in start
-    order, across a pool of ``threads`` processes, at most one per state:
-    under the fork start method the pool starts all of its workers at once."""
-    cyclic, positions, _ = _row_layout(width, height, boundary)
-    starts = range(len(_row_states(positions, cyclic)))
-    with ProcessPoolExecutor(max_workers=min(threads, len(starts))) as pool:
-        yield from pool.map(fn, ([start] for start in starts))
 
 
 def iter_valid_masks(width: int, height: int, boundary: str) -> Iterator[Tuple[int, int]]:

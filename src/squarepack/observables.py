@@ -8,7 +8,6 @@ against unspecified universal constants.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -206,7 +205,9 @@ class ObservableReport:
     samples: Optional[List[dict]] = None
     measurements: int = 0
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
+    def to_dict(self) -> dict:
+        """The report as the JSON object that ``sample`` prints, in its
+        key order."""
         payload = {
             "params": self.params,
             "measurements": self.measurements,
@@ -216,7 +217,7 @@ class ObservableReport:
         }
         if self.samples is not None:
             payload["samples"] = self.samples
-        return json.dumps(payload, indent=indent)
+        return payload
 
 
 def summarize_series(series: Mapping[str, List[float]]) -> Dict[str, dict]:

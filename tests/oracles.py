@@ -5,6 +5,7 @@ code paths: validity is checked pairwise, sums are accumulated by direct
 enumeration over raw occupancy masks or sequences.
 """
 
+import json
 from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations, product
@@ -126,6 +127,18 @@ def mask_to_configuration(width, height, boundary, mask):
     return create_configuration(
         width, height, boundary, (sites[i] for i in range(len(sites)) if mask >> i & 1)
     )
+
+
+def to_json(config):
+    """The JSON form that ``lattice.from_json`` reads: dimensions,
+    boundary and the occupied centers, sorted."""
+    payload = {
+        "width": config.width,
+        "height": config.height,
+        "boundary": config.boundary,
+        "occupied": sorted(config.occupied),
+    }
+    return json.dumps(payload)
 
 
 def linf_torus(u, v, width, height):

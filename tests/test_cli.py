@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -12,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squarepack import errors, graphs
-from squarepack.cli import build_parser, main
+from squarepack import errors
+from squarepack.cli import main
 from squarepack.exact import partition_polynomial
-from squarepack.lattice import create_configuration, decode, encode, from_json, to_json
+from squarepack.lattice import create_configuration, decode, encode, from_json
 from squarepack.sampler import OBSERVABLES, seed_phase_configuration
 
+from oracles import to_json
 from strategies import random_valid_config
 
 # the package as the tests import it, for the module entry point run in
@@ -64,6 +64,7 @@ def test_exact1d_odd_length_error(capsys):
         ["exact1d", "--lambda", "1"],
         ["exact2d", "--width", "4", "--height", "4", "--area-cap", "36"],
         ["exact2d", "--width", "4", "--height", "4", "--method", "auto"],
+        ["components", "--width", "4", "--height", "4", "--threads", "2"],
     ],
 )
 def test_parse_errors_are_json_errors(argv, capsys):
@@ -203,6 +204,19 @@ def test_brute_beyond_64_sites_rejected_before_enumeration():
     assert json.loads(proc.stderr)["error"]["type"] == "TooLarge"
 
 
+def test_package_starts_no_process_machinery():
+    # every command runs in one process, so no pool module is imported
+    code = (
+        "import sys, squarepack.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=CLI_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_sample_deterministic(tmp_path, capsys):
     spec = {
         "width": 4,
@@ -312,17 +326,6 @@ def test_phase_of_a_json_configuration_with_a_non_integer_center(tmp_path, capsy
     error = json.loads(err)["error"]
     assert error["type"] == "DimensionError"
     assert "not an integer" in error["message"]
-
-
-def test_threads_option_only_where_used():
-    parser = build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    with_threads = {
-        name
-        for name, sub in commands.choices.items()
-        if any(a.dest == "threads" for a in sub._actions)
-    }
-    assert with_threads == {"components"}
 
 
 def test_sample_unknown_observable(tmp_path, capsys):
@@ -634,46 +637,6 @@ def test_components_cli_checks_bounds_before_the_harvest():
     assert json.loads(proc.stderr)["error"]["type"] == "SpecError"
 
 
-@pytest.mark.parametrize(
-    "extra,env",
-    [
-        (["--threads", "0"], None),
-        (["--threads", "-3"], None),
-        ([], "0"),
-        ([], "-3"),
-        ([], "abc"),
-        ([], "1.5"),
-    ],
-)
-def test_components_cli_rejects_bad_thread_counts(extra, env, monkeypatch, capsys):
-    # rejected before any configuration is harvested or a worker started
-    def never(*args, **kwargs):
-        raise AssertionError("harvest started")
-
-    monkeypatch.setattr(graphs, "_harvest", never)
-    monkeypatch.setattr(graphs, "map_start_rows", never)
-    if env is None:
-        monkeypatch.delenv("SQUAREPACK_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("SQUAREPACK_THREADS", env)
-    code, out, err = run_cli(["components", "--width", "4", "--height", "4", *extra], capsys)
-    assert (code, out) == (1, "")
-    error = json.loads(err)["error"]
-    assert error["type"] == "ParameterError"
-    assert (env or extra[-1]) in error["message"]
-
-
-def test_bad_thread_variable_fails_only_components(monkeypatch, capsys):
-    # the variable is read when components runs, not when the parser is built
-    monkeypatch.setenv("SQUAREPACK_THREADS", "abc")
-    code, out, _ = run_cli(["exact1d", "--L", "4", "--lambda", "1"], capsys)
-    assert (code, out.strip()) == (0, "7")
-    # an explicit count overrides the variable
-    code, out, _ = run_cli(["components", "--width", "4", "--height", "4", "--threads", "1"], capsys)
-    assert code == 0
-    assert json.loads(out)["spec"]["boundary"] == "fully_packed"
-
-
 def test_components_window_refused_by_site_count(capsys):
     # 81 interior sites do not fit the 64-bit configuration masks
     code, out, err = run_cli(["components", "--width", "10", "--height", "10"], capsys)
@@ -695,7 +658,7 @@ def test_components_has_no_window_cap_option(capsys):
 @st.composite
 def components_runs(draw):
     """A ``components`` argument vector: window sides from -2 to 6 (an
-    8x6 window takes some 24 s), stick caps M from -2 to 7 and
+    8x6 window takes some 27 s), stick caps M from -2 to 7 and
     fugacities of every kind, each flag given zero to three times."""
     side = st.integers(-2, 6)
     argv = ["components", f"--width={draw(side)}", f"--height={draw(side)}"]
@@ -709,7 +672,7 @@ def components_runs(draw):
 def test_components_fuzz_prints_json_or_a_json_error(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, "--threads=1"])
+        code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert "Traceback" not in out + err
     if code == 0:

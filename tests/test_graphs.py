@@ -197,16 +197,6 @@ def test_enumerate_cap():
         enumerate_components(10, 10)
 
 
-def test_enumerate_threaded_matches_serial():
-    serial = enumerate_components(4, 4)
-    threaded = enumerate_components(4, 4, threads=2)
-    assert set(serial) == set(threaded)
-    for key in serial:
-        assert serial[key].multiplicity == threaded[key].multiplicity
-    # first rows are merged in order, so the catalog order is the serial one
-    assert list(threaded.items()) == list(serial.items())
-
-
 def reference_catalog(w, h, max_stick=None, compressed_key=None):
     """The reference harvest over a site-by-site enumeration."""
     catalog = {}
@@ -251,8 +241,6 @@ def test_catalog_order_survives_pass_boundaries(monkeypatch, pass_size):
     # block, passes of 25 cut the largest and join smaller ones
     monkeypatch.setattr(graphs, "_PASS", pass_size)
     assert list(enumerate_components(6, 4).items()) == whole
-    threaded = enumerate_components(6, 4, threads=2)
-    assert list(threaded.items()) == whole
 
 
 def _compressed(config):

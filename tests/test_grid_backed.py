@@ -19,14 +19,13 @@ from squarepack.lattice import (
     encode,
     face_cover,
     from_json,
-    to_json,
 )
 from squarepack.observables import occupancy_stack, parity_density
 from squarepack.render import render_ppm, render_svg
 from squarepack.sampler import Chain, ChainParams, seed_phase_configuration
 from squarepack.sticks import classify_phase
 
-from oracles import disagreement_set_by_centers, model_sites, parity_density_by_centers
+from oracles import disagreement_set_by_centers, model_sites, parity_density_by_centers, to_json
 from strategies import random_valid_config
 
 

@@ -25,9 +25,7 @@ from squarepack.lattice import (
     from_json,
     iter_mask_blocks,
     iter_valid_masks,
-    map_start_rows,
     tile_parity_class,
-    to_json,
 )
 
 from oracles import (
@@ -37,6 +35,7 @@ from oracles import (
     pairwise_valid,
     row_neighbours_by_rows,
     row_states_by_strings,
+    to_json,
     valid_masks_by_sites,
     validate_by_tiles,
 )
@@ -337,39 +336,13 @@ def test_row_expansion_order_survives_block_splits(dims, boundary, monkeypatch):
 
 
 def test_enumeration_beyond_64_sites_rejected():
-    # 72 sites: the masks are 64 bits wide; the pool is not started
+    # 72 sites: the masks are 64 bits wide
     for enumerate_ in (iter_valid_masks, iter_mask_blocks):
         with pytest.raises(TooLarge):
             next(enumerate_(4, 18, "periodic"))
-    with pytest.raises(TooLarge):
-        next(map_start_rows(len, 4, 18, "periodic", threads=2))
     # the 4x18 rectangle has 51 interior sites
     masks, tiles = next(iter_mask_blocks(4, 18, "free"))
     assert masks[0] == 0 and tiles[0] == 0
-
-
-def test_start_row_pool_has_at_most_one_worker_per_start_row(monkeypatch):
-    # a stand-in pool records its size and runs the tasks in this process
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(lattice, "ProcessPoolExecutor", RecordingPool)
-    starts = lattice._row_states(3, False)  # the 4-wide window's first rows
-    assert list(map_start_rows(len, 4, 6, "fully_packed", threads=64)) == [1] * len(starts)
-    assert list(map_start_rows(len, 4, 6, "fully_packed", threads=2)) == [1] * len(starts)
-    assert sizes == [len(starts), 2]
 
 
 @pytest.mark.parametrize("positions,cyclic", [(16, True), (17, False)])
